@@ -9,7 +9,7 @@ realization, or the deterministic root) the toolkit maintains
   softened by an L1 penalty M per unit of distance from the anchors' hull,
   over-estimates it.
 
-Both are spliced into stage LPs through the :class:`~sddpkit.stages.ExtraTerms`
+Both are appended to stage LPs through the :class:`~sddpkit.stages.ExtraTerms`
 protocol.  The infinite initializations of the textbook recursion are
 realized by large sentinel boxes (``lower_box``/``upper_box``); they stop
 binding as soon as a first cut or point arrives.
@@ -26,16 +26,14 @@ import numpy as np
 from .kernel import ConditionalWeights
 from .lp import LinearProgram, LpStatus, solve
 from .scenarios import DimensionMismatchError
-from .stages import StageLpBuilder
+from .stages import LpBlock
 
 __all__ = [
     "Cut",
     "CutPool",
     "EnvelopeStore",
     "NodeKey",
-    "add_cut",
     "aggregate_backward",
-    "envelope_update",
     "lower_value",
     "envelope_value",
     "CutLowerTerms",
@@ -54,12 +52,17 @@ NodeKey = tuple[int, int | None]
 
 @dataclass(frozen=True)
 class Cut:
-    """One affine minorant: x -> intercept + gradient . (x - anchor)."""
+    """One affine minorant: x -> intercept + gradient . (x - anchor).
+
+    ``offset`` is its value at the origin, the right-hand side of the
+    cut's row in a stage LP.
+    """
 
     gradient: np.ndarray
     intercept: float
     anchor: np.ndarray
     iteration_k: int = 0
+    offset: float = field(init=False)
 
     def __post_init__(self) -> None:
         g = np.asarray(self.gradient, dtype=float).reshape(-1)
@@ -71,6 +74,7 @@ class Cut:
             raise DimensionMismatchError(
                 f"cut gradient has dimension {g.shape[0]}, anchor {a.shape[0]}"
             )
+        object.__setattr__(self, "offset", self.intercept - float(g @ a))
 
     def value_at(self, x: np.ndarray) -> float:
         return self.intercept + float(self.gradient @ (np.asarray(x, float) - self.anchor))
@@ -110,12 +114,6 @@ class CutPool:
                 grad = ",".join(repr(float(g)) for g in c.gradient)
                 label = "root" if j is None else str(j)
                 stream.write(f"{t},{label},{c.iteration_k},{c.intercept!r},{grad}\n")
-
-
-def add_cut(pool: CutPool, t: int, node_j: int | None, cut: Cut) -> CutPool:
-    """Append a cut to the pool's (t, node) bucket; returns the pool."""
-    pool.add(t, node_j, cut)
-    return pool
 
 
 def lower_value(cuts: tuple[Cut, ...] | list[Cut], x: np.ndarray, lower_box: float) -> float:
@@ -174,15 +172,9 @@ class EnvelopeStore:
     an optional per-call override.
     """
 
-    def __init__(
-        self,
-        safety: float = 10.0,
-        penalty_override: float | None = None,
-        upper_box: float = UPPER_BOX_DEFAULT,
-    ):
+    def __init__(self, safety: float = 10.0, penalty_override: float | None = None):
         self.safety = float(safety)
         self.penalty_override = penalty_override
-        self.upper_box = float(upper_box)
         self._points: dict[NodeKey, _EnvelopeBucket] = {}
         self._grad_max: dict[int, float] = {}
 
@@ -225,14 +217,6 @@ class EnvelopeStore:
         return envelope_value(anchors, values, self.penalty(t), x)
 
 
-def envelope_update(
-    store: EnvelopeStore, t: int, node_j: int | None, anchor: np.ndarray, value: float
-) -> EnvelopeStore:
-    """Extend the (t, node) point set; the induced envelope never increases."""
-    store.add(t, node_j, anchor, value)
-    return store
-
-
 def envelope_value(
     anchors: np.ndarray, values: np.ndarray, penalty_m: float, x: np.ndarray
 ) -> float:
@@ -267,44 +251,67 @@ def envelope_value(
 
 
 # ---------------------------------------------------------------------------
-# Splicing into stage LPs
+# Blocks appended to stage LPs
 # ---------------------------------------------------------------------------
+
+
+def stack_cut_rows(
+    node_cuts: list[tuple[Cut, ...]], x_dim: int, lower_box: float
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """One epigraph row per cut, node after node, for an LP block.
+
+    A node without cuts gets a flat sentinel cut at ``lower_box`` instead.
+    Returns each row's node index, its coefficients on the stage decision
+    (the negated cut gradient) and its right-hand side (the cut offset).
+    """
+    sentinel = Cut(gradient=np.zeros(x_dim), intercept=lower_box, anchor=np.zeros(x_dim))
+    per_node = [cuts or (sentinel,) for cuts in node_cuts]
+    flat = [cut for cuts in per_node for cut in cuts]
+    if any(cut.gradient.shape[0] != x_dim for cut in flat):
+        raise DimensionMismatchError(
+            f"cut gradients do not have the stage decision's dimension {x_dim}"
+        )
+    node = np.repeat(np.arange(len(per_node)), [len(cuts) for cuts in per_node])
+    # 0.0 - g rather than -g keeps zero coefficients +0.0.
+    x_rows = 0.0 - np.array([cut.gradient for cut in flat]).reshape(-1, x_dim)
+    return node, x_rows, np.array([cut.offset for cut in flat])
 
 
 @dataclass
 class WeightedLowerTerms:
     """Epigraph variables for several conditioning nodes at once.
 
-    Adds one variable ell_i with objective weight w_i per node and one row
-    per cut; with no cuts for a node its ell sits on the sentinel box.
-    Policy evaluation uses this with the conditional weights; the ordinary
-    single-node splice is the weight-1 special case.
+    Adds one free variable ell_i with objective weight w_i per node and
+    one row ell_i - surplus = cut(x) per cut; with no cuts for a node its
+    ell sits on the sentinel box.  Policy evaluation uses this with the
+    conditional weights; the ordinary single-node block is the weight-1
+    special case.
     """
 
     node_cuts: list[tuple[float, tuple[Cut, ...]]]
     lower_box: float = LOWER_BOX_DEFAULT
-    ell_cols: list[int] = field(default_factory=list, init=False)
 
-    def attach(self, builder: StageLpBuilder) -> None:
-        self.ell_cols = []
-        for weight, cuts in self.node_cuts:
-            # A free epigraph variable avoids mixing the huge sentinel into
-            # every basic solution; the box enters as a row only while no
-            # cut bounds ell from below.
-            ell = builder.add_var(cost=float(weight), free=True)
-            self.ell_cols.append(ell)
-            if not cuts:
-                surplus = builder.add_var()
-                builder.add_row({ell: 1.0, surplus: -1.0}, self.lower_box)
-            for cut in cuts:
-                offset = cut.intercept - float(cut.gradient @ cut.anchor)
-                coeffs = {ell: 1.0}
-                for j, g in zip(builder.x_cols, cut.gradient):
-                    if g != 0.0:
-                        coeffs[j] = -float(g)
-                surplus = builder.add_var()
-                coeffs[surplus] = -1.0
-                builder.add_row(coeffs, offset)
+    def block(self, x_dim: int) -> LpBlock:
+        # A free epigraph variable avoids mixing the huge sentinel into
+        # every basic solution; the box enters as a row only while no cut
+        # bounds ell from below.
+        node, x_rows, rhs = stack_cut_rows(
+            [cuts for _, cuts in self.node_cuts], x_dim, self.lower_box
+        )
+        n_nodes, n_rows = len(self.node_cuts), node.shape[0]
+        # Node i's columns are ell_i and then one surplus per row of node i,
+        # so row r of node i has its surplus at column r + i + 1.
+        ell = np.searchsorted(node, np.arange(n_nodes)) + np.arange(n_nodes)
+        r = np.arange(n_rows)
+        rows = np.zeros((n_rows, x_dim + n_rows + n_nodes))
+        rows[:, :x_dim] = x_rows
+        rows[r, x_dim + ell[node]] = 1.0
+        rows[r, x_dim + r + node + 1] = -1.0
+        cost = np.zeros(n_rows + n_nodes)
+        cost[ell] = [float(weight) for weight, _ in self.node_cuts]
+        free = np.zeros(n_rows + n_nodes, dtype=bool)
+        free[ell] = True
+        return LpBlock(cost=cost, rows=rows, rhs=rhs, free=free)
 
 
 def CutLowerTerms(
@@ -324,25 +331,28 @@ class EnvelopeUpperTerms:
     penalty_m: float
     upper_box: float = UPPER_BOX_DEFAULT
 
-    def attach(self, builder: StageLpBuilder) -> None:
+    def block(self, x_dim: int) -> LpBlock:
         anchors = np.atleast_2d(np.asarray(self.anchors, dtype=float))
         values = np.asarray(self.values, dtype=float).reshape(-1)
         if values.size == 0:
-            builder.add_var(cost=1.0, lower=self.upper_box)
-            return
-        k, d = anchors.shape
-        if d != len(builder.x_cols):
-            raise DimensionMismatchError(
-                f"envelope anchors have dimension {d}, stage decision has "
-                f"{len(builder.x_cols)}"
+            return LpBlock(
+                cost=np.ones(1),
+                rows=np.zeros((0, x_dim + 1)),
+                rhs=np.zeros(0),
+                lower=np.full(1, float(self.upper_box)),
             )
-        theta = [builder.add_var(cost=float(v)) for v in values]
-        y_pos = [builder.add_var(cost=float(self.penalty_m)) for _ in range(d)]
-        y_neg = [builder.add_var(cost=float(self.penalty_m)) for _ in range(d)]
-        for i in range(d):
-            coeffs = {theta[j]: float(anchors[j, i]) for j in range(k)}
-            coeffs[y_pos[i]] = 1.0
-            coeffs[y_neg[i]] = -1.0
-            coeffs[builder.x_cols[i]] = coeffs.get(builder.x_cols[i], 0.0) - 1.0
-            builder.add_row(coeffs, 0.0)
-        builder.add_row({t: 1.0 for t in theta}, 1.0)
+        k, d = anchors.shape
+        if d != x_dim:
+            raise DimensionMismatchError(
+                f"envelope anchors have dimension {d}, stage decision has {x_dim}"
+            )
+        # Columns theta (k), y+ (d), y- (d); rows
+        # sum_j theta_j anchor_j + y+ - y- - x = 0 and sum_j theta_j = 1.
+        eye = np.eye(d)
+        rows = np.block([
+            [0.0 - eye, anchors.T, eye, 0.0 - eye],
+            [np.zeros((1, d)), np.ones((1, k)), np.zeros((1, 2 * d))],
+        ])
+        rhs = np.concatenate([np.zeros(d), [1.0]])
+        cost = np.concatenate([values, np.full(2 * d, float(self.penalty_m))])
+        return LpBlock(cost=cost, rows=rows, rhs=rhs)

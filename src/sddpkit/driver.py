@@ -3,8 +3,9 @@
 One iteration samples a forward path through the empirical scenario sets,
 then walks backward from the last stage: at each stage it solves the N
 realization subproblems at the visited state, aggregates their values and
-copy-row duals into one new cut and one new envelope point per
-conditioning node (per stage-(t-1) realization, or the root), and finally
+state gradients (-B^T y on the structural rows' duals y) into one new cut
+and one new envelope point per conditioning node (per stage-(t-1)
+realization, or the root), and finally
 re-solves the root problem against both approximations to report a
 deterministic lower and upper bound.
 
@@ -65,8 +66,8 @@ from .scenarios import (
 from .stages import (
     InstanceTemplate,
     StageInfeasibleError,
-    StageProblem,
     assemble_stage_lp,
+    state_gradient,
 )
 
 __all__ = [
@@ -148,7 +149,6 @@ class Policy:
 
     algorithm: Algorithm
     trajectories: TrajectorySet
-    template: InstanceTemplate
     kernel: KernelConfig
     rho: float
     pools: CutPool
@@ -224,18 +224,12 @@ class _Runner:
                 f"{traj.stage1.dim_in}"
             )
         self.traj = traj
-        self.template = template
         self.config = config
         self.x0 = x0
         self.N = traj.n_paths
         self.T = traj.horizon_T
         self.p = traj.feature_dim
         self.h = config.kernel.effective_h(self.N, self.p)
-        self.root_problem = StageProblem(1, traj.stage1)
-        self.problems: dict[int, list[StageProblem]] = {
-            t: [StageProblem(t, d) for d in traj.stage_data(t)]
-            for t in range(2, self.T + 1)
-        }
         # W[t][j, i]: weight of stage-(t+1) index i given the stage-t node j.
         self.W: dict[int, np.ndarray] = {}
         for t in range(2, self.T):
@@ -273,36 +267,32 @@ class _Runner:
             return None
         return CutLowerTerms(self.pools.cuts(t + 1, i), lower_box=self.config.lower_box)
 
-    def _robust_params(self, nominal: np.ndarray) -> AmbiguityParams:
-        return AmbiguityParams(rho=self.rho, nominal=sanitize_nominal(nominal))
-
     def _worst_case(self, values: np.ndarray, nominal: np.ndarray) -> tuple[float, np.ndarray]:
         if self.rho == 0.0:
             w = sanitize_nominal(nominal).weights
             return float(w @ values), w
-        value, worst = inner_max_primal(values, self._robust_params(nominal))
+        params = AmbiguityParams(rho=self.rho, nominal=sanitize_nominal(nominal))
+        value, worst = inner_max_primal(values, params)
         return value, worst / worst.sum()
 
     # -- passes ---------------------------------------------------------
 
     def root_solve_lower(self, k: int):
         lp = assemble_stage_lp(
-            self.root_problem,
+            self.traj.stage1,
             self.x0,
             extra_terms=CutLowerTerms(self.pools.cuts(2, None), lower_box=self.config.lower_box),
-            include_copy=False,
         )
         sol = self._solve_checked(lp, k, 1, None)
-        self.root_decision = sol.primal[: self.root_problem.state_dim_out].copy()
+        self.root_decision = sol.primal[: self.traj.stage1.dim_out].copy()
         return sol
 
     def root_solve_upper(self, k: int) -> float:
         anchors, values = self.store.points(2, None)
         lp = assemble_stage_lp(
-            self.root_problem,
+            self.traj.stage1,
             self.x0,
             extra_terms=EnvelopeUpperTerms(anchors, values, self.store.penalty(2)),
-            include_copy=False,
         )
         return float(self._solve_checked(lp, k, 1, None).objective_value)
 
@@ -320,14 +310,10 @@ class _Runner:
         states = [self.root_decision]
         for t in range(2, self.T):
             i = scenario.indices[t - 2]
-            lp = assemble_stage_lp(
-                self.problems[t][i],
-                states[-1],
-                extra_terms=self._lower_terms(t, i),
-                include_copy=False,
-            )
+            datum = self.traj.stage_data(t)[i]
+            lp = assemble_stage_lp(datum, states[-1], extra_terms=self._lower_terms(t, i))
             sol = self._solve_checked(lp, k, t, i)
-            states.append(sol.primal[: self.problems[t][i].state_dim_out].copy())
+            states.append(sol.primal[: datum.dim_out].copy())
         return scenario, states
 
     def backward_pass(self, k: int, states: list[np.ndarray]) -> tuple[int, int]:
@@ -338,28 +324,26 @@ class _Runner:
             lower_vals = np.empty(self.N)
             upper_vals = np.empty(self.N)
             grads = []
-            for i in range(self.N):
-                prob = self.problems[t][i]
+            for i, datum in enumerate(self.traj.stage_data(t)):
                 sol = self._solve_checked(
-                    assemble_stage_lp(prob, anchor, extra_terms=self._lower_terms(t, i)),
+                    assemble_stage_lp(datum, anchor, extra_terms=self._lower_terms(t, i)),
                     k,
                     t,
                     i,
                 )
                 lower_vals[i] = sol.objective_value
-                grads.append(np.array([sol.duals[r] for r in prob.copy_rows]))
+                grads.append(state_gradient(datum, sol.duals))
                 if t == self.T:
                     upper_vals[i] = lower_vals[i]
                 else:
                     anchors, values = self.store.points(t + 1, i)
                     ub_sol = self._solve_checked(
                         assemble_stage_lp(
-                            prob,
+                            datum,
                             anchor,
                             extra_terms=EnvelopeUpperTerms(
                                 anchors, values, self.store.penalty(t + 1)
                             ),
-                            include_copy=False,
                         ),
                         k,
                         t,
@@ -427,9 +411,6 @@ class _Runner:
             return spread
         return spread / max(min(abs(lb), abs(ub)), 1e-9)
 
-    def converged(self, lb: float, ub: float) -> bool:
-        return gap_converged(self.config, lb, ub)
-
 
 def gap_converged(config: SolveConfig, lower_bound: float, upper_bound: float) -> bool:
     """Termination test: absolute spread, or relative to the smaller bound
@@ -453,13 +434,12 @@ def run(
     for k in range(1, config.max_iterations + 1):
         rec = runner.iterate(k)
         records.append(rec)
-        if runner.converged(rec.lower_bound, rec.upper_bound):
+        if gap_converged(config, rec.lower_bound, rec.upper_bound):
             break
     assert runner.root_decision is not None
     policy = Policy(
         algorithm=config.algorithm,
         trajectories=traj,
-        template=instance,
         kernel=config.kernel,
         rho=runner.rho,
         pools=runner.pools,
@@ -501,7 +481,6 @@ def evaluate_policy_out_of_sample(
         failed = False
         for t in range(2, T + 1):
             datum = test_traj.stage_data(t)[path]
-            prob = StageProblem(t, datum)
             extra = None
             if t < T:
                 w = nw_weights(datum.feature, train.features(t), policy.kernel)
@@ -519,12 +498,12 @@ def evaluate_policy_out_of_sample(
                         ],
                         lower_box=policy.pools.lower_box,
                     )
-            lp = assemble_stage_lp(prob, x_prev, extra_terms=extra, include_copy=False)
+            lp = assemble_stage_lp(datum, x_prev, extra_terms=extra)
             sol = solve(lp)
             if sol.status is not LpStatus.OPTIMAL:
                 failed = True
                 break
-            x_t = sol.primal[: prob.state_dim_out]
+            x_t = sol.primal[: datum.dim_out]
             total += float(datum.c @ x_t)
             x_prev = x_t
         objectives.append(math.nan if failed else total)

@@ -22,7 +22,6 @@ import numpy as np
 
 __all__ = [
     "BandwidthRule",
-    "KernelKind",
     "KernelConfig",
     "ConditionalWeights",
     "nw_weights",
@@ -33,10 +32,6 @@ __all__ = [
 class BandwidthRule(Enum):
     MANUAL = "Manual"
     AUTO_RATE = "AutoRate"
-
-
-class KernelKind(Enum):
-    EXPONENTIAL = "Exponential"
 
 
 def auto_bandwidth(n_samples: int, p: int, c_h: float) -> float:
@@ -52,7 +47,7 @@ def auto_bandwidth(n_samples: int, p: int, c_h: float) -> float:
 
 @dataclass(frozen=True)
 class KernelConfig:
-    """Bandwidth and kernel selection.
+    """Bandwidth selection.
 
     With ``bandwidth_rule = MANUAL`` the stored ``bandwidth_h`` is used as
     is; with ``AUTO_RATE`` the effective bandwidth is recomputed per stage
@@ -61,7 +56,6 @@ class KernelConfig:
 
     bandwidth_h: float = 1.0
     bandwidth_rule: BandwidthRule = BandwidthRule.MANUAL
-    kernel_kind: KernelKind = KernelKind.EXPONENTIAL
     c_h: float = 1.0
 
     def __post_init__(self) -> None:

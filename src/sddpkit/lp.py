@@ -28,7 +28,7 @@ Conventions
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from enum import Enum
 
 import numpy as np
@@ -173,16 +173,14 @@ class LinearProgram:
 class LpSolution:
     """Result of an LP solve.
 
-    ``primal`` and ``duals`` are None unless the status is Optimal.
-    ``basis`` lists the basic column indices of the internal standard form
-    and is reported for determinism checks and warm-start bookkeeping.
+    ``primal``, ``duals`` and ``objective_value`` are None unless the
+    status is Optimal.
     """
 
     status: LpStatus
     primal: np.ndarray | None = None
     duals: np.ndarray | None = None
     objective_value: float | None = None
-    basis: tuple[int, ...] = field(default_factory=tuple)
 
 
 # ---------------------------------------------------------------------------
@@ -318,6 +316,11 @@ class _Simplex:
                 raise RuntimeError("simplex pivot limit exceeded; data is ill-conditioned")
             y = cost[self.basis] @ self.Binv
             rc = cost - y @ self.A
+            # Basic columns price out at zero in exact arithmetic.  Drift in
+            # the product-form inverse can leave one below -tol; Bland's rule
+            # would enter it, the ratio test would pick its own row, and the
+            # basis would never change.
+            rc[self.basis] = 0.0
             cand = np.nonzero((rc < -tol) & allowed)[0]
             if cand.size == 0:
                 if self.since_refactor:
@@ -402,9 +405,9 @@ def solve(lp: LinearProgram, options: SolverOptions | None = None) -> LpSolution
     """Solve an equality-form LP with the revised simplex method.
 
     Returns an :class:`LpSolution`; on Optimal status the primal point, the
-    equality-row duals, the objective value and the final basis are filled
-    in.  Identical inputs produce identical outputs, including the basis,
-    because pivoting follows Bland's rule with fixed tie-breaking.
+    equality-row duals and the objective value are filled in.  Identical
+    inputs produce identical outputs because pivoting follows Bland's rule
+    with fixed tie-breaking.
     """
     opts = options or SolverOptions()
     sf = _StandardForm(lp)
@@ -451,8 +454,7 @@ def solve(lp: LinearProgram, options: SolverOptions | None = None) -> LpSolution
     x = sf.recover_primal(z)
     obj = float(sf.c @ z) + sf.const
     duals = y[: sf.m_orig].copy() if sf.m_orig else np.zeros(0)
-    basis = tuple(int(j) for j in np.sort(sim.basis)) if sim.m else ()
-    return LpSolution(LpStatus.OPTIMAL, x, duals, obj, basis)
+    return LpSolution(LpStatus.OPTIMAL, x, duals, obj)
 
 
 # ---------------------------------------------------------------------------

@@ -10,7 +10,7 @@ a polyhedral outer approximation of a modified chi-square ball of radius
 rho.  ``inner_max_primal`` solves the inner maximization directly and
 returns the worst-case weights; ``dualize_inner`` solves its LP dual,
 whose variable block (gamma, beta, mu, zeta, psi) is what
-``DroLowerTerms`` splices into stage LPs so the robust stage problem
+``DroLowerTerms`` appends to stage LPs so the robust stage problem
 stays a single-level LP.
 
 The dual objective uses radius coefficient rho throughout, matching the
@@ -21,16 +21,16 @@ enforce that).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
 
-from .approximations import LOWER_BOX_DEFAULT, Cut
+from .approximations import LOWER_BOX_DEFAULT, Cut, stack_cut_rows
 from .kernel import ConditionalWeights
 from .lp import LinearProgram, LpStatus, solve
 from .scenarios import DimensionMismatchError
-from .stages import StageLpBuilder
+from .stages import LpBlock
 
 __all__ = [
     "RhoRule",
@@ -43,7 +43,6 @@ __all__ = [
     "inner_max_primal",
     "dualize_inner",
     "DroLowerTerms",
-    "splice_dro",
     "empirical_conditional_variance",
     "check_vr_sandwich",
 ]
@@ -107,10 +106,6 @@ class AmbiguityParams:
             rho_rule=RhoRule.RATE_SCALED,
             c_coefficient=float(c),
         )
-
-    @property
-    def n(self) -> int:
-        return len(self.nominal)
 
 
 def _checked_nominal(params: AmbiguityParams) -> np.ndarray:
@@ -272,9 +267,8 @@ class DroLowerTerms:
     params: AmbiguityParams
     node_cuts: list[tuple[Cut, ...]]
     lower_box: float = LOWER_BOX_DEFAULT
-    var_cols: dict[str, object] = field(default_factory=dict, init=False)
 
-    def attach(self, builder: StageLpBuilder) -> None:
+    def block(self, x_dim: int) -> LpBlock:
         w_hat = _checked_nominal(self.params)
         n = w_hat.shape[0]
         if len(self.node_cuts) != n:
@@ -282,51 +276,33 @@ class DroLowerTerms:
                 f"{len(self.node_cuts)} cut pools for {n} nominal weights"
             )
         s = np.sqrt(w_hat)
-        rho = self.params.rho
-        rootn = math.sqrt(n)
-        gamma = builder.add_var(cost=1.0, free=True)
-        beta = builder.add_var(cost=rho)
-        mu = [builder.add_var(cost=float(s[i])) for i in range(n)]
-        zeta = [builder.add_var(cost=float(-s[i])) for i in range(n)]
-        psi = [builder.add_var(cost=rho) for _ in range(n)]
-        self.var_cols = {"gamma": gamma, "beta": beta, "mu": mu, "zeta": zeta, "psi": psi}
-        for i in range(n):
-            builder.add_row(
-                {mu[i]: 1.0, zeta[i]: 1.0, psi[i]: -1.0, beta: -1.0 / rootn}, 0.0
-            )
-            head = {gamma: 1.0, mu[i]: 1.0 / s[i], zeta[i]: -1.0 / s[i]}
-            cuts = self.node_cuts[i]
-            if not cuts:
-                coeffs = dict(head)
-                coeffs[builder.add_var()] = -1.0
-                builder.add_row(coeffs, self.lower_box)
-                continue
-            for cut in cuts:
-                coeffs = dict(head)
-                for j, g in zip(builder.x_cols, cut.gradient):
-                    if g != 0.0:
-                        coeffs[j] = coeffs.get(j, 0.0) - float(g)
-                coeffs[builder.add_var()] = -1.0
-                builder.add_row(coeffs, cut.intercept - float(cut.gradient @ cut.anchor))
-
-
-def splice_dro(
-    problem,
-    incoming_state,
-    params: AmbiguityParams,
-    node_cuts: list[tuple[Cut, ...]],
-    lower_box: float = LOWER_BOX_DEFAULT,
-    include_copy: bool = True,
-) -> LinearProgram:
-    """Stage LP with the robust cost-to-go block appended."""
-    from .stages import assemble_stage_lp
-
-    return assemble_stage_lp(
-        problem,
-        incoming_state,
-        extra_terms=DroLowerTerms(params, node_cuts, lower_box),
-        include_copy=include_copy,
-    )
+        rho = float(self.params.rho)
+        node, x_rows, cut_rhs = stack_cut_rows(self.node_cuts, x_dim, self.lower_box)
+        n_cut = node.shape[0]
+        # Columns: gamma, beta, mu (N), zeta (N), psi (N), then one surplus
+        # per cut row.  Rows: scenario i's coupling row, then its cut rows,
+        # so cut row r of scenario i lands at r + i + 1.
+        i = np.arange(n)
+        r = np.arange(n_cut)
+        couple = np.searchsorted(node, i) + i
+        cut_at = r + node + 1
+        mu, zeta, psi, surplus = x_dim + 2, x_dim + 2 + n, x_dim + 2 + 2 * n, x_dim + 2 + 3 * n
+        rows = np.zeros((n + n_cut, surplus + n_cut))
+        rows[couple, mu + i] = 1.0
+        rows[couple, zeta + i] = 1.0
+        rows[couple, psi + i] = -1.0
+        rows[couple, x_dim + 1] = -1.0 / math.sqrt(n)
+        rows[cut_at, :x_dim] = x_rows
+        rows[cut_at, x_dim] = 1.0
+        rows[cut_at, mu + node] = (1.0 / s)[node]
+        rows[cut_at, zeta + node] = (-1.0 / s)[node]
+        rows[cut_at, surplus + r] = -1.0
+        rhs = np.zeros(n + n_cut)
+        rhs[cut_at] = cut_rhs
+        cost = np.concatenate([[1.0, rho], s, -s, np.full(n, rho), np.zeros(n_cut)])
+        free = np.zeros(cost.shape[0], dtype=bool)
+        free[0] = True
+        return LpBlock(cost=cost, rows=rows, rhs=rhs, free=free)
 
 
 def empirical_conditional_variance(

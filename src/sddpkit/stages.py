@@ -1,28 +1,26 @@
 """Stage subproblem assembly and the portfolio instance builder.
 
-A stage subproblem is
+A stage subproblem at incoming state x_bar is
 
     min  c_t^T x_t + (appended approximation terms)
-    s.t. A_t x_t + B_t z = b_t
-         z = incoming_state        (copy rows)
-         x_t >= 0,  z free,
+    s.t. A_t x_t = b_t - B_t x_bar
+         x_t >= 0,
 
-where the copy rows pin the previous decision through auxiliary
-variables so their duals are exactly the subgradient of the stage value
-with respect to the incoming state.  Cut pools, envelope blocks, and
-ambiguity blocks are appended through the :class:`ExtraTerms` protocol:
-``assemble_stage_lp`` builds the base blocks, hands the builder to the
-extra terms, and returns the finished :class:`~sddpkit.lp.LinearProgram`.
+so the previous decision enters only through the right-hand side.  The
+subgradient of the stage value with respect to x_bar is then -B_t^T y
+on the structural rows' duals y (:func:`state_gradient`).  Cut pools,
+envelope blocks and ambiguity blocks are appended through the
+:class:`ExtraTerms` protocol: each returns an :class:`LpBlock` of new
+columns and rows, which ``assemble_stage_lp`` stacks under ``[A_t | 0]``.
 
-Column and row layout is fixed: decision columns first (0..d_t-1), copy
-variables next, extras after; structural rows first, copy rows next,
-extras after.  Downstream code relies on this ordering.
+Column and row layout is fixed: decision columns first (0..d_t-1), extras
+after; structural rows first, extras after.  Downstream code relies on
+this ordering.
 """
 
 from __future__ import annotations
 
-import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Protocol, Sequence
 
 import numpy as np
@@ -31,13 +29,13 @@ from .lp import LinearProgram
 from .scenarios import DimensionMismatchError, StageDatum
 
 __all__ = [
-    "StageProblem",
     "ExtraTerms",
-    "StageLpBuilder",
+    "LpBlock",
     "InstanceTemplate",
     "InvalidUtilityError",
     "StageInfeasibleError",
     "assemble_stage_lp",
+    "state_gradient",
     "exponential_utility_segments",
     "build_portfolio_instance",
 ]
@@ -55,124 +53,71 @@ class StageInfeasibleError(RuntimeError):
     """
 
 
-@dataclass
-class StageProblem:
-    """A stage's data plus the fixed layout of its copy-constraint block."""
+@dataclass(frozen=True)
+class LpBlock:
+    """Columns and rows that an extra term appends to a stage LP.
 
-    stage_t: int
-    datum: StageDatum
-    state_dim_in: int = field(init=False)
-    state_dim_out: int = field(init=False)
-    copy_rows: tuple[int, ...] = field(init=False)
+    ``rows`` has one column per stage decision followed by one per
+    appended column, and ``rhs`` one entry per row.  ``cost``, ``lower``
+    and ``free`` describe the appended columns, which have no upper
+    bound; an omitted ``lower`` means 0 and an omitted ``free`` none.
+    """
+
+    cost: np.ndarray
+    rows: np.ndarray
+    rhs: np.ndarray
+    lower: np.ndarray | None = None
+    free: np.ndarray | None = None
 
     def __post_init__(self) -> None:
-        self.state_dim_in = self.datum.dim_in
-        self.state_dim_out = self.datum.dim_out
-        m = self.datum.n_rows
-        self.copy_rows = tuple(range(m, m + self.state_dim_in))
-
-
-class StageLpBuilder:
-    """Incrementally grown LP: base stage blocks plus spliced extras."""
-
-    def __init__(self, x_dim: int):
-        self.costs: list[float] = []
-        self.lowers: list[float] = []
-        self.uppers: list[float] = []
-        self.frees: list[bool] = []
-        self.rows: list[tuple[dict[int, float], float]] = []
-        self.x_cols = range(x_dim)
-
-    @property
-    def n_vars(self) -> int:
-        return len(self.costs)
-
-    @property
-    def n_rows(self) -> int:
-        return len(self.rows)
-
-    def add_var(
-        self,
-        cost: float = 0.0,
-        lower: float = 0.0,
-        upper: float = math.inf,
-        free: bool = False,
-    ) -> int:
-        self.costs.append(float(cost))
-        self.lowers.append(float(lower))
-        self.uppers.append(float(upper))
-        self.frees.append(bool(free))
-        return len(self.costs) - 1
-
-    def add_row(self, coeffs: dict[int, float], rhs: float) -> int:
-        self.rows.append((dict(coeffs), float(rhs)))
-        return len(self.rows) - 1
-
-    def build(self) -> LinearProgram:
-        n = self.n_vars
-        A = np.zeros((len(self.rows), n))
-        b = np.zeros(len(self.rows))
-        for r, (coeffs, rhs) in enumerate(self.rows):
-            b[r] = rhs
-            for j, v in coeffs.items():
-                A[r, j] = v
-        return LinearProgram(
-            objective=np.array(self.costs),
-            eq_matrix=A,
-            eq_rhs=b,
-            var_lower=np.array(self.lowers),
-            var_upper=np.array(self.uppers),
-            free_mask=np.array(self.frees, dtype=bool),
-        )
+        n = self.cost.shape[0]
+        if self.lower is None:
+            object.__setattr__(self, "lower", np.zeros(n))
+        if self.free is None:
+            object.__setattr__(self, "free", np.zeros(n, dtype=bool))
 
 
 class ExtraTerms(Protocol):
-    """Anything spliceable into a stage LP (cuts, envelopes, ambiguity blocks)."""
+    """Anything appendable to a stage LP (cuts, envelopes, ambiguity blocks)."""
 
-    def attach(self, builder: StageLpBuilder) -> None: ...
+    def block(self, x_dim: int) -> LpBlock: ...
 
 
 def assemble_stage_lp(
-    problem: StageProblem,
+    datum: StageDatum,
     incoming_state: np.ndarray,
     extra_terms: ExtraTerms | None = None,
-    include_copy: bool = True,
 ) -> LinearProgram:
-    """Build the stage LP for a given incoming state.
-
-    With ``include_copy`` (the default) the incoming state enters through
-    copy rows ``z = incoming_state`` whose duals are the stage value's
-    subgradient.  With ``include_copy=False`` the state is substituted
-    into the right-hand side instead (cheaper; no state duals available),
-    and ``problem.copy_rows`` does not apply to the result.
-    """
-    d = problem.datum
+    """Build the stage LP with ``incoming_state`` substituted into the rhs."""
     xbar = np.asarray(incoming_state, dtype=float).reshape(-1)
-    if xbar.shape[0] != problem.state_dim_in:
+    if xbar.shape[0] != datum.dim_in:
         raise DimensionMismatchError(
-            f"stage t={problem.stage_t}: incoming state has {xbar.shape[0]} "
-            f"entries, expected {problem.state_dim_in}"
+            f"incoming state has {xbar.shape[0]} entries, expected {datum.dim_in}"
         )
-    builder = StageLpBuilder(x_dim=d.dim_out)
-    for j in range(d.dim_out):
-        builder.add_var(cost=float(d.c[j]))
-    if include_copy:
-        z_cols = [builder.add_var(free=True) for _ in range(problem.state_dim_in)]
-        for r in range(d.n_rows):
-            coeffs = {j: float(d.A[r, j]) for j in range(d.dim_out)}
-            for k, col in enumerate(z_cols):
-                coeffs[col] = coeffs.get(col, 0.0) + float(d.B[r, k])
-            builder.add_row(coeffs, float(d.b[r]))
-        for k, col in enumerate(z_cols):
-            builder.add_row({col: 1.0}, float(xbar[k]))
+    m, d = datum.A.shape
+    if extra_terms is None:
+        block = LpBlock(cost=np.zeros(0), rows=np.zeros((0, d)), rhs=np.zeros(0))
     else:
-        rhs = d.b - d.B @ xbar
-        for r in range(d.n_rows):
-            coeffs = {j: float(d.A[r, j]) for j in range(d.dim_out)}
-            builder.add_row(coeffs, float(rhs[r]))
-    if extra_terms is not None:
-        extra_terms.attach(builder)
-    return builder.build()
+        block = extra_terms.block(d)
+    A = np.zeros((m + block.rhs.shape[0], d + block.cost.shape[0]))
+    A[:m, :d] = datum.A
+    A[m:] = block.rows
+    return LinearProgram(
+        objective=np.concatenate([datum.c, block.cost]),
+        eq_matrix=A,
+        eq_rhs=np.concatenate([datum.b - datum.B @ xbar, block.rhs]),
+        var_lower=np.concatenate([np.zeros(d), block.lower]),
+        free_mask=np.concatenate([np.zeros(d, dtype=bool), block.free]),
+    )
+
+
+def state_gradient(datum: StageDatum, duals: np.ndarray) -> np.ndarray:
+    """Subgradient of the stage value in the incoming state: -B^T y.
+
+    ``duals`` are the row duals of an LP from :func:`assemble_stage_lp`;
+    its structural rows come first, so y is their leading block.
+    """
+    return -datum.B.T @ duals[: datum.n_rows]
 
 
 # ---------------------------------------------------------------------------
@@ -195,9 +140,6 @@ class InstanceTemplate:
     initial_state: np.ndarray
     feature_dim: int
     datum_builder: Callable[[int, np.ndarray], StageDatum] | None = None
-
-    def stage_problem(self, t: int, datum: StageDatum) -> StageProblem:
-        return StageProblem(stage_t=t, datum=datum)
 
 
 def exponential_utility_segments(

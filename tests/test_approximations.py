@@ -1,4 +1,4 @@
-"""Tests for cut pools, envelope stores, and their LP splices."""
+"""Tests for cut pools, envelope stores, and their stage LP blocks."""
 
 import io
 import math
@@ -13,29 +13,27 @@ from sddpkit.approximations import (
     EnvelopeStore,
     EnvelopeUpperTerms,
     WeightedLowerTerms,
-    add_cut,
     aggregate_backward,
-    envelope_update,
     envelope_value,
     lower_value,
 )
 from sddpkit.kernel import ConditionalWeights
 from sddpkit.lp import LpStatus, solve
 from sddpkit.scenarios import DimensionMismatchError, StageDatum
-from sddpkit.stages import StageProblem, assemble_stage_lp
+from sddpkit.stages import assemble_stage_lp, state_gradient
 
 
 def test_constant_cut_floors_everywhere():
     pool = CutPool()
-    add_cut(pool, 2, 0, Cut(gradient=[0.0], intercept=5.0, anchor=[0.0]))
+    pool.add(2, 0, Cut(gradient=[0.0], intercept=5.0, anchor=[0.0]))
     for x in (-3.0, 0.0, 11.5):
         assert pool.value(2, 0, [x]) == pytest.approx(5.0)
 
 
 def test_two_cuts_recover_absolute_value():
     pool = CutPool()
-    add_cut(pool, 2, 0, Cut(gradient=[1.0], intercept=0.0, anchor=[0.0]))
-    add_cut(pool, 2, 0, Cut(gradient=[-1.0], intercept=0.0, anchor=[0.0]))
+    pool.add(2, 0, Cut(gradient=[1.0], intercept=0.0, anchor=[0.0]))
+    pool.add(2, 0, Cut(gradient=[-1.0], intercept=0.0, anchor=[0.0]))
     for x in (-2.0, -0.5, 0.0, 1.25, 4.0):
         assert pool.value(2, 0, [x]) == pytest.approx(abs(x))
 
@@ -43,9 +41,9 @@ def test_two_cuts_recover_absolute_value():
 def test_duplicate_cut_changes_nothing():
     pool = CutPool()
     cut = Cut(gradient=[1.0], intercept=2.0, anchor=[1.0])
-    add_cut(pool, 2, None, cut)
+    pool.add(2, None, cut)
     before = [pool.value(2, None, [x]) for x in np.linspace(-2, 2, 9)]
-    add_cut(pool, 2, None, cut)
+    pool.add(2, None, cut)
     after = [pool.value(2, None, [x]) for x in np.linspace(-2, 2, 9)]
     np.testing.assert_allclose(after, before)
 
@@ -57,9 +55,9 @@ def test_empty_pool_reports_sentinel():
 
 def test_cut_dimension_mismatch():
     pool = CutPool()
-    add_cut(pool, 2, 0, Cut(gradient=[1.0], intercept=0.0, anchor=[0.0]))
+    pool.add(2, 0, Cut(gradient=[1.0], intercept=0.0, anchor=[0.0]))
     with pytest.raises(DimensionMismatchError):
-        add_cut(pool, 2, 0, Cut(gradient=[1.0, 2.0], intercept=0.0, anchor=[0.0, 0.0]))
+        pool.add(2, 0, Cut(gradient=[1.0, 2.0], intercept=0.0, anchor=[0.0, 0.0]))
     with pytest.raises(DimensionMismatchError):
         Cut(gradient=[1.0, 2.0], intercept=0.0, anchor=[0.0])
 
@@ -115,15 +113,15 @@ def test_empty_envelope_is_infinite():
 def test_single_point_envelope_pays_penalty():
     """One point (0, 2) with M = 10 gives 2 + 10*|1 - 0| = 12 at x = 1."""
     store = EnvelopeStore(penalty_override=10.0)
-    envelope_update(store, 2, 0, [0.0], 2.0)
+    store.add(2, 0, [0.0], 2.0)
     assert store.value(2, 0, [1.0]) == pytest.approx(12.0, abs=1e-9)
 
 
 def test_two_point_envelope_interpolates():
     """Points (0,0) and (2,2) with huge M give the chord value 1 at x = 1."""
     store = EnvelopeStore(penalty_override=1e6)
-    envelope_update(store, 2, 0, [0.0], 0.0)
-    envelope_update(store, 2, 0, [2.0], 2.0)
+    store.add(2, 0, [0.0], 0.0)
+    store.add(2, 0, [2.0], 2.0)
     assert store.value(2, 0, [1.0]) == pytest.approx(1.0, abs=1e-9)
 
 
@@ -132,7 +130,7 @@ def test_envelope_value_at_stored_anchor_never_exceeds_stored_value():
     store = EnvelopeStore(penalty_override=50.0)
     pts = [(rng.normal(size=2), float(rng.uniform(0, 5))) for _ in range(6)]
     for a, v in pts:
-        envelope_update(store, 3, 1, a, v)
+        store.add(3, 1, a, v)
     for a, v in pts:
         assert store.value(3, 1, a) <= v + 1e-9
 
@@ -143,7 +141,7 @@ def test_envelope_monotone_nonincreasing_as_points_arrive():
     grid = [rng.normal(size=1) for _ in range(7)]
     prev = [math.inf] * len(grid)
     for _ in range(5):
-        envelope_update(store, 2, None, rng.normal(size=1), float(rng.uniform(0, 4)))
+        store.add(2, None, rng.normal(size=1), float(rng.uniform(0, 4)))
         now = [store.value(2, None, g) for g in grid]
         assert all(n <= p + 1e-9 for n, p in zip(now, prev))
         prev = now
@@ -157,7 +155,7 @@ def test_lower_value_monotone_nondecreasing_as_cuts_arrive():
     prev = [pool.value(2, 0, [g]) for g in grid]
     for _ in range(6):
         a = float(rng.uniform(-2, 2))
-        add_cut(pool, 2, 0, Cut(gradient=[2 * a], intercept=a * a, anchor=[a]))
+        pool.add(2, 0, Cut(gradient=[2 * a], intercept=a * a, anchor=[a]))
         now = [pool.value(2, 0, [g]) for g in grid]
         assert all(n >= p - 1e-12 for n, p in zip(now, prev))
         assert all(n <= g * g + 1e-12 for n, g in zip(now, grid))
@@ -170,8 +168,8 @@ def test_midpoint_convexity_of_both_approximations():
     store = EnvelopeStore(penalty_override=30.0)
     for _ in range(5):
         a = rng.normal(size=2)
-        add_cut(pool, 2, 0, Cut(gradient=rng.normal(size=2), intercept=float(rng.normal()), anchor=a))
-        envelope_update(store, 2, 0, a, float(rng.uniform(0, 3)))
+        pool.add(2, 0, Cut(gradient=rng.normal(size=2), intercept=float(rng.normal()), anchor=a))
+        store.add(2, 0, a, float(rng.uniform(0, 3)))
     for _ in range(20):
         xa, xb = rng.normal(size=2), rng.normal(size=2)
         mid = 0.5 * (xa + xb)
@@ -194,13 +192,12 @@ def test_penalty_tracks_observed_gradients():
 
 
 def _one_var_stage():
-    datum = StageDatum(c=[1.0], A=[[1.0]], B=[[1.0]], b=[2.0], feature=[0.0])
-    return StageProblem(stage_t=2, datum=datum)
+    return StageDatum(c=[1.0], A=[[1.0]], B=[[1.0]], b=[2.0], feature=[0.0])
 
 
 def test_splice_lower_empty_pool_hits_sentinel():
-    prob = _one_var_stage()
-    lp = assemble_stage_lp(prob, [1.0], extra_terms=CutLowerTerms((), lower_box=-1e9))
+    datum = _one_var_stage()
+    lp = assemble_stage_lp(datum, [1.0], extra_terms=CutLowerTerms((), lower_box=-1e9))
     sol = solve(lp)
     assert sol.status is LpStatus.OPTIMAL
     assert sol.objective_value == pytest.approx(1.0 - 1e9)
@@ -208,14 +205,14 @@ def test_splice_lower_empty_pool_hits_sentinel():
 
 def test_weighted_multi_node_splice():
     """Two constant cuts with weights (0.3, 0.7) add 0.3*5 + 0.7*9 to the stage."""
-    prob = _one_var_stage()
+    datum = _one_var_stage()
     terms = WeightedLowerTerms(
         node_cuts=[
             (0.3, (Cut(gradient=[0.0], intercept=5.0, anchor=[0.0]),)),
             (0.7, (Cut(gradient=[0.0], intercept=9.0, anchor=[0.0]),)),
         ]
     )
-    sol = solve(assemble_stage_lp(prob, [1.0], extra_terms=terms))
+    sol = solve(assemble_stage_lp(datum, [1.0], extra_terms=terms))
     assert sol.objective_value == pytest.approx(1.0 + 0.3 * 5 + 0.7 * 9, abs=1e-9)
 
 
@@ -226,17 +223,14 @@ def test_one_backward_pass_closes_gap_at_anchor():
     anchor = 1.0
     nxt_sol = solve(assemble_stage_lp(nxt, [anchor]))
     v_bar = nxt_sol.objective_value
-    pi = np.array([nxt_sol.duals[r] for r in nxt.copy_rows])
+    pi = state_gradient(nxt, nxt_sol.duals)
     cut = Cut(gradient=pi, intercept=v_bar, anchor=[anchor])
     store = EnvelopeStore(safety=10.0)
     store.note_gradient(3, pi)
-    envelope_update(store, 3, 0, [anchor], v_bar)
+    store.add(3, 0, [anchor], v_bar)
 
     # Current stage forces x = anchor and has zero immediate cost.
-    cur = StageProblem(
-        stage_t=2,
-        datum=StageDatum(c=[0.0], A=[[1.0]], B=[[0.0]], b=[anchor], feature=[0.0]),
-    )
+    cur = StageDatum(c=[0.0], A=[[1.0]], B=[[0.0]], b=[anchor], feature=[0.0])
     lo = solve(assemble_stage_lp(cur, [0.0], extra_terms=CutLowerTerms((cut,))))
     anchors, values = store.points(3, 0)
     hi = solve(
@@ -251,16 +245,16 @@ def test_one_backward_pass_closes_gap_at_anchor():
 
 
 def test_envelope_upper_terms_empty_uses_upper_box():
-    prob = _one_var_stage()
+    datum = _one_var_stage()
     terms = EnvelopeUpperTerms(np.zeros((0, 0)), np.zeros(0), 10.0, upper_box=1e9)
-    sol = solve(assemble_stage_lp(prob, [1.0], extra_terms=terms))
+    sol = solve(assemble_stage_lp(datum, [1.0], extra_terms=terms))
     assert sol.objective_value == pytest.approx(1.0 + 1e9)
 
 
 def test_cut_pool_dump_format():
     pool = CutPool()
-    add_cut(pool, 2, None, Cut(gradient=[1.0, -2.0], intercept=3.0, anchor=[0.0, 0.0], iteration_k=4))
-    add_cut(pool, 3, 1, Cut(gradient=[0.5], intercept=-1.0, anchor=[2.0], iteration_k=5))
+    pool.add(2, None, Cut(gradient=[1.0, -2.0], intercept=3.0, anchor=[0.0, 0.0], iteration_k=4))
+    pool.add(3, 1, Cut(gradient=[0.5], intercept=-1.0, anchor=[2.0], iteration_k=5))
     buf = io.StringIO()
     pool.dump(buf)
     lines = buf.getvalue().splitlines()

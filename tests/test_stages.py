@@ -1,83 +1,189 @@
-"""Tests for stage LP assembly, copy-row duals, and the portfolio builder."""
+"""Tests for stage LP assembly, state gradients, and the portfolio builder."""
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from sddpkit.lp import LinearProgram, LpStatus, solve
 from sddpkit.scenarios import DimensionMismatchError, StageDatum
 from sddpkit.stages import (
     InvalidUtilityError,
-    StageProblem,
+    LpBlock,
     assemble_stage_lp,
     build_portfolio_instance,
     exponential_utility_segments,
+    state_gradient,
 )
 
 
-def _simple_problem():
-    datum = StageDatum(c=[1.0], A=[[1.0]], B=[[1.0]], b=[2.0], feature=[0.0])
-    return StageProblem(stage_t=2, datum=datum)
+def _simple_datum():
+    return StageDatum(c=[1.0], A=[[1.0]], B=[[1.0]], b=[2.0], feature=[0.0])
 
 
-def test_copy_row_dual_is_state_derivative():
+def test_state_gradient_is_state_derivative():
     """min{x : x = 2 - xbar} at xbar=1 gives x=1 and d(value)/d(xbar) = -1."""
-    prob = _simple_problem()
-    sol = solve(assemble_stage_lp(prob, [1.0]))
+    datum = _simple_datum()
+    sol = solve(assemble_stage_lp(datum, [1.0]))
     assert sol.status is LpStatus.OPTIMAL
     assert sol.primal[0] == pytest.approx(1.0, abs=1e-12)
     assert sol.objective_value == pytest.approx(1.0, abs=1e-12)
-    assert sol.duals[prob.copy_rows[0]] == pytest.approx(-1.0, abs=1e-12)
+    assert state_gradient(datum, sol.duals)[0] == pytest.approx(-1.0, abs=1e-12)
 
 
 def test_recourse_violation_surfaces_as_infeasible():
     datum = StageDatum(c=[1.0], A=[[1.0]], B=[[1.0]], b=[1.0], feature=[0.0])
-    prob = StageProblem(stage_t=2, datum=datum)
-    sol = solve(assemble_stage_lp(prob, [2.0]))
+    sol = solve(assemble_stage_lp(datum, [2.0]))
     assert sol.status is LpStatus.INFEASIBLE
 
 
 def test_wrong_state_dimension_raises():
     with pytest.raises(DimensionMismatchError):
-        assemble_stage_lp(_simple_problem(), [1.0, 2.0])
+        assemble_stage_lp(_simple_datum(), [1.0, 2.0])
 
 
 class _VacuousCut:
     """Appends a costed epigraph variable pinned at zero."""
 
-    def attach(self, builder):
-        ell = builder.add_var(cost=1.0)
-        surplus = builder.add_var()
-        builder.add_row({ell: 1.0, surplus: -1.0}, 0.0)
+    def block(self, x_dim):
+        # columns ell (cost 1) and surplus; row ell - surplus = 0
+        rows = np.zeros((1, x_dim + 2))
+        rows[0, x_dim:] = [1.0, -1.0]
+        return LpBlock(cost=np.array([1.0, 0.0]), rows=rows, rhs=np.zeros(1))
 
 
 def test_inactive_extra_term_leaves_objective_unchanged():
-    prob = _simple_problem()
-    plain = solve(assemble_stage_lp(prob, [1.0]))
-    spliced = solve(assemble_stage_lp(prob, [1.0], extra_terms=_VacuousCut()))
+    datum = _simple_datum()
+    plain = solve(assemble_stage_lp(datum, [1.0]))
+    spliced = solve(assemble_stage_lp(datum, [1.0], extra_terms=_VacuousCut()))
     assert spliced.objective_value == pytest.approx(plain.objective_value, abs=1e-12)
 
 
-def test_substituted_state_matches_copy_formulation():
-    prob = _simple_problem()
-    with_copy = solve(assemble_stage_lp(prob, [0.7]))
-    pinned = solve(assemble_stage_lp(prob, [0.7], include_copy=False))
-    assert pinned.objective_value == pytest.approx(with_copy.objective_value, abs=1e-12)
+class _RowByRow:
+    """Reference assembly: one column and one dict row at a time."""
+
+    def __init__(self, datum, xbar):
+        self.d = datum.dim_out
+        self.costs = [float(v) for v in datum.c]
+        self.lowers = [0.0] * self.d
+        self.frees = [False] * self.d
+        rhs = datum.b - datum.B @ np.asarray(xbar, dtype=float)
+        self.rows = [({j: float(datum.A[r, j]) for j in range(self.d)}, float(rhs[r]))
+                     for r in range(datum.n_rows)]
+
+    def var(self, cost=0.0, lower=0.0, free=False):
+        self.costs.append(float(cost))
+        self.lowers.append(float(lower))
+        self.frees.append(free)
+        return len(self.costs) - 1
+
+    def cut_row(self, head, cut, lower_box):
+        coeffs = dict(head)
+        if cut is None:
+            rhs = lower_box
+        else:
+            rhs = cut.intercept - float(cut.gradient @ cut.anchor)
+            for j, g in enumerate(cut.gradient):
+                if g != 0.0:
+                    coeffs[j] = -float(g)
+        coeffs[self.var()] = -1.0
+        self.rows.append((coeffs, float(rhs)))
+
+    def weighted(self, terms):
+        for weight, cuts in terms.node_cuts:
+            ell = self.var(cost=weight, free=True)
+            for cut in cuts or (None,):
+                self.cut_row({ell: 1.0}, cut, terms.lower_box)
+
+    def envelope(self, terms):
+        anchors, values = np.atleast_2d(terms.anchors), np.asarray(terms.values)
+        if values.size == 0:
+            self.var(cost=1.0, lower=terms.upper_box)
+            return
+        k = values.size
+        theta = [self.var(cost=v) for v in values]
+        y_pos = [self.var(cost=terms.penalty_m) for _ in range(self.d)]
+        y_neg = [self.var(cost=terms.penalty_m) for _ in range(self.d)]
+        for i in range(self.d):
+            coeffs = {theta[j]: float(anchors[j, i]) for j in range(k)}
+            coeffs.update({y_pos[i]: 1.0, y_neg[i]: -1.0, i: -1.0})
+            self.rows.append((coeffs, 0.0))
+        self.rows.append(({t: 1.0 for t in theta}, 1.0))
+
+    def dro(self, terms):
+        w_hat = terms.params.nominal.weights
+        n, s, rho = w_hat.size, np.sqrt(w_hat), terms.params.rho
+        gamma, beta = self.var(cost=1.0, free=True), self.var(cost=rho)
+        mu = [self.var(cost=s[i]) for i in range(n)]
+        zeta = [self.var(cost=-s[i]) for i in range(n)]
+        psi = [self.var(cost=rho) for _ in range(n)]
+        for i in range(n):
+            couple = {mu[i]: 1.0, zeta[i]: 1.0, psi[i]: -1.0, beta: -1.0 / np.sqrt(n)}
+            self.rows.append((couple, 0.0))
+            head = {gamma: 1.0, mu[i]: 1.0 / s[i], zeta[i]: -1.0 / s[i]}
+            for cut in terms.node_cuts[i] or (None,):
+                self.cut_row(head, cut, terms.lower_box)
+
+    def arrays(self):
+        A = np.zeros((len(self.rows), len(self.costs)))
+        for r, (coeffs, _) in enumerate(self.rows):
+            for j, v in coeffs.items():
+                A[r, j] = v
+        return (np.array(self.costs), A, np.array([b for _, b in self.rows]),
+                np.array(self.lowers), np.array(self.frees, dtype=bool))
 
 
-def _kinked_problem():
+def test_block_assembly_matches_row_by_row_reference():
+    """Same arrays, bit for bit (signed zeros included), as one row at a time."""
+    from sddpkit.approximations import Cut, EnvelopeUpperTerms, WeightedLowerTerms
+    from sddpkit.kernel import ConditionalWeights
+    from sddpkit.robust import AmbiguityParams, DroLowerTerms
+
+    rng = np.random.default_rng(17)
+    for _ in range(20):
+        datum = _random_recourse_problem(rng)
+        xbar = rng.normal(size=2)
+        d = datum.dim_out
+
+        def pool():
+            # Some gradient entries are exactly zero, as in the portfolio.
+            return tuple(
+                Cut(gradient=rng.normal(size=d) * (rng.random(d) < 0.6),
+                    intercept=float(rng.normal()), anchor=rng.normal(size=d))
+                for _ in range(int(rng.integers(0, 4)))
+            )
+
+        n = int(rng.integers(1, 5))
+        pools = [pool() for _ in range(n)]
+        w = rng.uniform(0.1, 1.0, size=n)
+        k = int(rng.integers(0, 4))
+        for terms, method in (
+            (None, None),
+            (WeightedLowerTerms([(float(wi), c) for wi, c in zip(w / w.sum(), pools)]), "weighted"),
+            (EnvelopeUpperTerms(rng.normal(size=(k, d)), rng.normal(size=k), 7.5), "envelope"),
+            (DroLowerTerms(AmbiguityParams(0.3, ConditionalWeights(w / w.sum())), pools), "dro"),
+        ):
+            ref = _RowByRow(datum, xbar)
+            if method is not None:
+                getattr(ref, method)(terms)
+            lp = assemble_stage_lp(datum, xbar, extra_terms=terms)
+            got = (lp.objective, lp.eq_matrix, lp.eq_rhs, lp.var_lower, lp.free_mask)
+            for a, b in zip(got, ref.arrays()):
+                assert a.shape == b.shape and a.tobytes() == b.tobytes()
+            assert np.all(np.isinf(lp.var_upper))
+
+
+def _kinked_datum():
     """value(xbar) = 2(1-xbar)+ + 3(xbar-1)-, kink at xbar = 1."""
-    datum = StageDatum(
-        c=[2.0, 3.0], A=[[1.0, -1.0]], B=[[1.0]], b=[1.0], feature=[0.0]
-    )
-    return StageProblem(stage_t=2, datum=datum)
+    return StageDatum(c=[2.0, 3.0], A=[[1.0, -1.0]], B=[[1.0]], b=[1.0], feature=[0.0])
 
 
 def test_dual_matches_closed_form_slopes():
-    prob = _kinked_problem()
-    left = solve(assemble_stage_lp(prob, [0.5]))
-    assert left.duals[prob.copy_rows[0]] == pytest.approx(-2.0, abs=1e-10)
-    right = solve(assemble_stage_lp(prob, [2.0]))
-    assert right.duals[prob.copy_rows[0]] == pytest.approx(3.0, abs=1e-10)
+    datum = _kinked_datum()
+    left = solve(assemble_stage_lp(datum, [0.5]))
+    assert state_gradient(datum, left.duals)[0] == pytest.approx(-2.0, abs=1e-10)
+    right = solve(assemble_stage_lp(datum, [2.0]))
+    assert state_gradient(datum, right.duals)[0] == pytest.approx(3.0, abs=1e-10)
 
 
 def _random_recourse_problem(rng, m=2, k=3, d_in=2):
@@ -87,12 +193,11 @@ def _random_recourse_problem(rng, m=2, k=3, d_in=2):
     c = np.concatenate([rng.uniform(0.5, 2.0, size=k), np.zeros(m), rng.uniform(1.0, 3.0, size=m)])
     B = rng.normal(size=(m, d_in))
     b = rng.normal(size=m)
-    datum = StageDatum(c=c, A=A, B=B, b=b, feature=[0.0])
-    return StageProblem(stage_t=2, datum=datum)
+    return StageDatum(c=c, A=A, B=B, b=b, feature=[0.0])
 
 
-def _stage_value(prob, xbar):
-    sol = solve(assemble_stage_lp(prob, xbar, include_copy=False))
+def _stage_value(datum, xbar):
+    sol = solve(assemble_stage_lp(datum, xbar))
     assert sol.status is LpStatus.OPTIMAL
     return sol.objective_value
 
@@ -100,42 +205,93 @@ def _stage_value(prob, xbar):
 def test_stage_value_is_convex_in_incoming_state():
     rng = np.random.default_rng(15)
     for _ in range(20):
-        prob = _random_recourse_problem(rng)
+        datum = _random_recourse_problem(rng)
         xa = rng.normal(size=2)
         xb = rng.normal(size=2)
         alpha = float(rng.uniform(0.1, 0.9))
         mid = alpha * xa + (1 - alpha) * xb
-        lhs = _stage_value(prob, mid)
-        rhs = alpha * _stage_value(prob, xa) + (1 - alpha) * _stage_value(prob, xb)
+        lhs = _stage_value(datum, mid)
+        rhs = alpha * _stage_value(datum, xa) + (1 - alpha) * _stage_value(datum, xb)
         assert lhs <= rhs + 1e-8
 
 
-def test_copy_duals_match_finite_differences_where_smooth():
+def _finite_difference_slopes(datum, xbar):
+    """Central differences of the stage value, or None on a kink."""
+    step = 1e-6 * max(1.0, float(np.max(np.abs(xbar))))
+    here = _stage_value(datum, xbar)
+    fd = np.zeros(xbar.shape[0])
+    for j in range(xbar.shape[0]):
+        e = np.zeros(xbar.shape[0])
+        e[j] = step
+        up = _stage_value(datum, xbar + e)
+        dn = _stage_value(datum, xbar - e)
+        # one-sided slopes must agree or the point sits on a kink
+        if abs((up - here) - (here - dn)) > 1e-7 * (1.0 + abs(here)):
+            return None
+        fd[j] = (up - dn) / (2 * step)
+    return fd
+
+
+def test_state_gradient_matches_finite_differences_where_smooth():
     rng = np.random.default_rng(16)
     checked = 0
     while checked < 25:
-        prob = _random_recourse_problem(rng)
+        datum = _random_recourse_problem(rng)
         xbar = rng.normal(size=2)
-        step = 1e-6 * max(1.0, float(np.max(np.abs(xbar))))
-        sol = solve(assemble_stage_lp(prob, xbar))
-        grad = np.array([sol.duals[r] for r in prob.copy_rows])
-        fd = np.zeros(2)
-        smooth = True
-        for j in range(2):
-            e = np.zeros(2)
-            e[j] = step
-            up = _stage_value(prob, xbar + e)
-            dn = _stage_value(prob, xbar - e)
-            here = _stage_value(prob, xbar)
-            # one-sided slopes must agree or the point sits on a kink
-            if abs((up - here) - (here - dn)) > 1e-7 * (1.0 + abs(here)):
-                smooth = False
-                break
-            fd[j] = (up - dn) / (2 * step)
-        if not smooth:
+        sol = solve(assemble_stage_lp(datum, xbar))
+        grad = state_gradient(datum, sol.duals)
+        fd = _finite_difference_slopes(datum, xbar)
+        if fd is None:
             continue
         np.testing.assert_allclose(grad, fd, atol=1e-5, rtol=1e-5)
         checked += 1
+
+
+def _copy_row_gradient(datum, xbar):
+    """Reference: duals of copy rows z = xbar on free columns z, in
+    min c x  s.t.  A x + B z = b,  z = xbar."""
+    m, d = datum.A.shape
+    k = datum.dim_in
+    A = np.block([[datum.A, datum.B], [np.zeros((k, d)), np.eye(k)]])
+    lp = LinearProgram(
+        objective=np.concatenate([datum.c, np.zeros(k)]),
+        eq_matrix=A,
+        eq_rhs=np.concatenate([datum.b, xbar]),
+        free_mask=np.concatenate([np.zeros(d, dtype=bool), np.ones(k, dtype=bool)]),
+    )
+    sol = solve(lp)
+    assert sol.status is LpStatus.OPTIMAL
+    return sol.objective_value, sol.duals[m:]
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    kink=st.booleans(),
+    xbar=st.lists(st.floats(-2.0, 2.0), min_size=2, max_size=2),
+)
+def test_state_gradient_agrees_with_copy_row_oracle(seed, kink, xbar):
+    rng = np.random.default_rng(seed)
+    datum = _random_recourse_problem(rng)
+    xbar = np.array(xbar)
+    if kink:
+        # Put xbar where row 0 has a zero rhs, so the recourse of that row
+        # switches between its two surplus columns: a degenerate vertex.
+        B0 = datum.B[0]
+        xbar = xbar + (datum.b[0] - B0 @ xbar) / (B0 @ B0) * B0
+    sol = solve(assemble_stage_lp(datum, xbar))
+    assert sol.status is LpStatus.OPTIMAL
+    grad = state_gradient(datum, sol.duals)
+    ref_value, ref_grad = _copy_row_gradient(datum, xbar)
+    assert sol.objective_value == pytest.approx(ref_value, abs=1e-9)
+    fd = _finite_difference_slopes(datum, xbar)
+    if fd is not None:
+        np.testing.assert_allclose(grad, ref_grad, atol=1e-8, rtol=1e-8)
+    # A subgradient everywhere, kinks included: V(y) >= V(xbar) + g.(y - xbar).
+    for y in rng.normal(size=(5, 2)) * 2.0:
+        assert _stage_value(datum, y) >= sol.objective_value + grad @ (y - xbar) - 1e-8 * (
+            1.0 + abs(sol.objective_value)
+        )
 
 
 # ---------------------------------------------------------------------------
