@@ -11,7 +11,7 @@ realization, or the deterministic root) the toolkit maintains
 
 Both are appended to stage LPs through the :class:`~sddpkit.stages.ExtraTerms`
 protocol.  The infinite initializations of the textbook recursion are
-realized by large sentinel boxes (``lower_box``/``upper_box``); they stop
+realized by large sentinel boxes (``LOWER_BOX``/``UPPER_BOX``); they stop
 binding as soon as a first cut or point arrives.
 """
 
@@ -39,12 +39,15 @@ __all__ = [
     "CutLowerTerms",
     "WeightedLowerTerms",
     "EnvelopeUpperTerms",
-    "LOWER_BOX_DEFAULT",
-    "UPPER_BOX_DEFAULT",
+    "LOWER_BOX",
+    "UPPER_BOX",
+    "PENALTY_SAFETY",
 ]
 
-LOWER_BOX_DEFAULT = -1e9
-UPPER_BOX_DEFAULT = 1e9
+LOWER_BOX = -1e9
+UPPER_BOX = 1e9
+# Default envelope penalty per unit of the largest cut gradient seen.
+PENALTY_SAFETY = 10.0
 
 # A conditioning node: stage index plus historical path index, None at the root.
 NodeKey = tuple[int, int | None]
@@ -83,8 +86,7 @@ class Cut:
 class CutPool:
     """Cuts per (stage, node); pools only grow, so the outer bound only tightens."""
 
-    def __init__(self, lower_box: float = LOWER_BOX_DEFAULT):
-        self.lower_box = float(lower_box)
+    def __init__(self) -> None:
         self._cuts: dict[NodeKey, list[Cut]] = {}
 
     def cuts(self, t: int, node_j: int | None) -> tuple[Cut, ...]:
@@ -103,7 +105,7 @@ class CutPool:
         bucket.append(cut)
 
     def value(self, t: int, node_j: int | None, x: np.ndarray) -> float:
-        return lower_value(self.cuts(t, node_j), x, self.lower_box)
+        return lower_value(self.cuts(t, node_j), x)
 
     def dump(self, stream: io.TextIOBase) -> None:
         """One cut per line: t, j, k, intercept, gradient components."""
@@ -116,10 +118,10 @@ class CutPool:
                 stream.write(f"{t},{label},{c.iteration_k},{c.intercept!r},{grad}\n")
 
 
-def lower_value(cuts: tuple[Cut, ...] | list[Cut], x: np.ndarray, lower_box: float) -> float:
+def lower_value(cuts: tuple[Cut, ...] | list[Cut], x: np.ndarray) -> float:
     """Pointwise maximum of the cuts at x (the sentinel box when empty)."""
     if not cuts:
-        return float(lower_box)
+        return LOWER_BOX
     xv = np.asarray(x, dtype=float).reshape(-1)
     return max(c.value_at(xv) for c in cuts)
 
@@ -166,14 +168,13 @@ class EnvelopeStore:
     """Anchor/value points per (stage, node) plus per-stage penalty scales.
 
     The penalty M_t must dominate the stage value's Lipschitz constant for
-    the envelope to stay an upper bound; by default it is ``safety`` times
-    the largest cut-gradient infinity norm observed at the same stage
+    the envelope to stay an upper bound; by default it is ``PENALTY_SAFETY``
+    times the largest cut-gradient infinity norm observed at the same stage
     (cuts are subgradients, so their norms estimate that constant), with
     an optional per-call override.
     """
 
-    def __init__(self, safety: float = 10.0, penalty_override: float | None = None):
-        self.safety = float(safety)
+    def __init__(self, penalty_override: float | None = None):
         self.penalty_override = penalty_override
         self._points: dict[NodeKey, _EnvelopeBucket] = {}
         self._grad_max: dict[int, float] = {}
@@ -208,7 +209,7 @@ class EnvelopeStore:
     def penalty(self, t: int) -> float:
         if self.penalty_override is not None:
             return float(self.penalty_override)
-        return self.safety * self._grad_max.get(t, 0.0)
+        return PENALTY_SAFETY * self._grad_max.get(t, 0.0)
 
     def value(self, t: int, node_j: int | None, x: np.ndarray) -> float:
         anchors, values = self.points(t, node_j)
@@ -256,15 +257,15 @@ def envelope_value(
 
 
 def stack_cut_rows(
-    node_cuts: list[tuple[Cut, ...]], x_dim: int, lower_box: float
+    node_cuts: list[tuple[Cut, ...]], x_dim: int
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """One epigraph row per cut, node after node, for an LP block.
 
-    A node without cuts gets a flat sentinel cut at ``lower_box`` instead.
+    A node without cuts gets a flat sentinel cut at ``LOWER_BOX`` instead.
     Returns each row's node index, its coefficients on the stage decision
     (the negated cut gradient) and its right-hand side (the cut offset).
     """
-    sentinel = Cut(gradient=np.zeros(x_dim), intercept=lower_box, anchor=np.zeros(x_dim))
+    sentinel = Cut(gradient=np.zeros(x_dim), intercept=LOWER_BOX, anchor=np.zeros(x_dim))
     per_node = [cuts or (sentinel,) for cuts in node_cuts]
     flat = [cut for cuts in per_node for cut in cuts]
     if any(cut.gradient.shape[0] != x_dim for cut in flat):
@@ -289,15 +290,12 @@ class WeightedLowerTerms:
     """
 
     node_cuts: list[tuple[float, tuple[Cut, ...]]]
-    lower_box: float = LOWER_BOX_DEFAULT
 
     def block(self, x_dim: int) -> LpBlock:
         # A free epigraph variable avoids mixing the huge sentinel into
         # every basic solution; the box enters as a row only while no cut
         # bounds ell from below.
-        node, x_rows, rhs = stack_cut_rows(
-            [cuts for _, cuts in self.node_cuts], x_dim, self.lower_box
-        )
+        node, x_rows, rhs = stack_cut_rows([cuts for _, cuts in self.node_cuts], x_dim)
         n_nodes, n_rows = len(self.node_cuts), node.shape[0]
         # Node i's columns are ell_i and then one surplus per row of node i,
         # so row r of node i has its surplus at column r + i + 1.
@@ -314,11 +312,9 @@ class WeightedLowerTerms:
         return LpBlock(cost=cost, rows=rows, rhs=rhs, free=free)
 
 
-def CutLowerTerms(
-    cuts: tuple[Cut, ...] | list[Cut], lower_box: float = LOWER_BOX_DEFAULT
-) -> WeightedLowerTerms:
+def CutLowerTerms(cuts: tuple[Cut, ...] | list[Cut]) -> WeightedLowerTerms:
     """Single epigraph variable bounded below by every cut in the node's pool."""
-    return WeightedLowerTerms(node_cuts=[(1.0, tuple(cuts))], lower_box=lower_box)
+    return WeightedLowerTerms(node_cuts=[(1.0, tuple(cuts))])
 
 
 @dataclass
@@ -329,7 +325,6 @@ class EnvelopeUpperTerms:
     anchors: np.ndarray
     values: np.ndarray
     penalty_m: float
-    upper_box: float = UPPER_BOX_DEFAULT
 
     def block(self, x_dim: int) -> LpBlock:
         anchors = np.atleast_2d(np.asarray(self.anchors, dtype=float))
@@ -339,7 +334,7 @@ class EnvelopeUpperTerms:
                 cost=np.ones(1),
                 rows=np.zeros((0, x_dim + 1)),
                 rhs=np.zeros(0),
-                lower=np.full(1, float(self.upper_box)),
+                lower=np.full(1, UPPER_BOX),
             )
         k, d = anchors.shape
         if d != x_dim:

@@ -37,8 +37,6 @@ from enum import Enum
 import numpy as np
 
 from .approximations import (
-    LOWER_BOX_DEFAULT,
-    Cut,
     CutLowerTerms,
     CutPool,
     EnvelopeStore,
@@ -116,7 +114,6 @@ class SolveConfig:
     kernel: KernelConfig = field(default_factory=KernelConfig)
     ambiguity: AmbiguityParams | None = None
     M_override: float | None = None
-    lower_box: float = LOWER_BOX_DEFAULT
 
     def __post_init__(self) -> None:
         if not self.epsilon > 0:
@@ -237,7 +234,7 @@ class _Runner:
             self.W[t] = np.vstack(
                 [nw_weights(q, anchors, config.kernel).weights for q in anchors]
             )
-        self.pools = CutPool(lower_box=config.lower_box)
+        self.pools = CutPool()
         self.store = EnvelopeStore(penalty_override=config.M_override)
         self.rho = 0.0
         if config.algorithm is Algorithm.RDD:
@@ -265,15 +262,15 @@ class _Runner:
         """Cost-to-go epigraph of the stage-t subproblem under realization i."""
         if t >= self.T:
             return None
-        return CutLowerTerms(self.pools.cuts(t + 1, i), lower_box=self.config.lower_box)
+        return CutLowerTerms(self.pools.cuts(t + 1, i))
 
-    def _worst_case(self, values: np.ndarray, nominal: np.ndarray) -> tuple[float, np.ndarray]:
+    def _weights(self, values: np.ndarray, nominal: np.ndarray) -> np.ndarray:
+        """The node's nominal weights, or for rho > 0 the worst case of the values."""
         if self.rho == 0.0:
-            w = sanitize_nominal(nominal).weights
-            return float(w @ values), w
+            return nominal
         params = AmbiguityParams(rho=self.rho, nominal=sanitize_nominal(nominal))
-        value, worst = inner_max_primal(values, params)
-        return value, worst / worst.sum()
+        _, worst = inner_max_primal(values, params)
+        return worst / worst.sum()
 
     # -- passes ---------------------------------------------------------
 
@@ -281,7 +278,7 @@ class _Runner:
         lp = assemble_stage_lp(
             self.traj.stage1,
             self.x0,
-            extra_terms=CutLowerTerms(self.pools.cuts(2, None), lower_box=self.config.lower_box),
+            extra_terms=CutLowerTerms(self.pools.cuts(2, None)),
         )
         sol = self._solve_checked(lp, k, 1, None)
         self.root_decision = sol.primal[: self.traj.stage1.dim_out].copy()
@@ -317,7 +314,6 @@ class _Runner:
         return scenario, states
 
     def backward_pass(self, k: int, states: list[np.ndarray]) -> tuple[int, int]:
-        robust = self.config.algorithm is Algorithm.RDD
         n_cuts = n_points = 0
         for t in range(self.T, 1, -1):
             anchor = states[t - 2]
@@ -357,20 +353,9 @@ class _Runner:
             else:
                 nodes = [(j, self.W[t - 1][j]) for j in range(self.N)]
             for j, nominal in nodes:
-                if robust:
-                    cut_value, w_lo = self._worst_case(lower_vals, nominal)
-                    cut = Cut(
-                        gradient=np.array(grads).T @ w_lo,
-                        intercept=cut_value,
-                        anchor=anchor,
-                        iteration_k=k,
-                    )
-                    point_value, _ = self._worst_case(upper_vals, nominal)
-                else:
-                    cut = aggregate_backward(
-                        lower_vals, grads, ConditionalWeights(nominal), anchor, k
-                    )
-                    point_value = float(nominal @ upper_vals)
+                w_lower = ConditionalWeights(self._weights(lower_vals, nominal))
+                cut = aggregate_backward(lower_vals, grads, w_lower, anchor, k)
+                point_value = float(self._weights(upper_vals, nominal) @ upper_vals)
                 self.pools.add(t, j, cut)
                 self.store.note_gradient(t, cut.gradient)
                 self.store.add(t, j, anchor, point_value)
@@ -463,7 +448,8 @@ def evaluate_policy_out_of_sample(
     At each realized stage the conditional weights are recomputed against
     the training anchors; the expected (or robust) cost-to-go over the
     per-scenario cut pools then drives the stage decision.  A path whose
-    stage LP is infeasible is reported as failed, not fatal.
+    stage LP is infeasible, or on which the solver breaks down, is
+    reported as failed, not fatal.
     """
     train = policy.trajectories
     if test_traj.horizon_T != train.horizon_T:
@@ -489,18 +475,19 @@ def evaluate_policy_out_of_sample(
                     extra = DroLowerTerms(
                         AmbiguityParams(rho=policy.rho, nominal=sanitize_nominal(w)),
                         node_cuts,
-                        lower_box=policy.pools.lower_box,
                     )
                 else:
                     extra = WeightedLowerTerms(
                         node_cuts=[
                             (float(wi), cuts) for wi, cuts in zip(w.weights, node_cuts)
-                        ],
-                        lower_box=policy.pools.lower_box,
+                        ]
                     )
             lp = assemble_stage_lp(datum, x_prev, extra_terms=extra)
-            sol = solve(lp)
-            if sol.status is not LpStatus.OPTIMAL:
+            try:
+                sol = solve(lp)
+            except RuntimeError:  # the simplex gave up on degenerate data
+                sol = None
+            if sol is None or sol.status is not LpStatus.OPTIMAL:
                 failed = True
                 break
             x_t = sol.primal[: datum.dim_out]

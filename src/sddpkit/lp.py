@@ -3,7 +3,7 @@
 Solves equality-form LPs
 
     min  c^T x
-    s.t. A x = b,   l <= x <= u,
+    s.t. A x = b,   x >= l  (x_j free where flagged),
 
 with a two-phase revised simplex method using Bland's rule, so the pivot
 sequence (and hence the reported basis and duals) is a deterministic
@@ -17,9 +17,10 @@ the same internal standard form by brute force over column subsets.
 
 Conventions
 -----------
-* Variables default to lower bound 0 and upper bound +inf.  Free
-  variables are flagged via ``free_mask`` and handled by splitting into
-  positive and negative parts internally.
+* Variables have a finite lower bound, 0 by default, and no upper bound.
+  A model that needs x <= u writes it as a row with a slack column.
+  Free variables are flagged via ``free_mask`` and handled by splitting
+  into positive and negative parts internally.
 * Row duals follow the sensitivity convention for minimization: the dual
   of an equality row is the derivative of the optimal value with respect
   to that row's right-hand side.
@@ -46,7 +47,7 @@ __all__ = [
 
 
 class LpInputError(ValueError):
-    """Raised when LP data is malformed (shape mismatch, NaN, crossed bounds)."""
+    """Raised when LP data is malformed (shape mismatch, NaN or infinite entries)."""
 
 
 class LpScaleError(ValueError):
@@ -100,17 +101,16 @@ class LinearProgram:
         Constraint matrix A.
     eq_rhs : (m,) array
         Right-hand side b.
-    var_lower, var_upper : (n,) arrays or None
-        Elementwise bounds; None means 0 and +inf respectively.
+    var_lower : (n,) array or None
+        Elementwise lower bounds; None means 0.
     free_mask : (n,) bool array or None
-        True entries mark free variables (bounds ignored for those).
+        True entries mark free variables (lower bounds ignored for those).
     """
 
     objective: np.ndarray
     eq_matrix: np.ndarray
     eq_rhs: np.ndarray
     var_lower: np.ndarray | None = None
-    var_upper: np.ndarray | None = None
     free_mask: np.ndarray | None = None
 
     def __post_init__(self) -> None:
@@ -134,12 +134,6 @@ class LinearProgram:
             self.var_lower = np.asarray(self.var_lower, dtype=float).reshape(-1)
             if self.var_lower.shape[0] != n:
                 raise LpInputError("var_lower length mismatch")
-        if self.var_upper is None:
-            self.var_upper = np.full(n, np.inf)
-        else:
-            self.var_upper = np.asarray(self.var_upper, dtype=float).reshape(-1)
-            if self.var_upper.shape[0] != n:
-                raise LpInputError("var_upper length mismatch")
         if self.free_mask is None:
             self.free_mask = np.zeros(n, dtype=bool)
         else:
@@ -154,11 +148,6 @@ class LinearProgram:
         ):
             if not np.all(np.isfinite(arr)):
                 raise LpInputError(f"{name} contains non-finite entries")
-        if np.any(np.isnan(self.var_upper)):
-            raise LpInputError("var_upper contains NaN")
-        bounded = ~self.free_mask
-        if np.any(self.var_lower[bounded] > self.var_upper[bounded] + 1e-12):
-            raise LpInputError("var_lower exceeds var_upper")
 
     @property
     def n_vars(self) -> int:
@@ -192,56 +181,24 @@ class _StandardForm:
     """Internal representation  min c^T z : A z = b, z >= 0.
 
     Columns 0..n-1 map to the original variables (shifted by their lower
-    bound); free variables contribute an extra negative-part column; each
-    finite upper bound contributes one slack column and one extra row.
+    bound); free variables contribute an extra negative-part column.
     """
 
-    __slots__ = ("A", "b", "c", "const", "n_orig", "m_orig", "neg_col", "lower")
+    __slots__ = ("A", "b", "c", "const", "n_orig", "neg_col", "lower")
 
     def __init__(self, lp: LinearProgram) -> None:
-        m, n = lp.eq_matrix.shape
+        n = lp.n_vars
         lower = np.where(lp.free_mask, 0.0, lp.var_lower)
-        upper = np.where(lp.free_mask, np.inf, lp.var_upper)
+        free = np.nonzero(lp.free_mask)[0]
 
         # Shift x = z + l so bounded variables satisfy z >= 0.
-        b_shift = lp.eq_rhs - lp.eq_matrix @ lower
-        const = float(lp.objective @ lower)
-
-        neg_col = np.full(n, -1, dtype=np.int64)
-        extra = int(np.count_nonzero(lp.free_mask))
-        ub_idx = np.nonzero(np.isfinite(upper))[0]
-        n_std = n + extra + len(ub_idx)
-        m_std = m + len(ub_idx)
-
-        A = np.zeros((m_std, n_std))
-        c = np.zeros(n_std)
-        b = np.zeros(m_std)
-        A[:m, :n] = lp.eq_matrix
-        b[:m] = b_shift
-        c[:n] = lp.objective
-
-        col = n
-        for j in np.nonzero(lp.free_mask)[0]:
-            A[:m, col] = -lp.eq_matrix[:, j]
-            c[col] = -lp.objective[j]
-            neg_col[j] = col
-            col += 1
-        for k, j in enumerate(ub_idx):
-            row = m + k
-            A[row, j] = 1.0
-            if neg_col[j] >= 0:
-                A[row, neg_col[j]] = -1.0
-            A[row, col] = 1.0
-            b[row] = upper[j] - lower[j]
-            col += 1
-
-        self.A = A
-        self.b = b
-        self.c = c
-        self.const = const
+        self.A = np.hstack([lp.eq_matrix, -lp.eq_matrix[:, free]])
+        self.b = lp.eq_rhs - lp.eq_matrix @ lower
+        self.c = np.concatenate([lp.objective, -lp.objective[free]])
+        self.const = float(lp.objective @ lower)
         self.n_orig = n
-        self.m_orig = m
-        self.neg_col = neg_col
+        self.neg_col = np.full(n, -1, dtype=np.int64)
+        self.neg_col[free] = n + np.arange(free.size)
         self.lower = lower
 
     def recover_primal(self, z: np.ndarray) -> np.ndarray:
@@ -453,8 +410,7 @@ def solve(lp: LinearProgram, options: SolverOptions | None = None) -> LpSolution
     assert z is not None and y is not None
     x = sf.recover_primal(z)
     obj = float(sf.c @ z) + sf.const
-    duals = y[: sf.m_orig].copy() if sf.m_orig else np.zeros(0)
-    return LpSolution(LpStatus.OPTIMAL, x, duals, obj)
+    return LpSolution(LpStatus.OPTIMAL, x, y, obj)
 
 
 # ---------------------------------------------------------------------------

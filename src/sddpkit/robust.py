@@ -7,15 +7,26 @@ The ambiguity set around a nominal weight vector w_hat is the polyhedron
       max_i |w_i - w_hat_i| / sqrt(w_hat_i) <= rho },
 
 a polyhedral outer approximation of a modified chi-square ball of radius
-rho.  ``inner_max_primal`` solves the inner maximization directly and
-returns the worst-case weights; ``dualize_inner`` solves its LP dual,
-whose variable block (gamma, beta, mu, zeta, psi) is what
-``DroLowerTerms`` appends to stage LPs so the robust stage problem
-stays a single-level LP.
+rho.  The worst-case expectation max { w^T z : w in the set } is written
+down once, as its LP dual
 
-The dual objective uses radius coefficient rho throughout, matching the
-set definition (primal and dual agree to solver tolerance; the tests
-enforce that).
+    min  gamma + rho * (beta + sum_i psi_i) + sum_i sqrt(w_hat_i) (mu_i - zeta_i)
+    s.t. sqrt(w_hat_i) gamma + mu_i - zeta_i >= sqrt(w_hat_i) z_i
+         mu_i + zeta_i = psi_i + beta / sqrt(N),   beta, mu, zeta, psi >= 0,
+
+over one cut row per value z_i.  ``DroLowerTerms`` appends this block to
+a stage LP with scenario i's cuts of the decision in place of z_i, so the
+robust stage problem stays one LP.  ``inner_max_primal`` solves the same
+block with constant cuts z_i; the worst-case weights are the derivative
+of its value in z, i.e. sqrt(w_hat_i) times the duals of the cut rows.
+
+Each cut row is the textbook row  gamma + (mu_i - zeta_i)/sqrt(w_hat_i) >=
+z_i  multiplied through by sqrt(w_hat_i).  Unscaled, a nominal weight
+near the 1e-300 floor of ``sanitize_nominal`` puts coefficients near
+1e150 into the LP, and the simplex breaks down or returns a wrong value
+once a weight is below about 1e-30; scaled, every coefficient on mu,
+zeta and the row's surplus is +-1 and the small weights only shrink
+entries.
 """
 
 from __future__ import annotations
@@ -26,7 +37,7 @@ from enum import Enum
 
 import numpy as np
 
-from .approximations import LOWER_BOX_DEFAULT, Cut, stack_cut_rows
+from .approximations import Cut, stack_cut_rows
 from .kernel import ConditionalWeights
 from .lp import LinearProgram, LpStatus, solve
 from .scenarios import DimensionMismatchError
@@ -35,13 +46,11 @@ from .stages import LpBlock
 __all__ = [
     "RhoRule",
     "AmbiguityParams",
-    "DroDualVars",
     "DegenerateWeightError",
     "VrSandwichReport",
     "sanitize_nominal",
     "rate_scaled_rho",
     "inner_max_primal",
-    "dualize_inner",
     "DroLowerTerms",
     "empirical_conditional_variance",
     "check_vr_sandwich",
@@ -117,29 +126,47 @@ def _checked_nominal(params: AmbiguityParams) -> np.ndarray:
     return w
 
 
-@dataclass
-class DroDualVars:
-    """Dual block of the inner maximization: gamma free, the rest nonnegative,
-    with mu_i + zeta_i = psi_i + beta / sqrt(N) row by row."""
+def _dual_block(
+    params: AmbiguityParams, node: np.ndarray, x_rows: np.ndarray, rhs: np.ndarray
+) -> LpBlock:
+    """The dual block over cut rows, each given as its node index (sorted),
+    its coefficients on the decision columns and its right-hand side.
 
-    gamma: float
-    beta: float
-    mu: np.ndarray
-    zeta: np.ndarray
-    psi: np.ndarray
-
-    def __post_init__(self) -> None:
-        self.mu = np.asarray(self.mu, dtype=float).reshape(-1)
-        self.zeta = np.asarray(self.zeta, dtype=float).reshape(-1)
-        self.psi = np.asarray(self.psi, dtype=float).reshape(-1)
-        n = self.mu.shape[0]
-        if self.zeta.shape[0] != n or self.psi.shape[0] != n:
-            raise DimensionMismatchError("mu, zeta, psi must share length")
-        if self.beta < -1e-9 or min(self.mu.min(initial=0), self.zeta.min(initial=0), self.psi.min(initial=0)) < -1e-9:
-            raise ValueError("dual variables must be nonnegative")
-        resid = np.max(np.abs(self.mu + self.zeta - self.psi - self.beta / math.sqrt(n)))
-        if resid > 1e-6:
-            raise ValueError(f"dual coupling rows violated by {resid:.3g}")
+    Columns: gamma, beta, mu (N), zeta (N), psi (N), then one surplus per
+    cut row.  Rows: node i's coupling row, then its cut rows, so cut row r
+    of node i lands at r + i + 1.  Every node needs at least one cut row.
+    A cut row of node i is scaled by sqrt(w_hat_i) except for its surplus,
+    whose coefficient stays -1: with -sqrt(w_hat_i) there, a tiny weight
+    would leave the row without a usable slack.
+    """
+    w_hat = _checked_nominal(params)
+    n = w_hat.shape[0]
+    s = np.sqrt(w_hat)
+    rho = float(params.rho)
+    x_dim = x_rows.shape[1]
+    n_cut = node.shape[0]
+    i = np.arange(n)
+    r = np.arange(n_cut)
+    couple = np.searchsorted(node, i) + i
+    cut_at = r + node + 1
+    scale = s[node]
+    mu, zeta, psi, surplus = x_dim + 2, x_dim + 2 + n, x_dim + 2 + 2 * n, x_dim + 2 + 3 * n
+    rows = np.zeros((n + n_cut, surplus + n_cut))
+    rows[couple, mu + i] = 1.0
+    rows[couple, zeta + i] = 1.0
+    rows[couple, psi + i] = -1.0
+    rows[couple, x_dim + 1] = -1.0 / math.sqrt(n)
+    rows[cut_at, :x_dim] = x_rows * scale[:, None]
+    rows[cut_at, x_dim] = scale
+    rows[cut_at, mu + node] = 1.0
+    rows[cut_at, zeta + node] = -1.0
+    rows[cut_at, surplus + r] = -1.0
+    block_rhs = np.zeros(n + n_cut)
+    block_rhs[cut_at] = rhs * scale
+    cost = np.concatenate([[1.0, rho], s, -s, np.full(n, rho), np.zeros(n_cut)])
+    free = np.zeros(cost.shape[0], dtype=bool)
+    free[0] = True
+    return LpBlock(cost=cost, rows=rows, rhs=block_rhs, free=free)
 
 
 def inner_max_primal(
@@ -147,7 +174,14 @@ def inner_max_primal(
 ) -> tuple[float, np.ndarray]:
     """Worst-case expectation max { w^T z : w in the ambiguity set }.
 
-    Returns the optimal value and one maximizing weight vector.
+    Solves the dual block with one constant cut per scenario.  Returns the
+    optimal value and one maximizing weight vector, the value's derivative
+    in z: sqrt(w_hat_i) times the dual of scenario i's cut row.
+
+    Since e^T w = 1, the maximizers of z and of (z - max z) / spread are
+    the same, so the block is solved on values in [-1, 0].  Values that
+    tie up to rounding (a spread of 1e-16) otherwise drive the simplex
+    into a near-singular basis.
     """
     zv = np.asarray(z, dtype=float).reshape(-1)
     w_hat = _checked_nominal(params)
@@ -156,107 +190,32 @@ def inner_max_primal(
         raise DimensionMismatchError(f"z has {zv.shape[0]} entries, nominal has {n}")
     if not np.all(np.isfinite(zv)):
         raise ValueError("z must be finite")
-    s = np.sqrt(w_hat)
-    rho = params.rho
-    # columns: w (N), Delta (N, free), d (N, <= rho), u1 (N), u2 (N), slack (1)
-    cols = 5 * n + 1
-    rows = 3 * n + 2
-    A = np.zeros((rows, cols))
-    b = np.zeros(rows)
-    A[0, :n] = 1.0
-    b[0] = 1.0
-    for i in range(n):
-        A[1 + i, i] = 1.0
-        A[1 + i, n + i] = -s[i]
-        b[1 + i] = w_hat[i]
-        A[1 + n + i, n + i] = 1.0  # Delta_i - d_i + u1_i = 0
-        A[1 + n + i, 2 * n + i] = -1.0
-        A[1 + n + i, 3 * n + i] = 1.0
-        A[1 + 2 * n + i, n + i] = 1.0  # Delta_i + d_i - u2_i = 0
-        A[1 + 2 * n + i, 2 * n + i] = 1.0
-        A[1 + 2 * n + i, 4 * n + i] = -1.0
-    A[-1, 2 * n : 3 * n] = 1.0
-    A[-1, -1] = 1.0
-    b[-1] = math.sqrt(n) * rho
-    c = np.zeros(cols)
-    c[:n] = -zv
-    upper = np.full(cols, np.inf)
-    upper[2 * n : 3 * n] = rho
-    free = np.zeros(cols, dtype=bool)
-    free[n : 2 * n] = True
+    top = float(zv.max())
+    spread = top - float(zv.min()) or 1.0
+    block = _dual_block(params, np.arange(n), np.zeros((n, 0)), (zv - top) / spread)
     sol = solve(
         LinearProgram(
-            objective=c, eq_matrix=A, eq_rhs=b, var_upper=upper, free_mask=free
+            objective=block.cost,
+            eq_matrix=block.rows,
+            eq_rhs=block.rhs,
+            free_mask=block.free,
         )
     )
     if sol.status is not LpStatus.OPTIMAL:
         raise RuntimeError(f"inner maximization came back {sol.status.value}")
-    worst = np.maximum(sol.primal[:n], 0.0)
-    return -float(sol.objective_value), worst
-
-
-def dualize_inner(
-    z: np.ndarray, params: AmbiguityParams
-) -> tuple[float, DroDualVars]:
-    """Dual of the inner maximization; value matches the primal to 1e-8.
-
-    min  gamma + rho * (beta + sum_i psi_i) + sum_i sqrt(w_hat_i) (mu_i - zeta_i)
-    s.t. z_i <= gamma + (mu_i - zeta_i) / sqrt(w_hat_i)
-         mu_i + zeta_i = psi_i + beta / sqrt(N),   beta, mu, zeta, psi >= 0.
-    """
-    zv = np.asarray(z, dtype=float).reshape(-1)
-    w_hat = _checked_nominal(params)
-    n = w_hat.shape[0]
-    if zv.shape[0] != n:
-        raise DimensionMismatchError(f"z has {zv.shape[0]} entries, nominal has {n}")
-    s = np.sqrt(w_hat)
-    rho = params.rho
-    rootn = math.sqrt(n)
-    # columns: gamma, beta, mu (N), zeta (N), psi (N), slack (N)
-    cols = 2 + 4 * n
-    A = np.zeros((2 * n, cols))
-    b = np.zeros(2 * n)
-    c = np.zeros(cols)
-    c[0] = 1.0
-    c[1] = rho
-    g_mu, g_ze, g_ps, g_sl = 2, 2 + n, 2 + 2 * n, 2 + 3 * n
-    for i in range(n):
-        A[i, 0] = 1.0
-        A[i, g_mu + i] = 1.0 / s[i]
-        A[i, g_ze + i] = -1.0 / s[i]
-        A[i, g_sl + i] = -1.0
-        b[i] = zv[i]
-        A[n + i, g_mu + i] = 1.0
-        A[n + i, g_ze + i] = 1.0
-        A[n + i, g_ps + i] = -1.0
-        A[n + i, 1] = -1.0 / rootn
-        c[g_mu + i] = s[i]
-        c[g_ze + i] = -s[i]
-        c[g_ps + i] = rho
-    free = np.zeros(cols, dtype=bool)
-    free[0] = True
-    sol = solve(LinearProgram(objective=c, eq_matrix=A, eq_rhs=b, free_mask=free))
-    if sol.status is not LpStatus.OPTIMAL:
-        raise RuntimeError(f"dual inner problem came back {sol.status.value}")
-    x = sol.primal
-    duals = DroDualVars(
-        gamma=float(x[0]),
-        beta=float(max(x[1], 0.0)),
-        mu=np.maximum(x[g_mu : g_mu + n], 0.0),
-        zeta=np.maximum(x[g_ze : g_ze + n], 0.0),
-        psi=np.maximum(x[g_ps : g_ps + n], 0.0),
-    )
-    return float(sol.objective_value), duals
+    # One cut row per scenario: scenario i's sits at row 2i + 1.
+    worst = np.maximum(np.sqrt(w_hat) * sol.duals[1::2], 0.0)
+    return top + spread * float(sol.objective_value), worst
 
 
 @dataclass
 class DroLowerTerms:
     """Single-level robust epigraph block for a stage LP.
 
-    Adds (gamma, beta, mu, zeta, psi) and, for every cut of every
-    conditioning scenario i, the row
+    Adds the dual block over the cuts of every conditioning scenario i:
+    each cut's row reads, after scaling by sqrt(w_hat_i),
 
-        gamma + (mu_i - zeta_i)/sqrt(w_hat_i) >= cut_i(x),
+        sqrt(w_hat_i) gamma + mu_i - zeta_i >= sqrt(w_hat_i) cut_i(x),
 
     substituting the scenario's epigraph value directly; a scenario with
     no cuts yet contributes the sentinel box instead.  The objective
@@ -266,43 +225,14 @@ class DroLowerTerms:
 
     params: AmbiguityParams
     node_cuts: list[tuple[Cut, ...]]
-    lower_box: float = LOWER_BOX_DEFAULT
 
     def block(self, x_dim: int) -> LpBlock:
-        w_hat = _checked_nominal(self.params)
-        n = w_hat.shape[0]
+        n = len(self.params.nominal)
         if len(self.node_cuts) != n:
             raise DimensionMismatchError(
                 f"{len(self.node_cuts)} cut pools for {n} nominal weights"
             )
-        s = np.sqrt(w_hat)
-        rho = float(self.params.rho)
-        node, x_rows, cut_rhs = stack_cut_rows(self.node_cuts, x_dim, self.lower_box)
-        n_cut = node.shape[0]
-        # Columns: gamma, beta, mu (N), zeta (N), psi (N), then one surplus
-        # per cut row.  Rows: scenario i's coupling row, then its cut rows,
-        # so cut row r of scenario i lands at r + i + 1.
-        i = np.arange(n)
-        r = np.arange(n_cut)
-        couple = np.searchsorted(node, i) + i
-        cut_at = r + node + 1
-        mu, zeta, psi, surplus = x_dim + 2, x_dim + 2 + n, x_dim + 2 + 2 * n, x_dim + 2 + 3 * n
-        rows = np.zeros((n + n_cut, surplus + n_cut))
-        rows[couple, mu + i] = 1.0
-        rows[couple, zeta + i] = 1.0
-        rows[couple, psi + i] = -1.0
-        rows[couple, x_dim + 1] = -1.0 / math.sqrt(n)
-        rows[cut_at, :x_dim] = x_rows
-        rows[cut_at, x_dim] = 1.0
-        rows[cut_at, mu + node] = (1.0 / s)[node]
-        rows[cut_at, zeta + node] = (-1.0 / s)[node]
-        rows[cut_at, surplus + r] = -1.0
-        rhs = np.zeros(n + n_cut)
-        rhs[cut_at] = cut_rhs
-        cost = np.concatenate([[1.0, rho], s, -s, np.full(n, rho), np.zeros(n_cut)])
-        free = np.zeros(cost.shape[0], dtype=bool)
-        free[0] = True
-        return LpBlock(cost=cost, rows=rows, rhs=rhs, free=free)
+        return _dual_block(self.params, *stack_cut_rows(self.node_cuts, x_dim))
 
 
 def empirical_conditional_variance(

@@ -49,7 +49,7 @@ def test_duplicate_cut_changes_nothing():
 
 
 def test_empty_pool_reports_sentinel():
-    pool = CutPool(lower_box=-1e9)
+    pool = CutPool()
     assert pool.value(3, 1, [0.0]) == -1e9
 
 
@@ -180,13 +180,13 @@ def test_midpoint_convexity_of_both_approximations():
 
 
 def test_penalty_tracks_observed_gradients():
-    store = EnvelopeStore(safety=10.0)
+    store = EnvelopeStore()
     assert store.penalty(2) == 0.0
     store.note_gradient(2, np.array([0.5, -3.0]))
     assert store.penalty(2) == pytest.approx(30.0)
     store.note_gradient(2, np.array([1.0, 1.0]))
     assert store.penalty(2) == pytest.approx(30.0)
-    fixed = EnvelopeStore(safety=10.0, penalty_override=7.0)
+    fixed = EnvelopeStore(penalty_override=7.0)
     fixed.note_gradient(2, np.array([100.0]))
     assert fixed.penalty(2) == 7.0
 
@@ -197,7 +197,7 @@ def _one_var_stage():
 
 def test_splice_lower_empty_pool_hits_sentinel():
     datum = _one_var_stage()
-    lp = assemble_stage_lp(datum, [1.0], extra_terms=CutLowerTerms((), lower_box=-1e9))
+    lp = assemble_stage_lp(datum, [1.0], extra_terms=CutLowerTerms(()))
     sol = solve(lp)
     assert sol.status is LpStatus.OPTIMAL
     assert sol.objective_value == pytest.approx(1.0 - 1e9)
@@ -225,7 +225,7 @@ def test_one_backward_pass_closes_gap_at_anchor():
     v_bar = nxt_sol.objective_value
     pi = state_gradient(nxt, nxt_sol.duals)
     cut = Cut(gradient=pi, intercept=v_bar, anchor=[anchor])
-    store = EnvelopeStore(safety=10.0)
+    store = EnvelopeStore()
     store.note_gradient(3, pi)
     store.add(3, 0, [anchor], v_bar)
 
@@ -246,7 +246,7 @@ def test_one_backward_pass_closes_gap_at_anchor():
 
 def test_envelope_upper_terms_empty_uses_upper_box():
     datum = _one_var_stage()
-    terms = EnvelopeUpperTerms(np.zeros((0, 0)), np.zeros(0), 10.0, upper_box=1e9)
+    terms = EnvelopeUpperTerms(np.zeros((0, 0)), np.zeros(0), 10.0)
     sol = solve(assemble_stage_lp(datum, [1.0], extra_terms=terms))
     assert sol.objective_value == pytest.approx(1.0 + 1e9)
 

@@ -113,19 +113,6 @@ def test_free_variable_attains_negative_value():
     np.testing.assert_allclose(sol.duals, [1.0], atol=1e-12)
 
 
-def test_upper_bound_binds():
-    """min -x with x <= 2 stops at the bound (encoded as an internal row)."""
-    lp = LinearProgram(
-        objective=[-1.0],
-        eq_matrix=np.zeros((0, 1)),
-        eq_rhs=[],
-        var_upper=[2.0],
-    )
-    sol = solve(lp)
-    assert sol.status is LpStatus.OPTIMAL
-    assert sol.objective_value == pytest.approx(-2.0, abs=1e-12)
-
-
 def test_nonzero_lower_bound_shift():
     lp = LinearProgram(
         objective=[1.0, 1.0],

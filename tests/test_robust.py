@@ -1,18 +1,21 @@
-"""Tests for the ambiguity set: inner max, duality, LP blocks, variance checks."""
+"""Tests for the ambiguity set: inner max, its primal-LP oracle, LP blocks,
+variance checks."""
+
+import json
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from sddpkit.approximations import Cut, CutLowerTerms, WeightedLowerTerms
+from sddpkit.approximations import Cut, CutLowerTerms, WeightedLowerTerms, lower_value
 from sddpkit.kernel import ConditionalWeights
-from sddpkit.lp import solve
+from sddpkit.lp import LinearProgram, LpStatus, solve
 from sddpkit.robust import (
     AmbiguityParams,
     DegenerateWeightError,
     DroLowerTerms,
     RhoRule,
     check_vr_sandwich,
-    dualize_inner,
     empirical_conditional_variance,
     inner_max_primal,
     rate_scaled_rho,
@@ -20,6 +23,37 @@ from sddpkit.robust import (
 )
 from sddpkit.scenarios import StageDatum
 from sddpkit.stages import assemble_stage_lp
+
+
+def _primal_lp(z, w_hat, rho):
+    """Oracle: max { w^T z : w in the set } as the primal LP, solved directly.
+
+    Columns w, Delta (free), d, u1, u2, the 1-norm slack and one slack per
+    d_i <= rho row; w = w_hat + sqrt(w_hat) Delta and d >= |Delta|.
+    Returns the value and the maximizing weights.
+    """
+    z = np.asarray(z, dtype=float)
+    n = z.shape[0]
+    s = np.sqrt(w_hat)
+    eye = np.eye(n)
+    zero = np.zeros((n, n))
+    col = np.zeros((n, 1))
+    A = np.block([
+        [np.ones((1, n)), np.zeros((1, 5 * n + 1))],
+        [eye, -np.diag(s), zero, zero, zero, col, zero],
+        [zero, eye, -eye, eye, zero, col, zero],
+        [zero, eye, eye, zero, -eye, col, zero],
+        [np.zeros((1, 2 * n)), np.ones((1, n)), np.zeros((1, 2 * n)), np.ones((1, 1)),
+         np.zeros((1, n))],
+        [zero, zero, eye, zero, zero, col, eye],
+    ])
+    b = np.concatenate([[1.0], w_hat, np.zeros(2 * n), [np.sqrt(n) * rho], np.full(n, rho)])
+    c = np.concatenate([-z, np.zeros(5 * n + 1)])
+    free = np.zeros(6 * n + 1, dtype=bool)
+    free[n : 2 * n] = True
+    sol = solve(LinearProgram(objective=c, eq_matrix=A, eq_rhs=b, free_mask=free))
+    assert sol.status is LpStatus.OPTIMAL
+    return -sol.objective_value, sol.primal[:n]
 
 
 def _in_set(w, w_hat, rho, tol=1e-9):
@@ -64,7 +98,7 @@ def test_exact_zero_nominal_is_rejected():
     with pytest.raises(DegenerateWeightError):
         inner_max_primal(np.array([1.0, 2.0]), params)
     with pytest.raises(DegenerateWeightError):
-        dualize_inner(np.array([1.0, 2.0]), params)
+        DroLowerTerms(params, [(), ()]).block(1)
 
 
 def test_sanitize_nominal_floors_and_renormalizes():
@@ -76,14 +110,16 @@ def test_sanitize_nominal_floors_and_renormalizes():
 
 
 def test_dual_matches_primal_on_frozen_examples():
-    params = AmbiguityParams(rho=0.2, nominal=ConditionalWeights.uniform(2))
-    value, duals = dualize_inner(np.array([0.0, 1.0]), params)
-    assert value == pytest.approx(0.6, abs=1e-8)
-    zero = AmbiguityParams(rho=0.0, nominal=ConditionalWeights(np.array([0.7, 0.3])))
-    value0, _ = dualize_inner(np.array([2.0, -1.0]), zero)
-    assert value0 == pytest.approx(0.7 * 2.0 - 0.3, abs=1e-9)
-    vz, _ = dualize_inner(np.zeros(3), AmbiguityParams(rho=0.4, nominal=ConditionalWeights.uniform(3)))
-    assert vz == pytest.approx(0.0, abs=1e-9)
+    for z, w_hat, rho, expected in (
+        ([0.0, 1.0], [0.5, 0.5], 0.2, 0.6),
+        ([2.0, -1.0], [0.7, 0.3], 0.0, 0.7 * 2.0 - 0.3),
+        ([0.0, 0.0, 0.0], [1 / 3, 1 / 3, 1 / 3], 0.4, 0.0),
+    ):
+        w_hat = np.array(w_hat)
+        params = AmbiguityParams(rho=rho, nominal=ConditionalWeights(w_hat))
+        value, _ = inner_max_primal(np.array(z), params)
+        assert value == pytest.approx(expected, abs=1e-9)
+        assert _primal_lp(np.array(z), w_hat, rho)[0] == pytest.approx(expected, abs=1e-9)
 
 
 def test_primal_dual_agreement_and_set_membership():
@@ -96,15 +132,37 @@ def test_primal_dual_agreement_and_set_membership():
         z = rng.normal(scale=3.0, size=n)
         rho = float(rng.uniform(0.0, 1.0))
         params = AmbiguityParams(rho=rho, nominal=nominal)
-        pv, worst = inner_max_primal(z, params)
-        dv, dual_vars = dualize_inner(z, params)
+        dv, worst = inner_max_primal(z, params)
+        pv, _ = _primal_lp(z, nominal.weights, rho)
         assert abs(pv - dv) <= 1e-8 * (1.0 + abs(pv))
         assert _in_set(worst, nominal.weights, rho)
-        assert worst @ z == pytest.approx(pv, abs=1e-8)
-        resid = np.max(
-            np.abs(dual_vars.mu + dual_vars.zeta - dual_vars.psi - dual_vars.beta / np.sqrt(n))
-        )
-        assert resid <= 1e-7
+        assert worst @ z == pytest.approx(dv, abs=1e-8)
+
+
+def _draw(rng):
+    """Values with ties over a nominal with entries floored at 1e-12..1e-300."""
+    n = int(rng.integers(2, 9))
+    w_hat = rng.uniform(0.05, 1.0, size=n)
+    tiny = rng.random(n) < 0.4
+    tiny[rng.integers(n)] = True
+    w_hat[tiny] = 10.0 ** -rng.uniform(12.0, 300.0)
+    nominal = ConditionalWeights(w_hat / w_hat.sum())
+    # Few distinct levels, so values tie across scenarios.
+    z = rng.choice(rng.normal(scale=3.0, size=3), size=n)
+    rho = float(rng.choice([0.0, 0.05, 0.3, 2.0, 1e4, rng.uniform(0.0, 1e4)]))
+    return z, AmbiguityParams(rho=rho, nominal=nominal)
+
+
+def test_inner_max_matches_primal_oracle_on_tiny_weights_and_ties():
+    rng = np.random.default_rng(27)
+    for _ in range(200):
+        z, params = _draw(rng)
+        w_hat = params.nominal.weights
+        value, worst = inner_max_primal(z, params)
+        oracle, _ = _primal_lp(z, w_hat, params.rho)
+        assert abs(value - oracle) <= 1e-9 * (1.0 + abs(oracle))
+        assert _in_set(worst, w_hat, params.rho)
+        assert worst @ z == pytest.approx(value, abs=1e-8)
 
 
 def test_value_nondecreasing_in_radius():
@@ -120,6 +178,81 @@ def test_value_nondecreasing_in_radius():
             for r in rhos
         ]
         assert all(b >= a - 1e-9 for a, b in zip(vals, vals[1:]))
+
+
+def test_values_tied_up_to_rounding():
+    """Backward-pass values of an RDD training run (perfbench rdd_train seed 81,
+    instance 7) that differ only in the last bit; solved on the raw values the
+    block left the simplex with a near-singular basis and a false "Unbounded"."""
+    z = np.array([
+        -0.6162666466938563, -0.6162666466938563, -0.6162666466938564,
+        -0.6162666466938566, -0.6162666466938564, -0.6162666466938564,
+        -0.6162666466938566, -0.6162666466938566, -0.6162666466938564,
+        -0.6162666466938563, -0.6162666466938566, -0.6162666466938564,
+        -0.6162666466938563, -0.6162666466938564, -0.6162666466938566,
+        -0.6162666466938564, -0.6162666466938566, -0.6162666466938566,
+        -0.6162666466938563, -0.6162666466938566
+    ])
+    w_hat = np.array([
+        0.047428042277870584, 0.0482973068463341, 0.054757656981222,
+        0.051390014468179174, 0.04863285743728387, 0.04709200917223341,
+        0.050872431822320575, 0.04899716375708311, 0.05140770597803957,
+        0.046757408017109384, 0.04933214768183744, 0.051420600879163975,
+        0.051159125848246494, 0.045579680422297944, 0.04960533473504016,
+        0.05140770291184243, 0.050710759440692005, 0.04906522074553489,
+        0.05277429907002982, 0.053312531507639115
+    ])
+    params = AmbiguityParams(rho=0.1, nominal=ConditionalWeights(w_hat))
+    value, worst = inner_max_primal(z, params)
+    assert abs(value - _primal_lp(z, w_hat, 0.1)[0]) <= 1e-12
+    assert _in_set(worst, w_hat, 0.1)
+
+
+def test_fixed_decision_block_prices_the_inner_max_of_the_cut_values():
+    """With x pinned by its rows, the robust stage LP costs c.x plus the
+    worst-case expectation of each scenario's cut maximum at x, on nominal
+    weights down to 1e-300 and with scenarios sharing a pool (ties)."""
+    rng = np.random.default_rng(28)
+    for _ in range(100):
+        _, params = _draw(rng)
+        x = rng.uniform(0.0, 2.0, size=2)
+        datum = StageDatum(
+            c=rng.normal(size=2), A=np.eye(2), B=np.eye(2), b=x + 1.0, feature=[0.0]
+        )
+        shared = [
+            tuple(
+                Cut(gradient=rng.normal(size=2), intercept=float(rng.normal()),
+                    anchor=rng.normal(size=2))
+                for _ in range(int(rng.integers(1, 4)))
+            )
+            for _ in range(3)
+        ]
+        pools = [shared[k] for k in rng.integers(0, 3, size=len(params.nominal))]
+        sol = solve(
+            assemble_stage_lp(datum, np.ones(2), extra_terms=DroLowerTerms(params, pools))
+        )
+        z = np.array([lower_value(cuts, x) for cuts in pools])
+        expected = float(datum.c @ x) + _primal_lp(z, params.nominal.weights, params.rho)[0]
+        assert sol.status is LpStatus.OPTIMAL
+        assert abs(sol.objective_value - expected) <= 1e-8 * (1.0 + abs(expected))
+
+
+def test_recorded_robust_rollout_lp_solves():
+    """A rollout stage LP of an RDD policy on which the unscaled block made
+    the simplex raise; its value is the one HiGHS reports."""
+    data = json.loads((Path(__file__).parent / "data" / "robust_rollout_lp.json").read_text())
+    datum = StageDatum(**data["datum"])
+    pools = [
+        tuple(
+            Cut(gradient=cut["gradient"], intercept=cut["offset"], anchor=np.zeros(datum.dim_out))
+            for cut in cuts
+        )
+        for cuts in data["cuts"]
+    ]
+    params = AmbiguityParams(rho=data["rho"], nominal=ConditionalWeights(np.array(data["nominal"])))
+    sol = solve(assemble_stage_lp(datum, data["state"], extra_terms=DroLowerTerms(params, pools)))
+    assert sol.status is LpStatus.OPTIMAL
+    assert sol.objective_value == pytest.approx(data["reference_value"], abs=1e-9)
 
 
 def _stage_with_pools(rng, n_scen):
@@ -200,9 +333,7 @@ def test_huge_radius_approaches_max_scenario():
 def test_empty_pool_scenario_uses_sentinel():
     datum = StageDatum(c=[1.0], A=[[1.0]], B=[[1.0]], b=[2.0], feature=[0.0])
     params = AmbiguityParams(rho=0.0, nominal=ConditionalWeights.uniform(2))
-    lp = assemble_stage_lp(
-        datum, [1.0], extra_terms=DroLowerTerms(params, [(), ()], lower_box=-1e9)
-    )
+    lp = assemble_stage_lp(datum, [1.0], extra_terms=DroLowerTerms(params, [(), ()]))
     sol = solve(lp)
     assert sol.objective_value == pytest.approx(1.0 - 1e9)
 

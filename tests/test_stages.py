@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from sddpkit.approximations import LOWER_BOX, UPPER_BOX
 from sddpkit.lp import LinearProgram, LpStatus, solve
 from sddpkit.scenarios import DimensionMismatchError, StageDatum
 from sddpkit.stages import (
@@ -77,15 +78,16 @@ class _RowByRow:
         self.frees.append(free)
         return len(self.costs) - 1
 
-    def cut_row(self, head, cut, lower_box):
+    def cut_row(self, head, cut, scale=1.0):
+        """Row head - surplus >= cut(x), the cut's coefficients and rhs times scale."""
         coeffs = dict(head)
         if cut is None:
-            rhs = lower_box
+            rhs = LOWER_BOX * scale
         else:
-            rhs = cut.intercept - float(cut.gradient @ cut.anchor)
+            rhs = (cut.intercept - float(cut.gradient @ cut.anchor)) * scale
             for j, g in enumerate(cut.gradient):
                 if g != 0.0:
-                    coeffs[j] = -float(g)
+                    coeffs[j] = -float(g) * scale
         coeffs[self.var()] = -1.0
         self.rows.append((coeffs, float(rhs)))
 
@@ -93,12 +95,12 @@ class _RowByRow:
         for weight, cuts in terms.node_cuts:
             ell = self.var(cost=weight, free=True)
             for cut in cuts or (None,):
-                self.cut_row({ell: 1.0}, cut, terms.lower_box)
+                self.cut_row({ell: 1.0}, cut)
 
     def envelope(self, terms):
         anchors, values = np.atleast_2d(terms.anchors), np.asarray(terms.values)
         if values.size == 0:
-            self.var(cost=1.0, lower=terms.upper_box)
+            self.var(cost=1.0, lower=UPPER_BOX)
             return
         k = values.size
         theta = [self.var(cost=v) for v in values]
@@ -120,9 +122,9 @@ class _RowByRow:
         for i in range(n):
             couple = {mu[i]: 1.0, zeta[i]: 1.0, psi[i]: -1.0, beta: -1.0 / np.sqrt(n)}
             self.rows.append((couple, 0.0))
-            head = {gamma: 1.0, mu[i]: 1.0 / s[i], zeta[i]: -1.0 / s[i]}
+            head = {gamma: s[i], mu[i]: 1.0, zeta[i]: -1.0}
             for cut in terms.node_cuts[i] or (None,):
-                self.cut_row(head, cut, terms.lower_box)
+                self.cut_row(head, cut, s[i])
 
     def arrays(self):
         A = np.zeros((len(self.rows), len(self.costs)))
@@ -170,7 +172,6 @@ def test_block_assembly_matches_row_by_row_reference():
             got = (lp.objective, lp.eq_matrix, lp.eq_rhs, lp.var_lower, lp.free_mask)
             for a, b in zip(got, ref.arrays()):
                 assert a.shape == b.shape and a.tobytes() == b.tobytes()
-            assert np.all(np.isinf(lp.var_upper))
 
 
 def _kinked_datum():
