@@ -13,6 +13,12 @@ Both are appended to stage LPs through the :class:`~sddpkit.stages.ExtraTerms`
 protocol.  The infinite initializations of the textbook recursion are
 realized by large sentinel boxes (``LOWER_BOX``/``UPPER_BOX``); they stop
 binding as soon as a first cut or point arrives.
+
+A pool keeps each node's cuts twice: as :class:`Cut` objects, which
+``CutPool.cuts`` and ``CutPool.dump`` hand out, and as :class:`CutRows`, a
+gradient matrix and an offset vector that grow by one row per ``add``.
+Stage LP blocks, pool values and the rollout's cut separation read the
+arrays, so evaluating every cut of a node at a point is one matvec.
 """
 
 from __future__ import annotations
@@ -20,6 +26,7 @@ from __future__ import annotations
 import io
 import math
 from dataclasses import dataclass, field
+from typing import Sequence
 
 import numpy as np
 
@@ -31,6 +38,7 @@ from .stages import LpBlock
 __all__ = [
     "Cut",
     "CutPool",
+    "CutRows",
     "EnvelopeStore",
     "NodeKey",
     "aggregate_backward",
@@ -79,8 +87,32 @@ class Cut:
             )
         object.__setattr__(self, "offset", self.intercept - float(g @ a))
 
-    def value_at(self, x: np.ndarray) -> float:
-        return self.intercept + float(self.gradient @ (np.asarray(x, float) - self.anchor))
+
+@dataclass(frozen=True)
+class CutRows:
+    """A node's cuts as arrays: row k of ``gradients`` is cut k's gradient
+    and ``offsets[k]`` its value at the origin, so the cuts' values at x
+    are ``offsets + gradients @ x``."""
+
+    gradients: np.ndarray
+    offsets: np.ndarray
+
+    @classmethod
+    def of(cls, cuts: "CutRows | Sequence[Cut]") -> "CutRows":
+        if isinstance(cuts, CutRows):
+            return cuts
+        if not cuts:
+            return _NO_CUTS
+        return cls(np.array([c.gradient for c in cuts]), np.array([c.offset for c in cuts]))
+
+    def __len__(self) -> int:
+        return self.offsets.shape[0]
+
+    def values(self, x: np.ndarray) -> np.ndarray:
+        return self.offsets + self.gradients @ x
+
+
+_NO_CUTS = CutRows(np.zeros((0, 0)), np.zeros(0))
 
 
 class CutPool:
@@ -88,9 +120,14 @@ class CutPool:
 
     def __init__(self) -> None:
         self._cuts: dict[NodeKey, list[Cut]] = {}
+        self._rows: dict[NodeKey, CutRows] = {}
 
     def cuts(self, t: int, node_j: int | None) -> tuple[Cut, ...]:
         return tuple(self._cuts.get((t, node_j), ()))
+
+    def rows(self, t: int, node_j: int | None) -> CutRows:
+        """The node's cuts as arrays; a later ``add`` leaves the returned ones as they are."""
+        return self._rows.get((t, node_j), _NO_CUTS)
 
     def n_cuts(self) -> int:
         return sum(len(v) for v in self._cuts.values())
@@ -103,9 +140,15 @@ class CutPool:
                 f"({bucket[0].gradient.shape[0]}) at (t={t}, j={node_j})"
             )
         bucket.append(cut)
+        rows = self._rows.get((t, node_j))
+        if rows is None:
+            rows = CutRows(np.zeros((0, cut.gradient.shape[0])), np.zeros(0))
+        self._rows[(t, node_j)] = CutRows(
+            np.vstack([rows.gradients, cut.gradient]), np.append(rows.offsets, cut.offset)
+        )
 
     def value(self, t: int, node_j: int | None, x: np.ndarray) -> float:
-        return lower_value(self.cuts(t, node_j), x)
+        return lower_value(self.rows(t, node_j), x)
 
     def dump(self, stream: io.TextIOBase) -> None:
         """One cut per line: t, j, k, intercept, gradient components."""
@@ -118,12 +161,12 @@ class CutPool:
                 stream.write(f"{t},{label},{c.iteration_k},{c.intercept!r},{grad}\n")
 
 
-def lower_value(cuts: tuple[Cut, ...] | list[Cut], x: np.ndarray) -> float:
+def lower_value(cuts: CutRows | Sequence[Cut], x: np.ndarray) -> float:
     """Pointwise maximum of the cuts at x (the sentinel box when empty)."""
-    if not cuts:
+    rows = CutRows.of(cuts)
+    if not len(rows):
         return LOWER_BOX
-    xv = np.asarray(x, dtype=float).reshape(-1)
-    return max(c.value_at(xv) for c in cuts)
+    return float(np.max(rows.values(np.asarray(x, dtype=float).reshape(-1))))
 
 
 def aggregate_backward(
@@ -257,7 +300,7 @@ def envelope_value(
 
 
 def stack_cut_rows(
-    node_cuts: list[tuple[Cut, ...]], x_dim: int
+    node_cuts: Sequence[CutRows | Sequence[Cut]], x_dim: int
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """One epigraph row per cut, node after node, for an LP block.
 
@@ -265,17 +308,17 @@ def stack_cut_rows(
     Returns each row's node index, its coefficients on the stage decision
     (the negated cut gradient) and its right-hand side (the cut offset).
     """
-    sentinel = Cut(gradient=np.zeros(x_dim), intercept=LOWER_BOX, anchor=np.zeros(x_dim))
-    per_node = [cuts or (sentinel,) for cuts in node_cuts]
-    flat = [cut for cuts in per_node for cut in cuts]
-    if any(cut.gradient.shape[0] != x_dim for cut in flat):
+    sentinel = CutRows(np.zeros((1, x_dim)), np.full(1, LOWER_BOX))
+    per_node = [CutRows.of(cuts) for cuts in node_cuts]
+    if any(len(rows) and rows.gradients.shape[1] != x_dim for rows in per_node):
         raise DimensionMismatchError(
             f"cut gradients do not have the stage decision's dimension {x_dim}"
         )
-    node = np.repeat(np.arange(len(per_node)), [len(cuts) for cuts in per_node])
+    per_node = [rows if len(rows) else sentinel for rows in per_node]
+    node = np.repeat(np.arange(len(per_node)), [len(rows) for rows in per_node])
     # 0.0 - g rather than -g keeps zero coefficients +0.0.
-    x_rows = 0.0 - np.array([cut.gradient for cut in flat]).reshape(-1, x_dim)
-    return node, x_rows, np.array([cut.offset for cut in flat])
+    x_rows = 0.0 - np.concatenate([rows.gradients for rows in per_node])
+    return node, x_rows, np.concatenate([rows.offsets for rows in per_node])
 
 
 @dataclass
@@ -289,7 +332,7 @@ class WeightedLowerTerms:
     special case.
     """
 
-    node_cuts: list[tuple[float, tuple[Cut, ...]]]
+    node_cuts: list[tuple[float, CutRows | Sequence[Cut]]]
 
     def block(self, x_dim: int) -> LpBlock:
         # A free epigraph variable avoids mixing the huge sentinel into
@@ -312,9 +355,9 @@ class WeightedLowerTerms:
         return LpBlock(cost=cost, rows=rows, rhs=rhs, free=free)
 
 
-def CutLowerTerms(cuts: tuple[Cut, ...] | list[Cut]) -> WeightedLowerTerms:
+def CutLowerTerms(cuts: CutRows | Sequence[Cut]) -> WeightedLowerTerms:
     """Single epigraph variable bounded below by every cut in the node's pool."""
-    return WeightedLowerTerms(node_cuts=[(1.0, tuple(cuts))])
+    return WeightedLowerTerms(node_cuts=[(1.0, cuts)])
 
 
 @dataclass

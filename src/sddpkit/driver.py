@@ -39,10 +39,12 @@ import numpy as np
 from .approximations import (
     CutLowerTerms,
     CutPool,
+    CutRows,
     EnvelopeStore,
     EnvelopeUpperTerms,
     WeightedLowerTerms,
     aggregate_backward,
+    stack_cut_rows,
 )
 from .kernel import ConditionalWeights, KernelConfig, nw_weights
 from .lp import LinearProgram, LpScaleError, LpStatus, solve
@@ -262,7 +264,7 @@ class _Runner:
         """Cost-to-go epigraph of the stage-t subproblem under realization i."""
         if t >= self.T:
             return None
-        return CutLowerTerms(self.pools.cuts(t + 1, i))
+        return CutLowerTerms(self.pools.rows(t + 1, i))
 
     def _weights(self, values: np.ndarray, nominal: np.ndarray) -> np.ndarray:
         """The node's nominal weights, or for rho > 0 the worst case of the values."""
@@ -278,7 +280,7 @@ class _Runner:
         lp = assemble_stage_lp(
             self.traj.stage1,
             self.x0,
-            extra_terms=CutLowerTerms(self.pools.cuts(2, None)),
+            extra_terms=CutLowerTerms(self.pools.rows(2, None)),
         )
         sol = self._solve_checked(lp, k, 1, None)
         self.root_decision = sol.primal[: self.traj.stage1.dim_out].copy()
@@ -329,9 +331,7 @@ class _Runner:
                 )
                 lower_vals[i] = sol.objective_value
                 grads.append(state_gradient(datum, sol.duals))
-                if t == self.T:
-                    upper_vals[i] = lower_vals[i]
-                else:
+                if t < self.T:
                     anchors, values = self.store.points(t + 1, i)
                     ub_sol = self._solve_checked(
                         assemble_stage_lp(
@@ -352,10 +352,13 @@ class _Runner:
                 ]
             else:
                 nodes = [(j, self.W[t - 1][j]) for j in range(self.N)]
+            if t == self.T:  # no cost-to-go: the upper values are the lower ones
+                upper_vals = lower_vals
             for j, nominal in nodes:
-                w_lower = ConditionalWeights(self._weights(lower_vals, nominal))
-                cut = aggregate_backward(lower_vals, grads, w_lower, anchor, k)
-                point_value = float(self._weights(upper_vals, nominal) @ upper_vals)
+                w_lower = self._weights(lower_vals, nominal)
+                cut = aggregate_backward(lower_vals, grads, ConditionalWeights(w_lower), anchor, k)
+                w_upper = w_lower if t == self.T else self._weights(upper_vals, nominal)
+                point_value = float(w_upper @ upper_vals)
                 self.pools.add(t, j, cut)
                 self.store.note_gradient(t, cut.gradient)
                 self.store.add(t, j, anchor, point_value)
@@ -440,6 +443,31 @@ def run(
 # ---------------------------------------------------------------------------
 
 
+# A cut outside the working set is violated when it exceeds its node's
+# working maximum at the decision by more than this, relative to 1 + |max|.
+SEPARATION_TOL = 1e-12
+
+
+def _node_max(values: np.ndarray, node: np.ndarray, n_nodes: int) -> np.ndarray:
+    """Largest value per node; -inf for a node without values."""
+    top = np.full(n_nodes, -np.inf)
+    np.maximum.at(top, node, values)
+    return top
+
+
+def _working_terms(
+    weights: np.ndarray, node: np.ndarray, grads: np.ndarray, offsets: np.ndarray,
+    active: np.ndarray,
+) -> WeightedLowerTerms:
+    """The weighted epigraph block over the active cuts of each node."""
+    members = (active & (node == i) for i in range(weights.shape[0]))
+    return WeightedLowerTerms(
+        node_cuts=[
+            (float(wi), CutRows(grads[on], offsets[on])) for wi, on in zip(weights, members)
+        ]
+    )
+
+
 def evaluate_policy_out_of_sample(
     policy: Policy, test_traj: TrajectorySet
 ) -> PolicyReport:
@@ -450,6 +478,17 @@ def evaluate_policy_out_of_sample(
     per-scenario cut pools then drives the stage decision.  A path whose
     stage LP is infeasible, or on which the solver breaks down, is
     reported as failed, not fatal.
+
+    The nominal stage LP is solved on a working set of cut rows rather
+    than on every cut of every pool.  Each node starts with its highest
+    cut at the incoming state.  After each solve, every cut is evaluated
+    at the decision x (one matvec over the stacked pools), and every cut
+    of a node with positive weight that lies above the node's working
+    maximum by more than ``SEPARATION_TOL`` joins the set.  Each round
+    adds a row that was not in the set, so the loop ends; when it does,
+    no left-out cut binds at x, so x is optimal for the full LP and the
+    two optima agree.  A working LP that comes back unbounded is re-solved
+    with every cut.  The robust rollout keeps every cut in its dual block.
     """
     train = policy.trajectories
     if test_traj.horizon_T != train.horizon_T:
@@ -458,6 +497,9 @@ def evaluate_policy_out_of_sample(
         )
     T = train.horizon_T
     n_train = train.n_paths
+    pools = {t: [policy.pools.rows(t + 1, i) for i in range(n_train)] for t in range(2, T)}
+    # Stage t's cuts, every pool stacked: node, gradient, offset.
+    stacked: dict[int, tuple[np.ndarray, np.ndarray, np.ndarray]] = {}
     x1 = policy.root_decision
     stage1_cost = float(train.stage1.c @ x1)
     objectives: list[float] = []
@@ -468,25 +510,47 @@ def evaluate_policy_out_of_sample(
         for t in range(2, T + 1):
             datum = test_traj.stage_data(t)[path]
             extra = None
+            working = False
             if t < T:
-                w = nw_weights(datum.feature, train.features(t), policy.kernel)
-                node_cuts = [policy.pools.cuts(t + 1, i) for i in range(n_train)]
+                w = nw_weights(datum.feature, train.features(t), policy.kernel).weights
                 if policy.algorithm is Algorithm.RDD:
                     extra = DroLowerTerms(
-                        AmbiguityParams(rho=policy.rho, nominal=sanitize_nominal(w)),
-                        node_cuts,
+                        AmbiguityParams(rho=policy.rho, nominal=sanitize_nominal(w)), pools[t]
                     )
                 else:
-                    extra = WeightedLowerTerms(
-                        node_cuts=[
-                            (float(wi), cuts) for wi, cuts in zip(w.weights, node_cuts)
-                        ]
-                    )
-            lp = assemble_stage_lp(datum, x_prev, extra_terms=extra)
-            try:
-                sol = solve(lp)
-            except RuntimeError:  # the simplex gave up on degenerate data
-                sol = None
+                    working = True
+                    if t not in stacked:
+                        node, x_rows, offsets = stack_cut_rows(pools[t], datum.dim_out)
+                        stacked[t] = node, 0.0 - x_rows, offsets
+                    node, grads, offsets = stacked[t]
+                    start = x_prev if x_prev.shape[0] == datum.dim_out else np.zeros(datum.dim_out)
+                    values = offsets + grads @ start
+                    active = values == _node_max(values, node, n_train)[node]
+            while True:
+                if working:
+                    extra = _working_terms(w, node, grads, offsets, active)
+                lp = assemble_stage_lp(datum, x_prev, extra_terms=extra)
+                try:
+                    sol = solve(lp)
+                except RuntimeError:  # the simplex gave up on degenerate data
+                    sol = None
+                if not working or sol is None:
+                    break
+                if sol.status is LpStatus.UNBOUNDED and not active.all():
+                    active[:] = True
+                    continue
+                if sol.status is not LpStatus.OPTIMAL:
+                    break
+                values = offsets + grads @ sol.primal[: datum.dim_out]
+                top = _node_max(values[active], node[active], n_train)[node]
+                violated = (
+                    ~active
+                    & (w[node] > 0)
+                    & (values > top + SEPARATION_TOL * (1.0 + np.abs(top)))
+                )
+                if not violated.any():
+                    break
+                active |= violated
             if sol is None or sol.status is not LpStatus.OPTIMAL:
                 failed = True
                 break

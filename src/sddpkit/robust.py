@@ -34,10 +34,11 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
+from typing import Sequence
 
 import numpy as np
 
-from .approximations import Cut, stack_cut_rows
+from .approximations import Cut, CutRows, stack_cut_rows
 from .kernel import ConditionalWeights
 from .lp import LinearProgram, LpStatus, solve
 from .scenarios import DimensionMismatchError
@@ -224,7 +225,7 @@ class DroLowerTerms:
     """
 
     params: AmbiguityParams
-    node_cuts: list[tuple[Cut, ...]]
+    node_cuts: list[CutRows | Sequence[Cut]]
 
     def block(self, x_dim: int) -> LpBlock:
         n = len(self.params.nominal)

@@ -5,17 +5,21 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from sddpkit.approximations import (
     Cut,
     CutLowerTerms,
     CutPool,
+    CutRows,
     EnvelopeStore,
     EnvelopeUpperTerms,
     WeightedLowerTerms,
     aggregate_backward,
     envelope_value,
     lower_value,
+    stack_cut_rows,
 )
 from sddpkit.kernel import ConditionalWeights
 from sddpkit.lp import LpStatus, solve
@@ -260,3 +264,65 @@ def test_cut_pool_dump_format():
     lines = buf.getvalue().splitlines()
     assert lines[0] == "2,root,4,3.0,1.0,-2.0"
     assert lines[1] == "3,1,5,-1.0,0.5"
+
+
+# Entries with exact and signed zeros, as in portfolio cut gradients.
+_ENTRY = st.one_of(st.sampled_from([0.0, -0.0]), st.floats(-1e3, 1e3, width=64))
+_KEYS = [(2, None), (3, 0), (3, 1), (4, 0)]
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    adds=st.lists(
+        st.tuples(
+            st.sampled_from(_KEYS),
+            st.lists(_ENTRY, min_size=6, max_size=6),
+            _ENTRY,
+            st.integers(0, 99),
+        ),
+        max_size=25,
+    )
+)
+def test_pool_arrays_stack_the_cuts_bit_for_bit(adds):
+    """After any sequence of adds, each node's arrays are its cuts' gradients
+    and offsets stacked, byte for byte, and arrays handed out before an add
+    stay as they were."""
+    pool = CutPool()
+    snapshots = []
+    for (t, j), entries, intercept, k in adds:
+        d = t - 1  # a fixed dimension per stage
+        cut = Cut(gradient=entries[:d], intercept=intercept, anchor=entries[3 : 3 + d],
+                  iteration_k=k)
+        snapshots.append((pool.rows(t, j), pool.cuts(t, j)))
+        pool.add(t, j, cut)
+    for t, j in _KEYS:
+        rows, cuts = pool.rows(t, j), pool.cuts(t, j)
+        assert len(rows) == len(cuts)
+        if not cuts:
+            continue
+        d = t - 1
+        grads = np.array([c.gradient for c in cuts])
+        offsets = np.array([c.intercept - float(c.gradient @ c.anchor) for c in cuts])
+        assert rows.gradients.shape == grads.shape and rows.gradients.tobytes() == grads.tobytes()
+        assert rows.offsets.tobytes() == offsets.tobytes()
+        # Stage LP rows from the arrays equal those from the Cut objects.
+        for a, b in zip(stack_cut_rows([rows], d), stack_cut_rows([cuts], d)):
+            assert a.shape == b.shape and a.tobytes() == b.tobytes()
+    for rows, cuts in snapshots:
+        assert len(rows) == len(cuts)
+        if cuts:
+            assert rows.gradients.tobytes() == np.array([c.gradient for c in cuts]).tobytes()
+
+
+def test_lower_value_reads_the_arrays():
+    cuts = (
+        Cut(gradient=[1.0, 0.0], intercept=0.0, anchor=[0.0, 0.0]),
+        Cut(gradient=[-1.0, 2.0], intercept=1.0, anchor=[1.0, 0.0]),
+    )
+    rows = CutRows.of(cuts)
+    for x in ([0.0, 0.0], [2.0, -1.0], [-3.0, 0.5]):
+        expected = max(c.intercept + float(c.gradient @ (np.array(x) - c.anchor)) for c in cuts)
+        assert lower_value(rows, x) == pytest.approx(expected, abs=1e-12)
+        assert lower_value(cuts, x) == lower_value(rows, x)
+    assert CutRows.of(rows) is rows
+    assert lower_value(CutRows.of(()), [0.0]) == -1e9

@@ -5,9 +5,11 @@ import math
 import numpy as np
 import pytest
 
+from sddpkit.approximations import LOWER_BOX, Cut, CutPool, EnvelopeStore, WeightedLowerTerms
 from sddpkit.driver import (
     Algorithm,
     GapMode,
+    Policy,
     SolveConfig,
     cross_validate_rho,
     evaluate_policy_out_of_sample,
@@ -15,11 +17,22 @@ from sddpkit.driver import (
     generalization_bound,
     run,
 )
-from sddpkit.kernel import ConditionalWeights, KernelConfig
-from sddpkit.lp import LinearProgram, LpScaleError, solve
+from sddpkit.kernel import ConditionalWeights, KernelConfig, nw_weights
+from sddpkit.lp import LinearProgram, LpScaleError, LpStatus, solve
 from sddpkit.robust import AmbiguityParams
-from sddpkit.scenarios import DimensionMismatchError, StageDatum, TrajectorySet
-from sddpkit.stages import InstanceTemplate, StageInfeasibleError
+from sddpkit.scenarios import (
+    DimensionMismatchError,
+    StageDatum,
+    SyntheticSpec,
+    TrajectorySet,
+    generate_synthetic_markov,
+)
+from sddpkit.stages import (
+    InstanceTemplate,
+    StageInfeasibleError,
+    assemble_stage_lp,
+    build_portfolio_instance,
+)
 
 from _toys import STATE_DIM, make_toy
 
@@ -161,6 +174,197 @@ def test_solver_breakdown_fails_only_its_own_path(monkeypatch):
     assert np.isnan(report.objectives[1])
     assert report.objectives[0] == healthy.objectives[0]
     assert report.objectives[2] == healthy.objectives[2]
+
+
+def _full_pool_terms(policy, datum, t):
+    """Every cut of every pool, weighted by the kernel weights: the oracle's block."""
+    train = policy.trajectories
+    if t == train.horizon_T:
+        return None
+    w = nw_weights(datum.feature, train.features(t), policy.kernel).weights
+    return WeightedLowerTerms(
+        node_cuts=[(float(w[i]), policy.pools.cuts(t + 1, i)) for i in range(train.n_paths)]
+    )
+
+
+def _full_pool_rollout(policy, test_traj):
+    """The rollout with every cut in every stage LP, one solve per stage."""
+    train = policy.trajectories
+    objectives = []
+    for path in range(test_traj.n_paths):
+        x_prev = policy.root_decision
+        total = float(train.stage1.c @ x_prev)
+        for t in range(2, train.horizon_T + 1):
+            datum = test_traj.stage_data(t)[path]
+            sol = solve(assemble_stage_lp(datum, x_prev, _full_pool_terms(policy, datum, t)))
+            if sol.status is not LpStatus.OPTIMAL:
+                total = math.nan
+                break
+            x_prev = sol.primal[: datum.dim_out]
+            total += float(datum.c @ x_prev)
+        objectives.append(total)
+    return np.array(objectives)
+
+
+def _full_pool_cost(policy, datum, t, x):
+    """The full stage LP's objective at decision x: c.x plus the weighted cut maxima."""
+    train = policy.trajectories
+    w = nw_weights(datum.feature, train.features(t), policy.kernel).weights
+    cost = float(datum.c @ x)
+    for i in range(train.n_paths):
+        cuts = policy.pools.cuts(t + 1, i)
+        top = max((c.intercept + float(c.gradient @ (x - c.anchor)) for c in cuts),
+                  default=LOWER_BOX)
+        cost += float(w[i]) * top
+    return cost
+
+
+def _check_rollout_against_full_pools(monkeypatch, policy, test_traj):
+    """Every path's objective matches the full-pool rollout, and every stage
+    decision the rollout takes is optimal for its full-pool stage LP.
+    Returns the row counts of the rollout's stage LPs that carry cuts."""
+    import sddpkit.driver
+
+    calls = []
+    assemble, solve_lp = sddpkit.driver.assemble_stage_lp, sddpkit.driver.solve
+
+    def recording_assemble(datum, incoming_state, extra_terms=None):
+        lp = assemble(datum, incoming_state, extra_terms=extra_terms)
+        calls.append([datum, np.array(incoming_state), lp, None])
+        return lp
+
+    def recording_solve(lp):
+        calls[-1][3] = solve_lp(lp)
+        return calls[-1][3]
+
+    with monkeypatch.context() as patch:
+        patch.setattr(sddpkit.driver, "assemble_stage_lp", recording_assemble)
+        patch.setattr(sddpkit.driver, "solve", recording_solve)
+        report = evaluate_policy_out_of_sample(policy, test_traj)
+    oracle = _full_pool_rollout(policy, test_traj)
+    assert np.array_equal(np.isnan(report.objectives), np.isnan(oracle))
+    ok = ~np.isnan(oracle)
+    assert np.all(np.abs(report.objectives[ok] - oracle[ok]) <= 1e-9 * (1.0 + np.abs(oracle[ok])))
+
+    T = test_traj.horizon_T
+    stage_of = {id(d): t for t in range(2, T + 1) for d in test_traj.stage_data(t)}
+    # A stage's decision comes from its last solve: the next call is another stage.
+    for (datum, x_prev, _, sol), after in zip(calls, calls[1:] + [[None]]):
+        t = stage_of[id(datum)]
+        if after[0] is datum or t == T or sol.status is not LpStatus.OPTIMAL:
+            continue
+        x = sol.primal[: datum.dim_out]
+        assert np.max(np.abs(datum.A @ x - (datum.b - datum.B @ x_prev))) <= 1e-9
+        assert np.min(x) >= -1e-9
+        full = solve(assemble_stage_lp(datum, x_prev, _full_pool_terms(policy, datum, t)))
+        target = full.objective_value
+        assert abs(_full_pool_cost(policy, datum, t, x) - target) <= 1e-9 * (1.0 + abs(target))
+    return [lp.n_rows for datum, _, lp, _ in calls if stage_of[id(datum)] < T]
+
+
+def _portfolio(seed, n_paths):
+    template = build_portfolio_instance(3, 4, fees=(0.005, 0.005))
+    spec = SyntheticSpec(
+        mu=np.full(3, 0.505),
+        phi=0.5 * np.eye(3),
+        noise_cov=0.05**2 * np.eye(3),
+        xi1=np.ones(3),
+        box_lower=np.full(3, 0.8),
+        box_upper=np.full(3, 1.2),
+        datum_builder=template.datum_builder,
+    )
+    return generate_synthetic_markov(spec, 4, n_paths, rng_seed=seed), template
+
+
+def test_working_set_rollout_matches_full_pools_on_portfolio(monkeypatch):
+    for seed in (0, 1):
+        traj, template = _portfolio(seed, 10)
+        policy, _, _ = run(traj, template, _config(epsilon=1e-12, max_iterations=10))
+        test_traj, _ = _portfolio(seed + 100, 4)
+        rows = _check_rollout_against_full_pools(monkeypatch, policy, test_traj)
+        full_rows = 4 + 10 * 10  # structural rows plus every cut of every node
+        assert min(rows) < full_rows
+
+
+def test_working_set_rollout_matches_full_pools_on_toys(monkeypatch):
+    for seed in range(3):
+        traj, template = make_toy(seed, horizon_T=4, n_paths=5)
+        policy, _, _ = run(traj, template, _config(max_iterations=15, epsilon=1e-12))
+        test_traj, _ = make_toy(seed + 50, horizon_T=4, n_paths=8)
+        _check_rollout_against_full_pools(monkeypatch, policy, test_traj)
+
+
+def test_working_set_rollout_with_zero_kernel_weights(monkeypatch):
+    kernel = KernelConfig(bandwidth_h=1e-3)
+    traj, template = make_toy(7, horizon_T=4, n_paths=6)
+    policy, _, _ = run(traj, template, _config(max_iterations=12, kernel=kernel))
+    test_traj, _ = make_toy(8, horizon_T=4, n_paths=8)
+    weights = [
+        nw_weights(test_traj.stage_data(t)[p].feature, traj.features(t), kernel).weights
+        for t in (2, 3)
+        for p in range(test_traj.n_paths)
+    ]
+    assert any(np.min(w) == 0.0 for w in weights)
+    _check_rollout_against_full_pools(monkeypatch, policy, test_traj)
+
+
+def test_working_set_rollout_of_a_one_iteration_policy(monkeypatch):
+    traj, template = make_toy(4, horizon_T=4, n_paths=4)
+    policy, records, _ = run(traj, template, _config(max_iterations=1))
+    assert len(records) == 1
+    assert all(len(policy.pools.cuts(t, i)) == 1 for t in (3, 4) for i in range(4))
+    test_traj, _ = make_toy(5, horizon_T=4, n_paths=6)
+    _check_rollout_against_full_pools(monkeypatch, policy, test_traj)
+
+
+def test_working_set_rollout_with_single_cut_and_empty_pools(monkeypatch):
+    """Odd nodes keep only their newest cut, even nodes none (the sentinel row)."""
+    traj, template = make_toy(6, horizon_T=4, n_paths=4)
+    trained, _, _ = run(traj, template, _config(max_iterations=10))
+    pools = CutPool()
+    for t in (3, 4):
+        for i in range(1, 4, 2):
+            pools.add(t, i, trained.pools.cuts(t, i)[-1])
+    policy = Policy(
+        algorithm=Algorithm.DD,
+        trajectories=traj,
+        kernel=trained.kernel,
+        rho=0.0,
+        pools=pools,
+        store=trained.store,
+        root_decision=trained.root_decision,
+        root_lower_bound=trained.root_lower_bound,
+    )
+    test_traj, _ = make_toy(7, horizon_T=4, n_paths=6)
+    _check_rollout_against_full_pools(monkeypatch, policy, test_traj)
+
+
+def test_unbounded_working_set_falls_back_to_every_cut():
+    """The start cut leaves x1 free to grow, so the first working LP is
+    unbounded; with both cuts the optimum is x1 = 2.5.  The incoming state
+    is 1-dimensional and the decision 2-dimensional, so the start cut is
+    the highest one at the origin."""
+    stage1 = StageDatum(c=[0.0], A=[[1.0]], B=[[0.0]], b=[1.0], feature=[0.0])
+    stage2 = StageDatum(c=[0.1, 0.0], A=[[1.0, -1.0]], B=[[0.0]], b=[0.0], feature=[0.0])
+    stage3 = StageDatum(c=[1.0], A=[[1.0]], B=[[0.0, 0.0]], b=[1.0], feature=[0.0])
+    traj = TrajectorySet(horizon_T=3, n_paths=1, stage1=stage1, data=[[stage2], [stage3]])
+    pools = CutPool()
+    # At the origin 5 - x1 = 5 beats x1 = 0, so it starts alone.
+    pools.add(3, 0, Cut(gradient=[-1.0, 0.0], intercept=5.0, anchor=[0.0, 0.0]))
+    pools.add(3, 0, Cut(gradient=[1.0, 0.0], intercept=0.0, anchor=[0.0, 0.0]))
+    policy = Policy(
+        algorithm=Algorithm.DD,
+        trajectories=traj,
+        kernel=_KERNEL,
+        rho=0.0,
+        pools=pools,
+        store=EnvelopeStore(),
+        root_decision=np.array([1.0]),
+        root_lower_bound=0.0,
+    )
+    report = evaluate_policy_out_of_sample(policy, traj)
+    assert report.n_failed == 0
+    assert report.objectives[0] == pytest.approx(0.1 * 2.5 + 1.0, abs=1e-12)
 
 
 def test_iteration_counters_and_forward_scenario_shape():

@@ -218,3 +218,22 @@ def test_drifted_basic_column_is_not_entered():
     assert sol.objective_value == pytest.approx(-0.6275637057056452, abs=1e-9)
     assert np.max(np.abs(lp.eq_matrix @ sol.primal - lp.eq_rhs)) <= 1e-9
     assert np.min(sol.primal) >= 0.0
+
+
+@pytest.mark.xfail(strict=True, raises=RuntimeError, reason="simplex breaks down on this LP")
+def test_degenerate_envelope_lp_solves():
+    """A 15x46 envelope LP from DD training on the portfolio instance
+    (workload seed 2001, instance 5, iteration 16, stage 2, scenario 2).
+
+    The simplex raises "simplex failed on degenerate data" on it, and the
+    training run that needs it is lost.  ``reference_value`` is the
+    optimum HiGHS reports (``scipy.optimize.linprog``).
+    """
+    data = json.loads((Path(__file__).parent / "data" / "degenerate_envelope_lp.json").read_text())
+    reference = data.pop("reference_value")
+    lp = LinearProgram(**data)
+    sol = solve(lp)
+    assert sol.status is LpStatus.OPTIMAL
+    assert sol.objective_value == pytest.approx(reference, abs=1e-9)
+    assert np.max(np.abs(lp.eq_matrix @ sol.primal - lp.eq_rhs)) <= 1e-9
+    assert np.min(sol.primal) >= 0.0
