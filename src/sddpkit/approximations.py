@@ -14,16 +14,16 @@ protocol.  The infinite initializations of the textbook recursion are
 realized by large sentinel boxes (``LOWER_BOX``/``UPPER_BOX``); they stop
 binding as soon as a first cut or point arrives.
 
-A pool keeps each node's cuts twice: as :class:`Cut` objects, which
-``CutPool.cuts`` and ``CutPool.dump`` hand out, and as :class:`CutRows`, a
-gradient matrix and an offset vector that grow by one row per ``add``.
-Stage LP blocks, pool values and the rollout's cut separation read the
-arrays, so evaluating every cut of a node at a point is one matvec.
+Both keep each node's data as arrays that grow by one row per ``add``: a
+pool holds a :class:`CutRows` (gradient matrix, offset vector), a store an
+anchor matrix and a value vector.  Every ``add`` makes fresh arrays, so
+arrays handed out earlier stay as they were.  Stage LP blocks and the
+rollout's cut separation read the arrays, so evaluating every cut of a
+node at a point is one matvec.
 """
 
 from __future__ import annotations
 
-import io
 import math
 from dataclasses import dataclass, field
 from typing import Sequence
@@ -31,7 +31,6 @@ from typing import Sequence
 import numpy as np
 
 from .kernel import ConditionalWeights
-from .lp import LinearProgram, LpStatus, solve
 from .scenarios import DimensionMismatchError
 from .stages import LpBlock
 
@@ -42,8 +41,6 @@ __all__ = [
     "EnvelopeStore",
     "NodeKey",
     "aggregate_backward",
-    "lower_value",
-    "envelope_value",
     "CutLowerTerms",
     "WeightedLowerTerms",
     "EnvelopeUpperTerms",
@@ -72,7 +69,6 @@ class Cut:
     gradient: np.ndarray
     intercept: float
     anchor: np.ndarray
-    iteration_k: int = 0
     offset: float = field(init=False)
 
     def __post_init__(self) -> None:
@@ -97,76 +93,46 @@ class CutRows:
     gradients: np.ndarray
     offsets: np.ndarray
 
-    @classmethod
-    def of(cls, cuts: "CutRows | Sequence[Cut]") -> "CutRows":
-        if isinstance(cuts, CutRows):
-            return cuts
-        if not cuts:
-            return _NO_CUTS
-        return cls(np.array([c.gradient for c in cuts]), np.array([c.offset for c in cuts]))
-
     def __len__(self) -> int:
         return self.offsets.shape[0]
 
-    def values(self, x: np.ndarray) -> np.ndarray:
-        return self.offsets + self.gradients @ x
-
 
 _NO_CUTS = CutRows(np.zeros((0, 0)), np.zeros(0))
+
+
+def _grow(
+    matrix: np.ndarray, vector: np.ndarray, row: np.ndarray, value: float, what: str,
+    key: NodeKey,
+) -> tuple[np.ndarray, np.ndarray]:
+    """A node's matrix and vector with one more row, as new arrays."""
+    if not vector.size:
+        matrix = np.zeros((0, row.shape[0]))
+    elif matrix.shape[1] != row.shape[0]:
+        raise DimensionMismatchError(
+            f"{what} dimension {row.shape[0]} does not match the node's "
+            f"({matrix.shape[1]}) at (t={key[0]}, j={key[1]})"
+        )
+    return np.vstack([matrix, row]), np.append(vector, value)
 
 
 class CutPool:
     """Cuts per (stage, node); pools only grow, so the outer bound only tightens."""
 
     def __init__(self) -> None:
-        self._cuts: dict[NodeKey, list[Cut]] = {}
         self._rows: dict[NodeKey, CutRows] = {}
 
-    def cuts(self, t: int, node_j: int | None) -> tuple[Cut, ...]:
-        return tuple(self._cuts.get((t, node_j), ()))
-
-    def rows(self, t: int, node_j: int | None) -> CutRows:
-        """The node's cuts as arrays; a later ``add`` leaves the returned ones as they are."""
+    def cuts(self, t: int, node_j: int | None) -> CutRows:
+        """The node's cuts; a later ``add`` leaves the returned arrays as they are."""
         return self._rows.get((t, node_j), _NO_CUTS)
 
     def n_cuts(self) -> int:
-        return sum(len(v) for v in self._cuts.values())
+        return sum(len(rows) for rows in self._rows.values())
 
     def add(self, t: int, node_j: int | None, cut: Cut) -> None:
-        bucket = self._cuts.setdefault((t, node_j), [])
-        if bucket and bucket[0].gradient.shape != cut.gradient.shape:
-            raise DimensionMismatchError(
-                f"cut dimension {cut.gradient.shape[0]} does not match pool "
-                f"({bucket[0].gradient.shape[0]}) at (t={t}, j={node_j})"
-            )
-        bucket.append(cut)
-        rows = self._rows.get((t, node_j))
-        if rows is None:
-            rows = CutRows(np.zeros((0, cut.gradient.shape[0])), np.zeros(0))
+        rows = self.cuts(t, node_j)
         self._rows[(t, node_j)] = CutRows(
-            np.vstack([rows.gradients, cut.gradient]), np.append(rows.offsets, cut.offset)
+            *_grow(rows.gradients, rows.offsets, cut.gradient, cut.offset, "cut", (t, node_j))
         )
-
-    def value(self, t: int, node_j: int | None, x: np.ndarray) -> float:
-        return lower_value(self.rows(t, node_j), x)
-
-    def dump(self, stream: io.TextIOBase) -> None:
-        """One cut per line: t, j, k, intercept, gradient components."""
-        for (t, j), cuts in sorted(
-            self._cuts.items(), key=lambda kv: (kv[0][0], -1 if kv[0][1] is None else kv[0][1])
-        ):
-            for c in cuts:
-                grad = ",".join(repr(float(g)) for g in c.gradient)
-                label = "root" if j is None else str(j)
-                stream.write(f"{t},{label},{c.iteration_k},{c.intercept!r},{grad}\n")
-
-
-def lower_value(cuts: CutRows | Sequence[Cut], x: np.ndarray) -> float:
-    """Pointwise maximum of the cuts at x (the sentinel box when empty)."""
-    rows = CutRows.of(cuts)
-    if not len(rows):
-        return LOWER_BOX
-    return float(np.max(rows.values(np.asarray(x, dtype=float).reshape(-1))))
 
 
 def aggregate_backward(
@@ -174,7 +140,6 @@ def aggregate_backward(
     duals: list[np.ndarray] | np.ndarray,
     weights: ConditionalWeights,
     anchor: np.ndarray,
-    iteration_k: int = 0,
 ) -> Cut:
     """Weight the N node solves into one cut anchored at the visited state.
 
@@ -188,23 +153,12 @@ def aggregate_backward(
         raise DimensionMismatchError(
             f"got {v.shape[0]} values and {pi.shape[0]} duals for {w.shape[0]} weights"
         )
-    return Cut(
-        gradient=pi.T @ w,
-        intercept=float(v @ w),
-        anchor=anchor,
-        iteration_k=iteration_k,
-    )
+    return Cut(gradient=pi.T @ w, intercept=float(v @ w), anchor=anchor)
 
 
 # ---------------------------------------------------------------------------
 # Inner approximation
 # ---------------------------------------------------------------------------
-
-
-@dataclass
-class _EnvelopeBucket:
-    anchors: list[np.ndarray] = field(default_factory=list)
-    values: list[float] = field(default_factory=list)
 
 
 class EnvelopeStore:
@@ -219,30 +173,24 @@ class EnvelopeStore:
 
     def __init__(self, penalty_override: float | None = None):
         self.penalty_override = penalty_override
-        self._points: dict[NodeKey, _EnvelopeBucket] = {}
+        self._points: dict[NodeKey, tuple[np.ndarray, np.ndarray]] = {}
         self._grad_max: dict[int, float] = {}
 
     def points(self, t: int, node_j: int | None) -> tuple[np.ndarray, np.ndarray]:
-        bucket = self._points.get((t, node_j))
-        if bucket is None:
-            return np.zeros((0, 0)), np.zeros(0)
-        return np.array(bucket.anchors), np.array(bucket.values)
+        """The node's anchor matrix and value vector; a later ``add`` leaves
+        the returned arrays as they are."""
+        return self._points.get((t, node_j), (np.zeros((0, 0)), np.zeros(0)))
 
     def n_points(self) -> int:
-        return sum(len(b.values) for b in self._points.values())
+        return sum(values.shape[0] for _, values in self._points.values())
 
     def add(self, t: int, node_j: int | None, anchor: np.ndarray, value: float) -> None:
         if not math.isfinite(value):
             raise ValueError(f"envelope value at (t={t}, j={node_j}) must be finite")
         a = np.asarray(anchor, dtype=float).reshape(-1)
-        bucket = self._points.setdefault((t, node_j), _EnvelopeBucket())
-        if bucket.anchors and bucket.anchors[0].shape != a.shape:
-            raise DimensionMismatchError(
-                f"anchor dimension {a.shape[0]} does not match store "
-                f"({bucket.anchors[0].shape[0]}) at (t={t}, j={node_j})"
-            )
-        bucket.anchors.append(a)
-        bucket.values.append(float(value))
+        self._points[(t, node_j)] = _grow(
+            *self.points(t, node_j), a, float(value), "anchor", (t, node_j)
+        )
 
     def note_gradient(self, t: int, gradient: np.ndarray) -> None:
         """Record a stage-t cut gradient so penalty(t) tracks the Lipschitz scale."""
@@ -254,45 +202,6 @@ class EnvelopeStore:
             return float(self.penalty_override)
         return PENALTY_SAFETY * self._grad_max.get(t, 0.0)
 
-    def value(self, t: int, node_j: int | None, x: np.ndarray) -> float:
-        anchors, values = self.points(t, node_j)
-        if values.size == 0:
-            return math.inf
-        return envelope_value(anchors, values, self.penalty(t), x)
-
-
-def envelope_value(
-    anchors: np.ndarray, values: np.ndarray, penalty_m: float, x: np.ndarray
-) -> float:
-    """Lower convex envelope of the stored points with L1 slack, evaluated at x.
-
-    Solves  min sum_k theta_k V_k + M ||y||_1
-            s.t. sum_k theta_k anchor_k + y = x, sum_k theta_k = 1, theta >= 0.
-    """
-    anchors = np.atleast_2d(np.asarray(anchors, dtype=float))
-    values = np.asarray(values, dtype=float).reshape(-1)
-    xv = np.asarray(x, dtype=float).reshape(-1)
-    k, d = anchors.shape
-    if k == 0:
-        return math.inf
-    if xv.shape[0] != d:
-        raise DimensionMismatchError(
-            f"query dimension {xv.shape[0]} does not match anchors ({d})"
-        )
-    # columns: theta (k), y+ (d), y- (d)
-    n = k + 2 * d
-    A = np.zeros((d + 1, n))
-    A[:d, :k] = anchors.T
-    A[:d, k : k + d] = np.eye(d)
-    A[:d, k + d :] = -np.eye(d)
-    A[d, :k] = 1.0
-    b = np.concatenate([xv, [1.0]])
-    c = np.concatenate([values, np.full(2 * d, float(penalty_m))])
-    sol = solve(LinearProgram(objective=c, eq_matrix=A, eq_rhs=b))
-    if sol.status is not LpStatus.OPTIMAL:
-        raise RuntimeError(f"envelope LP came back {sol.status.value}")
-    return float(sol.objective_value)
-
 
 # ---------------------------------------------------------------------------
 # Blocks appended to stage LPs
@@ -300,7 +209,7 @@ def envelope_value(
 
 
 def stack_cut_rows(
-    node_cuts: Sequence[CutRows | Sequence[Cut]], x_dim: int
+    node_cuts: Sequence[CutRows], x_dim: int
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """One epigraph row per cut, node after node, for an LP block.
 
@@ -309,12 +218,11 @@ def stack_cut_rows(
     (the negated cut gradient) and its right-hand side (the cut offset).
     """
     sentinel = CutRows(np.zeros((1, x_dim)), np.full(1, LOWER_BOX))
-    per_node = [CutRows.of(cuts) for cuts in node_cuts]
-    if any(len(rows) and rows.gradients.shape[1] != x_dim for rows in per_node):
+    if any(len(rows) and rows.gradients.shape[1] != x_dim for rows in node_cuts):
         raise DimensionMismatchError(
             f"cut gradients do not have the stage decision's dimension {x_dim}"
         )
-    per_node = [rows if len(rows) else sentinel for rows in per_node]
+    per_node = [rows if len(rows) else sentinel for rows in node_cuts]
     node = np.repeat(np.arange(len(per_node)), [len(rows) for rows in per_node])
     # 0.0 - g rather than -g keeps zero coefficients +0.0.
     x_rows = 0.0 - np.concatenate([rows.gradients for rows in per_node])
@@ -332,7 +240,7 @@ class WeightedLowerTerms:
     special case.
     """
 
-    node_cuts: list[tuple[float, CutRows | Sequence[Cut]]]
+    node_cuts: list[tuple[float, CutRows]]
 
     def block(self, x_dim: int) -> LpBlock:
         # A free epigraph variable avoids mixing the huge sentinel into
@@ -355,7 +263,7 @@ class WeightedLowerTerms:
         return LpBlock(cost=cost, rows=rows, rhs=rhs, free=free)
 
 
-def CutLowerTerms(cuts: CutRows | Sequence[Cut]) -> WeightedLowerTerms:
+def CutLowerTerms(cuts: CutRows) -> WeightedLowerTerms:
     """Single epigraph variable bounded below by every cut in the node's pool."""
     return WeightedLowerTerms(node_cuts=[(1.0, cuts)])
 

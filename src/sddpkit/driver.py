@@ -264,7 +264,7 @@ class _Runner:
         """Cost-to-go epigraph of the stage-t subproblem under realization i."""
         if t >= self.T:
             return None
-        return CutLowerTerms(self.pools.rows(t + 1, i))
+        return CutLowerTerms(self.pools.cuts(t + 1, i))
 
     def _weights(self, values: np.ndarray, nominal: np.ndarray) -> np.ndarray:
         """The node's nominal weights, or for rho > 0 the worst case of the values."""
@@ -280,7 +280,7 @@ class _Runner:
         lp = assemble_stage_lp(
             self.traj.stage1,
             self.x0,
-            extra_terms=CutLowerTerms(self.pools.rows(2, None)),
+            extra_terms=CutLowerTerms(self.pools.cuts(2, None)),
         )
         sol = self._solve_checked(lp, k, 1, None)
         self.root_decision = sol.primal[: self.traj.stage1.dim_out].copy()
@@ -356,7 +356,7 @@ class _Runner:
                 upper_vals = lower_vals
             for j, nominal in nodes:
                 w_lower = self._weights(lower_vals, nominal)
-                cut = aggregate_backward(lower_vals, grads, ConditionalWeights(w_lower), anchor, k)
+                cut = aggregate_backward(lower_vals, grads, ConditionalWeights(w_lower), anchor)
                 w_upper = w_lower if t == self.T else self._weights(upper_vals, nominal)
                 point_value = float(w_upper @ upper_vals)
                 self.pools.add(t, j, cut)
@@ -497,7 +497,7 @@ def evaluate_policy_out_of_sample(
         )
     T = train.horizon_T
     n_train = train.n_paths
-    pools = {t: [policy.pools.rows(t + 1, i) for i in range(n_train)] for t in range(2, T)}
+    pools = {t: [policy.pools.cuts(t + 1, i) for i in range(n_train)] for t in range(2, T)}
     # Stage t's cuts, every pool stacked: node, gradient, offset.
     stacked: dict[int, tuple[np.ndarray, np.ndarray, np.ndarray]] = {}
     x1 = policy.root_decision

@@ -9,7 +9,8 @@ with a two-phase revised simplex method using Bland's rule, so the pivot
 sequence (and hence the reported basis and duals) is a deterministic
 function of the input data.  All subproblems built elsewhere in the
 package (stage LPs, envelope LPs, ambiguity-set inner problems) are
-funneled through :func:`solve`.
+funneled through :func:`solve`.  The solver's tolerances and pivot caps
+are module constants; nothing selects them per call.
 
 A small-scale vertex enumerator, :func:`enumerate_vertices`, is provided
 as an independent cross-check: it enumerates basic feasible solutions of
@@ -29,14 +30,13 @@ Conventions
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
 
 __all__ = [
     "LpStatus",
-    "SolverOptions",
     "LinearProgram",
     "LpSolution",
     "LpInputError",
@@ -60,33 +60,23 @@ class LpStatus(Enum):
     UNBOUNDED = "Unbounded"
 
 
-@dataclass(frozen=True)
-class SolverOptions:
-    """Numerical tolerances for the simplex method.
-
-    Attributes
-    ----------
-    feas_tol : float
-        Feasibility tolerance, used to declare phase one successful and to
-        accept slightly negative basic values as zero.
-    opt_tol : float
-        Dual feasibility (reduced cost) tolerance for optimality.
-    pivot_tol : float
-        Magnitude below which a candidate pivot element is treated as zero,
-        relative to the largest magnitude in its tableau column.
-    max_pivots : int
-        Hard cap on total pivots across both phases; exceeding it raises
-        ``RuntimeError`` since Bland's rule precludes cycling and hitting
-        the cap indicates numerical trouble.
-    refactor_every : int
-        Rebuild the basis inverse from scratch after this many updates.
-    """
-
-    feas_tol: float = 1e-9
-    opt_tol: float = 1e-9
-    pivot_tol: float = 1e-9
-    max_pivots: int = 50_000
-    refactor_every: int = 32
+# Feasibility tolerance, used to declare phase one successful and to
+# accept slightly negative basic values as zero.
+_FEAS_TOL = 1e-9
+# Dual feasibility (reduced cost) tolerance for optimality.
+_OPT_TOL = 1e-9
+# Magnitude below which a candidate pivot element is treated as zero,
+# relative to the largest magnitude in its tableau column.
+_PIVOT_TOL = 1e-9
+# Caps on total pivots across both phases, for the first run and for the
+# reruns in ``solve``.  Bland's rule precludes cycling only in exact
+# arithmetic: drift in the inverse can make it cycle between two bases, so
+# reaching a cap raises ``RuntimeError``.
+_MAX_PIVOTS = 50_000
+_RETRY_MAX_PIVOTS = 200_000
+# Updates of the basis inverse between rebuilds from scratch in the first
+# run; the reruns rebuild it after every pivot.
+_REFACTOR_EVERY = 32
 
 
 @dataclass
@@ -216,9 +206,10 @@ class _StandardForm:
 class _Simplex:
     """Two-phase revised simplex on standard-form data with Bland's rule."""
 
-    def __init__(self, A: np.ndarray, b: np.ndarray, c: np.ndarray, opts: SolverOptions):
+    def __init__(self, A: np.ndarray, b: np.ndarray, c: np.ndarray, retry: bool = False):
         self.m, self.n = A.shape
-        self.opts = opts
+        self.refactor_every = 1 if retry else _REFACTOR_EVERY
+        self.max_pivots = _RETRY_MAX_PIVOTS if retry else _MAX_PIVOTS
         self.sign = np.where(b < 0, -1.0, 1.0)
         # Artificial columns are sign(b_i) * e_i so the artificial start is
         # feasible without flipping rows (keeps duals in the original row frame).
@@ -259,7 +250,7 @@ class _Simplex:
         self.Binv -= np.outer(coef, row)
         self.Binv[r] = row
         self.since_refactor += 1
-        if self.since_refactor >= self.opts.refactor_every:
+        if self.since_refactor >= self.refactor_every:
             self._refactor()
 
     def _iterate(self, cost: np.ndarray, allowed: np.ndarray) -> str:
@@ -267,9 +258,8 @@ class _Simplex:
 
         Returns "optimal" or "unbounded".
         """
-        tol = self.opts.opt_tol
         while True:
-            if self.pivots > self.opts.max_pivots:
+            if self.pivots > self.max_pivots:
                 raise RuntimeError("simplex pivot limit exceeded; data is ill-conditioned")
             y = cost[self.basis] @ self.Binv
             rc = cost - y @ self.A
@@ -278,7 +268,7 @@ class _Simplex:
             # would enter it, the ratio test would pick its own row, and the
             # basis would never change.
             rc[self.basis] = 0.0
-            cand = np.nonzero((rc < -tol) & allowed)[0]
+            cand = np.nonzero((rc < -_OPT_TOL) & allowed)[0]
             if cand.size == 0:
                 if self.since_refactor:
                     # Exit verdicts are only trusted from a freshly inverted
@@ -290,7 +280,7 @@ class _Simplex:
             d = self.Binv @ self.A[:, q]
             # Eligibility is relative to the column scale: when the inverse
             # degrades, absolute thresholds admit noise next to huge entries.
-            d_eps = self.opts.pivot_tol * max(1.0, float(np.abs(d).max(initial=0.0)))
+            d_eps = _PIVOT_TOL * max(1.0, float(np.abs(d).max(initial=0.0)))
             pos = d > d_eps
             if not np.any(pos):
                 if self.since_refactor:
@@ -308,9 +298,8 @@ class _Simplex:
 
     def run(self) -> tuple[str, np.ndarray | None, np.ndarray | None]:
         """Solve; returns (status, z, duals) with z in standard-form coordinates."""
-        opts = self.opts
         if self.m == 0:
-            if np.any(self.c_true < -opts.opt_tol):
+            if np.any(self.c_true < -_OPT_TOL):
                 return "unbounded", None, None
             return "optimal", np.zeros(self.n), np.zeros(0)
 
@@ -322,7 +311,7 @@ class _Simplex:
         art_mask = self.basis >= self.art0
         resid = float(np.sum(np.maximum(xb[art_mask], 0.0))) if np.any(art_mask) else 0.0
         scale = max(1.0, float(np.abs(self.b).max(initial=0.0)))
-        if resid > opts.feas_tol * scale:
+        if resid > _FEAS_TOL * scale:
             return "infeasible", None, None
 
         # Drive remaining artificials out of the basis where possible; a row
@@ -335,7 +324,7 @@ class _Simplex:
             in_basis[self.basis[self.basis < self.n]] = True
             for r in np.nonzero(art_mask)[0]:
                 row = self.Binv[r] @ self.A[:, : self.n]
-                row_eps = opts.pivot_tol * max(1.0, float(np.abs(row).max(initial=0.0)))
+                row_eps = _PIVOT_TOL * max(1.0, float(np.abs(row).max(initial=0.0)))
                 entry = np.nonzero((np.abs(row) > row_eps) & ~in_basis)[0]
                 if entry.size:
                     q = int(entry[0])
@@ -358,7 +347,7 @@ class _Simplex:
         return "optimal", z_full[: self.n], y
 
 
-def solve(lp: LinearProgram, options: SolverOptions | None = None) -> LpSolution:
+def solve(lp: LinearProgram) -> LpSolution:
     """Solve an equality-form LP with the revised simplex method.
 
     Returns an :class:`LpSolution`; on Optimal status the primal point, the
@@ -366,18 +355,14 @@ def solve(lp: LinearProgram, options: SolverOptions | None = None) -> LpSolution
     inputs produce identical outputs because pivoting follows Bland's rule
     with fixed tie-breaking.
     """
-    opts = options or SolverOptions()
     sf = _StandardForm(lp)
-    sim = _Simplex(sf.A, sf.b, sf.c, opts)
-    paranoid = replace(
-        opts, refactor_every=1, max_pivots=max(opts.max_pivots, 200_000)
-    )
+    sim = _Simplex(sf.A, sf.b, sf.c)
     try:
         status, z, y = sim.run()
-        if status == "infeasible" and opts.refactor_every > 1:
+        if status == "infeasible":
             # Degenerate data can leave phase one stuck a hair above the
             # feasibility gate; only exact pivoting can confirm the verdict.
-            sim = _Simplex(sf.A, sf.b, sf.c, paranoid)
+            sim = _Simplex(sf.A, sf.b, sf.c, retry=True)
             status, z, y = sim.run()
     except RuntimeError:
         # Massively degenerate inputs (pools of near-parallel cuts) can
@@ -389,7 +374,7 @@ def solve(lp: LinearProgram, options: SolverOptions | None = None) -> LpSolution
         rng = np.random.default_rng(1729)
         scale = max(1.0, float(np.abs(sf.b).max(initial=0.0)))
         jitter = scale * 1e-9 * (1.0 + rng.random(sf.b.shape[0]))
-        sim = _Simplex(sf.A, sf.b + jitter, sf.c, paranoid)
+        sim = _Simplex(sf.A, sf.b + jitter, sf.c, retry=True)
         status, z, y = sim.run()
         if status == "infeasible":
             # Jitter can push a feasible-but-degenerate system infeasible,
@@ -421,9 +406,7 @@ _ENUM_MAX_VARS = 12
 _ENUM_MAX_ROWS = 8
 
 
-def enumerate_vertices(
-    lp: LinearProgram, options: SolverOptions | None = None
-) -> list[tuple[np.ndarray, float]]:
+def enumerate_vertices(lp: LinearProgram) -> list[tuple[np.ndarray, float]]:
     """Enumerate basic feasible solutions of the LP's standard form.
 
     Intended as an independent oracle for small problems: every vertex of
@@ -439,7 +422,6 @@ def enumerate_vertices(
     LpInputError
         Via :class:`LinearProgram` validation on malformed data.
     """
-    opts = options or SolverOptions()
     sf = _StandardForm(lp)
     m, n = sf.A.shape
     if n > _ENUM_MAX_VARS or m > _ENUM_MAX_ROWS:
@@ -472,7 +454,7 @@ def enumerate_vertices(
                 work[i] -= f * work[pr]
         lead += 1
     for i in row_order[lead:]:
-        if abs(work[i, -1]) > max(opts.feas_tol, 1e-9) * scale:
+        if abs(work[i, -1]) > _FEAS_TOL * scale:
             return []  # inconsistent system
 
     A_r = sf.A[pivot_rows]
@@ -493,7 +475,7 @@ def enumerate_vertices(
             continue
         if np.max(np.abs(B @ zb - b_r)) > 1e-8 * scale:
             continue
-        if np.min(zb) < -max(opts.feas_tol, 1e-9) * scale:
+        if np.min(zb) < -_FEAS_TOL * scale:
             continue
         z = np.zeros(n)
         z[list(cols)] = np.maximum(zb, 0.0)

@@ -34,11 +34,10 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
-from typing import Sequence
 
 import numpy as np
 
-from .approximations import Cut, CutRows, stack_cut_rows
+from .approximations import CutRows, stack_cut_rows
 from .kernel import ConditionalWeights
 from .lp import LinearProgram, LpStatus, solve
 from .scenarios import DimensionMismatchError
@@ -48,13 +47,10 @@ __all__ = [
     "RhoRule",
     "AmbiguityParams",
     "DegenerateWeightError",
-    "VrSandwichReport",
     "sanitize_nominal",
     "rate_scaled_rho",
     "inner_max_primal",
     "DroLowerTerms",
-    "empirical_conditional_variance",
-    "check_vr_sandwich",
 ]
 
 
@@ -225,7 +221,7 @@ class DroLowerTerms:
     """
 
     params: AmbiguityParams
-    node_cuts: list[CutRows | Sequence[Cut]]
+    node_cuts: list[CutRows]
 
     def block(self, x_dim: int) -> LpBlock:
         n = len(self.params.nominal)
@@ -235,57 +231,3 @@ class DroLowerTerms:
             )
         return _dual_block(self.params, *stack_cut_rows(self.node_cuts, x_dim))
 
-
-def empirical_conditional_variance(
-    values: np.ndarray, weights: ConditionalWeights
-) -> float:
-    """Weighted variance sum w z^2 - (sum w z)^2, clamped at zero."""
-    zv = np.asarray(values, dtype=float).reshape(-1)
-    w = weights.weights
-    if zv.shape[0] != w.shape[0]:
-        raise DimensionMismatchError(
-            f"{zv.shape[0]} values for {w.shape[0]} weights"
-        )
-    var = float(w @ (zv**2) - (w @ zv) ** 2)
-    return max(var, 0.0)
-
-
-@dataclass(frozen=True)
-class VrSandwichReport:
-    """Both sides of mean + rho*sqrt(var) <= robust value + rho^2 * u_bar."""
-
-    lhs: float
-    rhs: float
-    nominal_mean: float
-    std_term: float
-    dro_value: float
-    holds: bool
-
-
-def check_vr_sandwich(
-    z: np.ndarray, weights: ConditionalWeights, rho: float, u_bar: float
-) -> VrSandwichReport:
-    """Compare variance regularization against the robust value.
-
-    Requires u_bar >= max(z).  For nonnegative z the inequality is exact:
-    the variance direction is feasible for both norm rows by
-    Cauchy-Schwarz, and whenever nonnegativity truncates it the slack
-    rho^2 * u_bar already covers the shortfall.
-    """
-    zv = np.asarray(z, dtype=float).reshape(-1)
-    if u_bar < float(zv.max()) - 1e-12:
-        raise ValueError("u_bar must bound the values from above")
-    params = AmbiguityParams(rho=float(rho), nominal=weights)
-    dro, _ = inner_max_primal(zv, params)
-    mean = float(weights.weights @ zv)
-    std = math.sqrt(empirical_conditional_variance(zv, weights))
-    lhs = mean + rho * std
-    rhs = dro + rho * rho * float(u_bar)
-    return VrSandwichReport(
-        lhs=lhs,
-        rhs=rhs,
-        nominal_mean=mean,
-        std_term=rho * std,
-        dro_value=dro,
-        holds=lhs <= rhs + 1e-9 * (1.0 + abs(rhs)),
-    )

@@ -213,8 +213,7 @@ def _full_pool_cost(policy, datum, t, x):
     cost = float(datum.c @ x)
     for i in range(train.n_paths):
         cuts = policy.pools.cuts(t + 1, i)
-        top = max((c.intercept + float(c.gradient @ (x - c.anchor)) for c in cuts),
-                  default=LOWER_BOX)
+        top = float(np.max(cuts.offsets + cuts.gradients @ x)) if len(cuts) else LOWER_BOX
         cost += float(w[i]) * top
     return cost
 
@@ -324,7 +323,9 @@ def test_working_set_rollout_with_single_cut_and_empty_pools(monkeypatch):
     pools = CutPool()
     for t in (3, 4):
         for i in range(1, 4, 2):
-            pools.add(t, i, trained.pools.cuts(t, i)[-1])
+            newest = trained.pools.cuts(t, i)
+            pools.add(t, i, Cut(gradient=newest.gradients[-1], intercept=newest.offsets[-1],
+                                anchor=np.zeros(newest.gradients.shape[1])))
     policy = Policy(
         algorithm=Algorithm.DD,
         trajectories=traj,
@@ -380,6 +381,23 @@ def test_iteration_counters_and_forward_scenario_shape():
         assert len(rec.forward_scenario.indices) == traj.horizon_T - 1
         assert all(0 <= i < traj.n_paths for i in rec.forward_scenario.indices)
         assert rec.wall_time >= 0.0
+
+
+@pytest.mark.parametrize("algorithm, rho", [(Algorithm.DD, None), (Algorithm.RDD, 0.3)])
+def test_policy_counts_match_the_iteration_records(algorithm, rho):
+    """What the benchmark reads from a trained policy: the per-node pool
+    sizes sum to ``n_cuts()`` and to the cuts the records report, and the
+    store holds every envelope point the records report."""
+    traj, template = make_toy(2, horizon_T=4, n_paths=3)
+    policy, records, _ = run(
+        traj, template, _config(algorithm, rho, max_iterations=4, forward_paths_per_iter=2)
+    )
+    nodes = [None, *range(traj.n_paths)]
+    per_node = sum(
+        len(policy.pools.cuts(t, j)) for t in range(2, traj.horizon_T + 1) for j in nodes
+    )
+    assert per_node == policy.pools.n_cuts() == sum(r.cuts_added for r in records) > 0
+    assert policy.store.n_points() == sum(r.envelope_points_added for r in records)
 
 
 def test_forward_path_batching_multiplies_cut_counts():

@@ -1,13 +1,15 @@
 """Tests for the ambiguity set: inner max, its primal-LP oracle, LP blocks,
-variance checks."""
+variance regularization."""
 
 import json
+import math
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from sddpkit.approximations import Cut, CutLowerTerms, WeightedLowerTerms, lower_value
+from _blocks import cut_rows
+from sddpkit.approximations import Cut, CutLowerTerms, CutRows, WeightedLowerTerms
 from sddpkit.kernel import ConditionalWeights
 from sddpkit.lp import LinearProgram, LpStatus, solve
 from sddpkit.robust import (
@@ -15,8 +17,6 @@ from sddpkit.robust import (
     DegenerateWeightError,
     DroLowerTerms,
     RhoRule,
-    check_vr_sandwich,
-    empirical_conditional_variance,
     inner_max_primal,
     rate_scaled_rho,
     sanitize_nominal,
@@ -98,7 +98,7 @@ def test_exact_zero_nominal_is_rejected():
     with pytest.raises(DegenerateWeightError):
         inner_max_primal(np.array([1.0, 2.0]), params)
     with pytest.raises(DegenerateWeightError):
-        DroLowerTerms(params, [(), ()]).block(1)
+        DroLowerTerms(params, [cut_rows(()), cut_rows(())]).block(1)
 
 
 def test_sanitize_nominal_floors_and_renormalizes():
@@ -228,10 +228,11 @@ def test_fixed_decision_block_prices_the_inner_max_of_the_cut_values():
             for _ in range(3)
         ]
         pools = [shared[k] for k in rng.integers(0, 3, size=len(params.nominal))]
-        sol = solve(
-            assemble_stage_lp(datum, np.ones(2), extra_terms=DroLowerTerms(params, pools))
-        )
-        z = np.array([lower_value(cuts, x) for cuts in pools])
+        terms = DroLowerTerms(params, [cut_rows(cuts) for cuts in pools])
+        sol = solve(assemble_stage_lp(datum, np.ones(2), extra_terms=terms))
+        z = np.array([
+            max(c.intercept + float(c.gradient @ (x - c.anchor)) for c in cuts) for cuts in pools
+        ])
         expected = float(datum.c @ x) + _primal_lp(z, params.nominal.weights, params.rho)[0]
         assert sol.status is LpStatus.OPTIMAL
         assert abs(sol.objective_value - expected) <= 1e-8 * (1.0 + abs(expected))
@@ -243,10 +244,10 @@ def test_recorded_robust_rollout_lp_solves():
     data = json.loads((Path(__file__).parent / "data" / "robust_rollout_lp.json").read_text())
     datum = StageDatum(**data["datum"])
     pools = [
-        tuple(
+        cut_rows([
             Cut(gradient=cut["gradient"], intercept=cut["offset"], anchor=np.zeros(datum.dim_out))
             for cut in cuts
-        )
+        ])
         for cuts in data["cuts"]
     ]
     params = AmbiguityParams(rho=data["rho"], nominal=ConditionalWeights(np.array(data["nominal"])))
@@ -269,7 +270,7 @@ def _stage_with_pools(rng, n_scen):
             )
             for _ in range(int(rng.integers(1, 4)))
         )
-        pools.append(cuts)
+        pools.append(cut_rows(cuts))
     return datum, pools
 
 
@@ -322,10 +323,11 @@ def test_huge_radius_approaches_max_scenario():
     robust = solve(
         assemble_stage_lp(datum, [1.0], extra_terms=DroLowerTerms(params, pools))
     ).objective_value
+    every_cut = CutRows(
+        np.vstack([p.gradients for p in pools]), np.concatenate([p.offsets for p in pools])
+    )
     union = solve(
-        assemble_stage_lp(
-            datum, [1.0], extra_terms=CutLowerTerms(tuple(c for cs in pools for c in cs))
-        )
+        assemble_stage_lp(datum, [1.0], extra_terms=CutLowerTerms(every_cut))
     ).objective_value
     assert robust == pytest.approx(union, abs=1e-7)
 
@@ -333,39 +335,59 @@ def test_huge_radius_approaches_max_scenario():
 def test_empty_pool_scenario_uses_sentinel():
     datum = StageDatum(c=[1.0], A=[[1.0]], B=[[1.0]], b=[2.0], feature=[0.0])
     params = AmbiguityParams(rho=0.0, nominal=ConditionalWeights.uniform(2))
-    lp = assemble_stage_lp(datum, [1.0], extra_terms=DroLowerTerms(params, [(), ()]))
+    terms = DroLowerTerms(params, [cut_rows(()), cut_rows(())])
+    lp = assemble_stage_lp(datum, [1.0], extra_terms=terms)
     sol = solve(lp)
     assert sol.objective_value == pytest.approx(1.0 - 1e9)
 
 
+def _variance(z, weights):
+    """Weighted variance sum w z^2 - (sum w z)^2, clamped at zero."""
+    w = weights.weights
+    return max(float(w @ (z**2) - (w @ z) ** 2), 0.0)
+
+
+def _vr_sandwich(z, weights, rho, u_bar):
+    """Both sides of mean + rho*sqrt(var) <= robust value + rho^2 * u_bar.
+
+    For nonnegative z and u_bar >= max(z) the inequality is exact: the
+    variance direction is feasible for both norm rows by Cauchy-Schwarz,
+    and whenever nonnegativity truncates it the slack rho^2 * u_bar
+    already covers the shortfall.  Returns the two sides, the nominal mean,
+    the rho*std term and the robust value.
+    """
+    dro, _ = inner_max_primal(z, AmbiguityParams(rho=rho, nominal=weights))
+    mean = float(weights.weights @ z)
+    std_term = rho * math.sqrt(_variance(z, weights))
+    return mean + std_term, dro + rho * rho * u_bar, mean, std_term, dro
+
+
+def _holds(lhs, rhs):
+    return lhs <= rhs + 1e-9 * (1.0 + abs(rhs))
+
+
 def test_variance_examples():
-    assert empirical_conditional_variance(
-        np.full(3, 2.5), ConditionalWeights.uniform(3)
-    ) == pytest.approx(0.0, abs=1e-15)
-    assert empirical_conditional_variance(
-        np.array([0.0, 1.0]), ConditionalWeights.uniform(2)
-    ) == pytest.approx(0.25)
-    assert empirical_conditional_variance(
+    assert _variance(np.full(3, 2.5), ConditionalWeights.uniform(3)) == pytest.approx(
+        0.0, abs=1e-15
+    )
+    assert _variance(np.array([0.0, 1.0]), ConditionalWeights.uniform(2)) == pytest.approx(0.25)
+    assert _variance(
         np.array([3.0, 100.0]), ConditionalWeights(np.array([1.0, 0.0]))
     ) == pytest.approx(0.0)
-    assert (
-        empirical_conditional_variance(
-            np.full(5, 1e8), ConditionalWeights.uniform(5)
-        )
-        >= 0.0
-    )
+    assert _variance(np.full(5, 1e8), ConditionalWeights.uniform(5)) >= 0.0
 
 
 def test_vr_sandwich_degenerate_cases():
     w = ConditionalWeights.uniform(3)
-    z = np.array([1.0, 2.0, 3.0])
-    rep = check_vr_sandwich(z, w, rho=0.0, u_bar=3.0)
-    assert rep.holds
-    assert rep.lhs == pytest.approx(rep.nominal_mean)
-    assert rep.rhs == pytest.approx(rep.dro_value)
-    const = check_vr_sandwich(np.full(4, 2.0), ConditionalWeights.uniform(4), 0.3, 2.0)
-    assert const.holds
-    assert const.std_term == pytest.approx(0.0, abs=1e-12)
+    lhs, rhs, mean, _, dro = _vr_sandwich(np.array([1.0, 2.0, 3.0]), w, rho=0.0, u_bar=3.0)
+    assert _holds(lhs, rhs)
+    assert lhs == pytest.approx(mean)
+    assert rhs == pytest.approx(dro)
+    lhs, rhs, _, std_term, _ = _vr_sandwich(
+        np.full(4, 2.0), ConditionalWeights.uniform(4), 0.3, 2.0
+    )
+    assert _holds(lhs, rhs)
+    assert std_term == pytest.approx(0.0, abs=1e-12)
 
 
 def test_vr_sandwich_random_draws_never_violate():
@@ -376,15 +398,7 @@ def test_vr_sandwich_random_draws_never_violate():
         weights = ConditionalWeights(w_hat / w_hat.sum())
         z = rng.uniform(0.0, 10.0, size=n)
         rho = float(rng.uniform(0.0, 0.5))
-        rep = check_vr_sandwich(z, weights, rho, u_bar=float(z.max()))
-        assert rep.holds
-
-
-def test_vr_sandwich_requires_value_bound():
-    with pytest.raises(ValueError):
-        check_vr_sandwich(
-            np.array([0.0, 5.0]), ConditionalWeights.uniform(2), 0.1, u_bar=1.0
-        )
+        assert _holds(*_vr_sandwich(z, weights, rho, u_bar=float(z.max()))[:2])
 
 
 def test_rate_scaled_radius():

@@ -91,8 +91,8 @@ class _RowByRow:
         coeffs[self.var()] = -1.0
         self.rows.append((coeffs, float(rhs)))
 
-    def weighted(self, terms):
-        for weight, cuts in terms.node_cuts:
+    def weighted(self, weights, pools):
+        for weight, cuts in zip(weights, pools):
             ell = self.var(cost=weight, free=True)
             for cut in cuts or (None,):
                 self.cut_row({ell: 1.0}, cut)
@@ -112,9 +112,9 @@ class _RowByRow:
             self.rows.append((coeffs, 0.0))
         self.rows.append(({t: 1.0 for t in theta}, 1.0))
 
-    def dro(self, terms):
-        w_hat = terms.params.nominal.weights
-        n, s, rho = w_hat.size, np.sqrt(w_hat), terms.params.rho
+    def dro(self, params, pools):
+        w_hat = params.nominal.weights
+        n, s, rho = w_hat.size, np.sqrt(w_hat), params.rho
         gamma, beta = self.var(cost=1.0, free=True), self.var(cost=rho)
         mu = [self.var(cost=s[i]) for i in range(n)]
         zeta = [self.var(cost=-s[i]) for i in range(n)]
@@ -123,7 +123,7 @@ class _RowByRow:
             couple = {mu[i]: 1.0, zeta[i]: 1.0, psi[i]: -1.0, beta: -1.0 / np.sqrt(n)}
             self.rows.append((couple, 0.0))
             head = {gamma: s[i], mu[i]: 1.0, zeta[i]: -1.0}
-            for cut in terms.node_cuts[i] or (None,):
+            for cut in pools[i] or (None,):
                 self.cut_row(head, cut, s[i])
 
     def arrays(self):
@@ -137,6 +137,7 @@ class _RowByRow:
 
 def test_block_assembly_matches_row_by_row_reference():
     """Same arrays, bit for bit (signed zeros included), as one row at a time."""
+    from _blocks import cut_rows
     from sddpkit.approximations import Cut, EnvelopeUpperTerms, WeightedLowerTerms
     from sddpkit.kernel import ConditionalWeights
     from sddpkit.robust import AmbiguityParams, DroLowerTerms
@@ -157,17 +158,22 @@ def test_block_assembly_matches_row_by_row_reference():
 
         n = int(rng.integers(1, 5))
         pools = [pool() for _ in range(n)]
+        rows = [cut_rows(cuts) for cuts in pools]
         w = rng.uniform(0.1, 1.0, size=n)
+        weights = [float(wi) for wi in w / w.sum()]
+        params = AmbiguityParams(0.3, ConditionalWeights(w / w.sum()))
         k = int(rng.integers(0, 4))
-        for terms, method in (
-            (None, None),
-            (WeightedLowerTerms([(float(wi), c) for wi, c in zip(w / w.sum(), pools)]), "weighted"),
-            (EnvelopeUpperTerms(rng.normal(size=(k, d)), rng.normal(size=k), 7.5), "envelope"),
-            (DroLowerTerms(AmbiguityParams(0.3, ConditionalWeights(w / w.sum())), pools), "dro"),
+        envelope = EnvelopeUpperTerms(rng.normal(size=(k, d)), rng.normal(size=k), 7.5)
+        # The reference builds each cut's row from the Cut object itself.
+        for terms, method, args in (
+            (None, None, ()),
+            (WeightedLowerTerms(list(zip(weights, rows))), "weighted", (weights, pools)),
+            (envelope, "envelope", (envelope,)),
+            (DroLowerTerms(params, rows), "dro", (params, pools)),
         ):
             ref = _RowByRow(datum, xbar)
             if method is not None:
-                getattr(ref, method)(terms)
+                getattr(ref, method)(*args)
             lp = assemble_stage_lp(datum, xbar, extra_terms=terms)
             got = (lp.objective, lp.eq_matrix, lp.eq_rhs, lp.var_lower, lp.free_mask)
             for a, b in zip(got, ref.arrays()):
