@@ -52,9 +52,10 @@ from .robust import (
     AmbiguityParams,
     DroLowerTerms,
     RhoRule,
-    inner_max_primal,
+    inner_max_primal,  # unused here; the benchmark tracer resolves it in this module
     rate_scaled_rho,
     sanitize_nominal,
+    worst_case,
 )
 from .scenarios import (
     DimensionMismatchError,
@@ -267,12 +268,13 @@ class _Runner:
         return CutLowerTerms(self.pools.cuts(t + 1, i))
 
     def _weights(self, values: np.ndarray, nominal: np.ndarray) -> np.ndarray:
-        """The node's nominal weights, or for rho > 0 the worst case of the values."""
+        """The nodes' nominal weight rows, or for rho > 0 the worst case of the
+        values under each row, all rows in one batch."""
         if self.rho == 0.0:
             return nominal
-        params = AmbiguityParams(rho=self.rho, nominal=sanitize_nominal(nominal))
-        _, worst = inner_max_primal(values, params)
-        return worst / worst.sum()
+        rows = np.vstack([sanitize_nominal(row).weights for row in nominal])
+        _, worst = worst_case(values, rows, self.rho)
+        return worst / worst.sum(axis=1, keepdims=True)
 
     # -- passes ---------------------------------------------------------
 
@@ -347,18 +349,19 @@ class _Runner:
                     )
                     upper_vals[i] = ub_sol.objective_value
             if t == 2:
-                nodes: list[tuple[int | None, np.ndarray]] = [
-                    (None, np.full(self.N, 1.0 / self.N))
-                ]
+                nodes: list[int | None] = [None]
+                nominal = np.full((1, self.N), 1.0 / self.N)
             else:
-                nodes = [(j, self.W[t - 1][j]) for j in range(self.N)]
+                nodes = list(range(self.N))
+                nominal = self.W[t - 1]
+            w_lower = self._weights(lower_vals, nominal)
             if t == self.T:  # no cost-to-go: the upper values are the lower ones
-                upper_vals = lower_vals
-            for j, nominal in nodes:
-                w_lower = self._weights(lower_vals, nominal)
-                cut = aggregate_backward(lower_vals, grads, ConditionalWeights(w_lower), anchor)
-                w_upper = w_lower if t == self.T else self._weights(upper_vals, nominal)
-                point_value = float(w_upper @ upper_vals)
+                upper_vals, w_upper = lower_vals, w_lower
+            else:
+                w_upper = self._weights(upper_vals, nominal)
+            for j, wl, wu in zip(nodes, w_lower, w_upper):
+                cut = aggregate_backward(lower_vals, grads, ConditionalWeights(wl), anchor)
+                point_value = float(wu @ upper_vals)
                 self.pools.add(t, j, cut)
                 self.store.note_gradient(t, cut.gradient)
                 self.store.add(t, j, anchor, point_value)

@@ -7,8 +7,38 @@ The ambiguity set around a nominal weight vector w_hat is the polyhedron
       max_i |w_i - w_hat_i| / sqrt(w_hat_i) <= rho },
 
 a polyhedral outer approximation of a modified chi-square ball of radius
-rho.  The worst-case expectation max { w^T z : w in the set } is written
-down once, as its LP dual
+rho (after Philpott, de Matos & Kapelevich, "Distributionally robust
+SDDP", 2018).
+
+Training needs the worst-case expectation max { w^T z : w in the set } of
+a value vector z, and ``worst_case`` solves it in closed form.  With
+s_i = sqrt(w_hat_i) and delta_i = (w_i - w_hat_i) / s_i the set reads
+
+    -min(rho, s_i) <= delta_i <= rho,  sum_i |delta_i| <= sqrt(N) rho,
+    sum_i s_i delta_i = 0,
+
+and dualizing the last row with a scalar gamma gives the value
+w_hat^T z + min_gamma g(gamma), where g(gamma) is the maximum of
+sum_i s_i (z_i - gamma) delta_i over the box and the 1-norm ball: a
+fractional knapsack, solved by filling items by |s_i (z_i - gamma)|,
+largest first, to their cap in the sign of z_i - gamma until the budget
+sqrt(N) rho is spent.  g is convex and piecewise linear, and the greedy
+order, hence delta, can only change where an item's sign or two items'
+magnitudes change, i.e. at the kinks
+
+    z_i,  (s_i z_i - s_j z_j) / (s_i - s_j),  (s_i z_i + s_j z_j) / (s_i + s_j).
+
+Between two sorted kinks delta is constant and g has slope -s^T delta.
+A binary search finds the first interval whose s^T delta is <= 0; its
+left kink minimizes g.  The greedy deltas of the intervals on either
+side of it are both optimal there, and the convex combination of the
+two with s^T delta = 0 is a maximizer, w = w_hat + s delta.  Kinks
+outside [min z, max z] are kept: they bound the interval just right of
+a minimizer at max z, whose greedy order would otherwise be wrong.
+
+The robust rollout cannot use the closed form: there the scenario values
+are cut functions of the stage decision.  The set is therefore also
+written down once as its LP dual
 
     min  gamma + rho * (beta + sum_i psi_i) + sum_i sqrt(w_hat_i) (mu_i - zeta_i)
     s.t. sqrt(w_hat_i) gamma + mu_i - zeta_i >= sqrt(w_hat_i) z_i
@@ -17,8 +47,9 @@ down once, as its LP dual
 over one cut row per value z_i.  ``DroLowerTerms`` appends this block to
 a stage LP with scenario i's cuts of the decision in place of z_i, so the
 robust stage problem stays one LP.  ``inner_max_primal`` solves the same
-block with constant cuts z_i; the worst-case weights are the derivative
-of its value in z, i.e. sqrt(w_hat_i) times the duals of the cut rows.
+block with constant cuts z_i; it is the LP reference for ``worst_case``,
+and the worst-case weights are the derivative of its value in z, i.e.
+sqrt(w_hat_i) times the duals of the cut rows.
 
 Each cut row is the textbook row  gamma + (mu_i - zeta_i)/sqrt(w_hat_i) >=
 z_i  multiplied through by sqrt(w_hat_i).  Unscaled, a nominal weight
@@ -50,6 +81,7 @@ __all__ = [
     "sanitize_nominal",
     "rate_scaled_rho",
     "inner_max_primal",
+    "worst_case",
     "DroLowerTerms",
 ]
 
@@ -164,6 +196,110 @@ def _dual_block(
     free = np.zeros(cost.shape[0], dtype=bool)
     free[0] = True
     return LpBlock(cost=cost, rows=rows, rhs=block_rhs, free=free)
+
+
+# Rows of a batch are solved in chunks of at most this many kinks, so the
+# kink matrix and its temporaries stay a few MB each at any N.
+_CHUNK_KINKS = 1 << 20
+
+
+def _greedy(c: np.ndarray, down: np.ndarray, rho: float, budget: float) -> np.ndarray:
+    """Row-wise maximizer of sum_i c_i d_i over -down_i <= d_i <= rho and
+    sum_i |d_i| <= budget: the fractional knapsack that fills items by
+    |c_i|, largest first, to their cap in the sign of c_i."""
+    rows = np.arange(c.shape[0])[:, None]
+    order = np.argsort(-np.abs(c), axis=1, kind="stable")
+    capped = np.where(c > 0.0, rho, down)[rows, order]
+    before = np.zeros_like(capped)
+    np.cumsum(capped[:, :-1], axis=1, out=before[:, 1:])
+    filled = np.empty_like(c)
+    filled[rows, order] = np.minimum(capped, np.maximum(budget - before, 0.0))
+    return np.sign(c) * filled
+
+
+def _worst_case_rows(z: np.ndarray, w_hat: np.ndarray, rho: float) -> np.ndarray:
+    """The closed-form maximizing weights of each row of ``w_hat`` (see the
+    module docstring); ``z`` is already mapped to [-1, 0]."""
+    m, n = w_hat.shape
+    s = np.sqrt(w_hat)
+    down = np.minimum(rho, s)
+    budget = math.sqrt(n) * rho
+    i, j = np.triu_indices(n, 1)
+    si, sj, dz = s[:, i], s[:, j], z[i] - z[j]
+    # (s_i z_i -+ s_j z_j) / (s_i -+ s_j), written around z_i and z_j so
+    # that tied values give exactly their common value; no crossing when
+    # s_i = s_j.
+    apart = np.divide(sj * dz, si - sj, out=np.zeros_like(si), where=si != sj)
+    kinks = np.sort(
+        np.concatenate([np.broadcast_to(z, (m, n)), z[i] + apart, z[j] + si * dz / (si + sj)], 1),
+        axis=1,
+    )
+    rows = np.arange(m)
+    last = kinks.shape[1]
+
+    def greedy_on(interval: np.ndarray) -> np.ndarray:
+        """The greedy deviation at a point of each row's interval: interval
+        k lies between kinks k-1 and k, with the two ends unbounded."""
+        left = kinks[rows, np.maximum(interval - 1, 0)]
+        right = kinks[rows, np.minimum(interval, last - 1)]
+        gamma = np.where(
+            interval == 0, right - 1.0, np.where(interval == last, left + 1.0, 0.5 * (left + right))
+        )
+        return _greedy(s * (z - gamma[:, None]), down, rho, budget)
+
+    # s.delta falls as gamma grows (g is convex): find the first interval
+    # where it is <= 0, keeping s.delta > 0 at lo and <= 0 at hi.
+    lo = np.zeros(m, dtype=int)
+    hi = np.full(m, last)
+    while np.any(hi - lo > 1):
+        mid = (lo + hi) // 2
+        down_at_mid = (s * greedy_on(mid)).sum(axis=1) <= 0.0
+        hi = np.where(down_at_mid, mid, hi)
+        lo = np.where(down_at_mid, lo, mid)
+    d_left, d_right = greedy_on(lo), greedy_on(hi)
+    a, b = (s * d_left).sum(axis=1), (s * d_right).sum(axis=1)
+    # Both deviations are optimal at the kink between them; mix them so
+    # that sum_i s_i delta_i = 0.  a = b only when both are zero (rho = 0).
+    theta = np.divide(b, b - a, out=np.zeros_like(a), where=a > b)[:, None]
+    return np.maximum(w_hat + s * (theta * d_left + (1.0 - theta) * d_right), 0.0)
+
+
+def worst_case(
+    z: np.ndarray, nominal: np.ndarray, rho: float
+) -> tuple[np.ndarray, np.ndarray]:
+    """Worst-case expectations max { w^T z : w in the set of row m } for a
+    batch of nominal rows sharing one value vector, in closed form.
+
+    ``nominal`` is an (M, N) matrix of sanitized nominal rows.  Returns the
+    M values and an (M, N) matrix of maximizing weights.  Each row's
+    result does not depend on the other rows of the batch.
+    """
+    zv = np.asarray(z, dtype=float).reshape(-1)
+    w_hat = np.asarray(nominal, dtype=float)
+    n = zv.shape[0]
+    if w_hat.ndim != 2 or w_hat.shape[1] != n or w_hat.size == 0:
+        raise DimensionMismatchError(
+            f"nominal has shape {w_hat.shape}; expected (M, {n}) with M, N >= 1"
+        )
+    if not np.all(np.isfinite(zv)):
+        raise ValueError("z must be finite")
+    if not 0.0 <= rho < math.inf:
+        raise ValueError("rho must be finite and nonnegative")
+    if not np.all(np.isfinite(w_hat)) or np.any(w_hat < 0.0):
+        raise ValueError("nominal weights must be finite and nonnegative")
+    if np.any(w_hat == 0.0):
+        raise DegenerateWeightError(
+            "nominal weights contain an exact zero; sanitize_nominal first"
+        )
+    # As in inner_max_primal: the maximizers of z and of (z - max z) / spread
+    # are the same, and the kinks of the mapped values stay finite.
+    top = float(zv.max())
+    scaled = (zv - top) / (top - float(zv.min()) or 1.0)
+    step = max(1, _CHUNK_KINKS // (n * n))
+    worst = np.vstack(
+        [_worst_case_rows(scaled, w_hat[k : k + step], rho) for k in range(0, len(w_hat), step)]
+    )
+    return (worst * zv).sum(axis=1), worst
 
 
 def inner_max_primal(

@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+import sddpkit.driver
 from sddpkit.approximations import LOWER_BOX, Cut, CutPool, EnvelopeStore, WeightedLowerTerms
 from sddpkit.driver import (
     Algorithm,
@@ -19,7 +20,7 @@ from sddpkit.driver import (
 )
 from sddpkit.kernel import ConditionalWeights, KernelConfig, nw_weights
 from sddpkit.lp import LinearProgram, LpScaleError, LpStatus, solve
-from sddpkit.robust import AmbiguityParams
+from sddpkit.robust import AmbiguityParams, inner_max_primal, sanitize_nominal, worst_case
 from sddpkit.scenarios import (
     DimensionMismatchError,
     StageDatum,
@@ -112,6 +113,57 @@ def test_rdd_lower_bound_dominates_dd_at_convergence():
         _, rdd, _ = run(traj, template, _config(algorithm=Algorithm.RDD, rho=0.3))
         assert dd[-1].gap <= 1e-8 and rdd[-1].gap <= 1e-8
         assert rdd[-1].lower_bound >= dd[-1].lower_bound - 1e-8
+
+
+def _check_rdd_training_against_the_lp_inner_max(monkeypatch, traj, template, config):
+    """Train RDD with every batched inner max checked against the LP one, row
+    by row, and every nominal row against sanitize_nominal of the kernel (or
+    root) weights it came from; returns the number of rows checked."""
+    raw = [np.full((1, traj.n_paths), 1.0 / traj.n_paths)] + [
+        np.vstack([nw_weights(q, traj.features(t), config.kernel).weights for q in traj.features(t)])
+        for t in range(2, traj.horizon_T)
+    ]
+    sanitized = {
+        np.vstack([sanitize_nominal(row).weights for row in rows]).tobytes() for rows in raw
+    }
+    rows_checked = 0
+
+    def checked(z, nominal, rho):
+        nonlocal rows_checked
+        values, worst = worst_case(z, nominal, rho)
+        assert nominal.tobytes() in sanitized
+        for value, row in zip(values, nominal):
+            oracle, _ = inner_max_primal(z, AmbiguityParams(rho=rho, nominal=ConditionalWeights(row)))
+            assert abs(value - oracle) <= 1e-12 * (1.0 + abs(oracle))
+            rows_checked += 1
+        return values, worst
+
+    monkeypatch.setattr(sddpkit.driver, "worst_case", checked)
+    _, records, _ = run(traj, template, config)
+    for prev, rec in zip(records, records[1:]):
+        assert rec.lower_bound >= prev.lower_bound - 1e-9
+        assert rec.upper_bound <= prev.upper_bound
+    for rec in records:
+        assert rec.lower_bound <= rec.upper_bound + 1e-9
+    return rows_checked
+
+
+def test_rdd_training_inner_max_matches_the_lp_on_toys(monkeypatch):
+    rows = 0
+    for seed in range(8):
+        traj, template = make_toy(seed, horizon_T=4, n_paths=4)
+        for rho in (0.1, 0.5):
+            config = _config(Algorithm.RDD, rho, max_iterations=10, epsilon=1e-12)
+            rows += _check_rdd_training_against_the_lp_inner_max(
+                monkeypatch, traj, template, config
+            )
+    assert rows > 0
+
+
+def test_rdd_training_inner_max_matches_the_lp_on_portfolio(monkeypatch):
+    traj, template = _portfolio(3, 8)
+    config = _config(Algorithm.RDD, 0.1, max_iterations=4, epsilon=1e-12)
+    assert _check_rdd_training_against_the_lp_inner_max(monkeypatch, traj, template, config) > 0
 
 
 def test_in_sample_policy_mean_equals_root_lower_bound_for_t2():

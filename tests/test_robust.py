@@ -1,5 +1,5 @@
-"""Tests for the ambiguity set: inner max, its primal-LP oracle, LP blocks,
-variance regularization."""
+"""Tests for the ambiguity set: the closed-form inner max, its LP oracles,
+LP blocks, variance regularization."""
 
 import json
 import math
@@ -7,6 +7,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from _blocks import cut_rows
 from sddpkit.approximations import Cut, CutLowerTerms, CutRows, WeightedLowerTerms
@@ -20,8 +22,9 @@ from sddpkit.robust import (
     inner_max_primal,
     rate_scaled_rho,
     sanitize_nominal,
+    worst_case,
 )
-from sddpkit.scenarios import StageDatum
+from sddpkit.scenarios import DimensionMismatchError, StageDatum
 from sddpkit.stages import assemble_stage_lp
 
 
@@ -137,6 +140,8 @@ def test_primal_dual_agreement_and_set_membership():
         assert abs(pv - dv) <= 1e-8 * (1.0 + abs(pv))
         assert _in_set(worst, nominal.weights, rho)
         assert worst @ z == pytest.approx(dv, abs=1e-8)
+        (cv,), _ = worst_case(z, nominal.weights[None, :], rho)
+        assert abs(cv - pv) <= 1e-9 * (1.0 + abs(pv))
 
 
 def _draw(rng):
@@ -154,6 +159,9 @@ def _draw(rng):
 
 
 def test_inner_max_matches_primal_oracle_on_tiny_weights_and_ties():
+    """Both inner maxes against the primal LP.  The draws are seeded rather
+    than drawn by hypothesis: the LPs are the in-house simplex, which misses
+    the optimum on some nominals with entries near 1e-16 and below."""
     rng = np.random.default_rng(27)
     for _ in range(200):
         z, params = _draw(rng)
@@ -163,6 +171,8 @@ def test_inner_max_matches_primal_oracle_on_tiny_weights_and_ties():
         assert abs(value - oracle) <= 1e-9 * (1.0 + abs(oracle))
         assert _in_set(worst, w_hat, params.rho)
         assert worst @ z == pytest.approx(value, abs=1e-8)
+        (closed,), _ = worst_case(z, w_hat[None, :], params.rho)
+        assert abs(closed - oracle) <= 1e-9 * (1.0 + abs(oracle))
 
 
 def test_value_nondecreasing_in_radius():
@@ -206,6 +216,127 @@ def test_values_tied_up_to_rounding():
     value, worst = inner_max_primal(z, params)
     assert abs(value - _primal_lp(z, w_hat, 0.1)[0]) <= 1e-12
     assert _in_set(worst, w_hat, 0.1)
+
+
+def test_worst_case_matches_highs_where_the_block_lp_overshoots():
+    """A draw on which the in-house simplex returns -1.1080682444327552 for
+    the dual block, above the true maximum; HiGHS (``scipy.optimize.linprog``
+    on the primal in delta, run outside the test suite) gives the value below."""
+    z = np.array([float.fromhex(h) for h in (
+        "0x1.c061d7436e8b0p-1", "-0x1.1baa68919e53fp+0", "0x1.632c5e5aaada4p+0")])
+    w_hat = np.array([float.fromhex(h) for h in (
+        "0x1.9954e6a12d7bep-43", "0x1.ffffffffff99bp-1", "0x1.cd94ee6f3081ap-665")])
+    reference = -1.108068554021573
+    values, worst = worst_case(z, w_hat[None, :], 0.5)
+    assert abs(values[0] - reference) <= 1e-15 * abs(reference)
+    assert _in_set(worst[0], w_hat, 0.5, tol=1e-12)
+
+
+def test_worst_case_at_the_top_value_orders_items_beyond_it():
+    """z = (1, 0), w_hat = (0.9, 0.1), rho = 0.2: the box row of the second
+    weight binds, so the worst case is 0.9 + 0.2 sqrt(0.1).  The minimizing
+    gamma is max z, and the greedy order just right of it changes again at
+    the kink (s_1 z_1 - s_2 z_2) / (s_1 - s_2) > max z; without that kink
+    the value comes out about 2.5e-3 low."""
+    values, worst = worst_case(np.array([1.0, 0.0]), np.array([[0.9, 0.1]]), 0.2)
+    assert values[0] == pytest.approx(0.9 + 0.2 * math.sqrt(0.1), abs=1e-15)
+    assert _in_set(worst[0], np.array([0.9, 0.1]), 0.2, tol=1e-12)
+
+
+def _knapsack(c, s, rho):
+    """max sum_i c_i d_i over -min(rho, s_i) <= d_i <= rho, sum |d_i| <= sqrt(N) rho,
+    one item at a time by |c_i|, largest first."""
+    budget = math.sqrt(len(c)) * rho
+    total = 0.0
+    for i in sorted(range(len(c)), key=lambda i: -abs(c[i])):
+        take = min(rho if c[i] > 0 else min(rho, s[i]), budget)
+        budget -= take
+        total += abs(c[i]) * take
+    return total
+
+
+def _dual_bound(z, w_hat, rho):
+    """min over gamma of w_hat.z + g(gamma), g the knapsack value on
+    c = sqrt(w_hat) (z - gamma): an upper bound on the inner max for every
+    gamma, attained at one of g's kinks, which are all tried."""
+    s = np.sqrt(w_hat)
+    kinks = list(z)
+    for i in range(len(z)):
+        for j in range(i + 1, len(z)):
+            kinks.append((s[i] * z[i] + s[j] * z[j]) / (s[i] + s[j]))
+            if s[i] != s[j]:
+                kinks.append((s[i] * z[i] - s[j] * z[j]) / (s[i] - s[j]))
+    return min(float(w_hat @ z) + _knapsack(s * (z - g), s, rho) for g in kinks)
+
+
+@st.composite
+def _batches(draw, max_rows=3):
+    """Values with 1-4 distinct levels (or none shared) over 1 to max_rows
+    sanitized nominal rows, some entries floored at 1e-300, and a radius."""
+    n = draw(st.integers(1, 8))
+    value = st.floats(-10.0, 10.0)
+    if draw(st.booleans()):
+        z = draw(st.lists(value, min_size=n, max_size=n))
+    else:
+        levels = draw(st.lists(value, min_size=1, max_size=4))
+        z = draw(st.lists(st.sampled_from(levels), min_size=n, max_size=n))
+    rows = []
+    for _ in range(draw(st.integers(1, max_rows))):
+        raw = np.array(draw(st.lists(st.just(0.0) | st.floats(0.0, 1.0), min_size=n, max_size=n)))
+        if raw.sum() == 0.0:
+            raw[0] = 1.0
+        rows.append(sanitize_nominal(raw / raw.sum()).weights)
+    rho = draw(st.sampled_from([0.0, 1e-12, 0.1, 1e4]) | st.floats(0.0, 10.0))
+    return np.array(z), np.array(rows), rho
+
+
+@settings(max_examples=150, deadline=None)
+@given(batch=_batches())
+def test_worst_case_weights_are_feasible_and_attain_the_dual_bound(batch):
+    """Feasible weights whose value equals an upper bound: optimal, no LP
+    needed.  The maximizer is not unique, so only its value is compared."""
+    z, rows, rho = batch
+    values, worst = worst_case(z, rows, rho)
+    tol = 1e-12 * max(1.0, math.sqrt(z.shape[0]) * rho)
+    for value, w, row in zip(values, worst, rows):
+        assert _in_set(w, row, rho, tol=tol)
+        assert abs(w @ z - value) <= 1e-12 * (1.0 + abs(value))
+        assert abs(_dual_bound(z, row, rho) - value) <= 1e-12 * (1.0 + abs(value))
+
+
+@settings(max_examples=60, deadline=None)
+@given(batch=_batches(max_rows=5))
+def test_worst_case_rows_do_not_depend_on_the_batch(batch):
+    z, rows, rho = batch
+    values, worst = worst_case(z, rows, rho)
+    for m in range(rows.shape[0]):
+        alone_value, alone = worst_case(z, rows[m : m + 1], rho)
+        assert alone_value.tobytes() == values[m : m + 1].tobytes()
+        assert alone.tobytes() == worst[m : m + 1].tobytes()
+
+
+@settings(max_examples=40, deadline=None)
+@given(batch=_batches(), bad=st.sampled_from(["zero", "nan", "inf", "short", "flat"]))
+def test_worst_case_rejects_bad_input_with_its_own_errors(batch, bad):
+    z, rows, rho = batch
+    expected = {
+        "zero": DegenerateWeightError,
+        "nan": ValueError,
+        "inf": ValueError,
+        "short": DimensionMismatchError,
+        "flat": DimensionMismatchError,
+    }[bad]
+    if bad == "zero":
+        rows[-1, -1] = 0.0
+    elif bad in ("nan", "inf"):
+        z[-1] = math.nan if bad == "nan" else -math.inf
+    elif bad == "short":
+        z = z[1:]
+    else:
+        rows = rows[0]
+    with pytest.raises(expected) as raised:
+        worst_case(z, rows, rho)
+    assert type(raised.value) is expected
 
 
 def test_fixed_decision_block_prices_the_inner_max_of_the_cut_values():
