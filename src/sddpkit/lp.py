@@ -7,7 +7,12 @@ Solves equality-form LPs
 
 with a two-phase revised simplex method using Bland's rule, so the pivot
 sequence (and hence the reported basis and duals) is a deterministic
-function of the input data.  All subproblems built elsewhere in the
+function of the input data.  The starting basis is built from the LP's own
+columns: a row whose slack or surplus column (a +-e_i column with the sign
+of its right-hand side) exists starts with the lowest-index such column
+basic, and only the remaining rows get artificial columns for phase one
+(Bixby, "Implementing the simplex method: the initial basis", ORSA J.
+Computing, 1992).  All subproblems built elsewhere in the
 package (stage LPs, envelope LPs, ambiguity-set inner problems) are
 funneled through :func:`solve`.  The solver's tolerances and pivot caps
 are module constants; nothing selects them per call.
@@ -204,21 +209,40 @@ class _StandardForm:
 
 
 class _Simplex:
-    """Two-phase revised simplex on standard-form data with Bland's rule."""
+    """Two-phase revised simplex on standard-form data with Bland's rule.
+
+    The starting basis takes, for each row i, the lowest-index column that
+    is exactly +-e_i with the sign of b_i (either sign when b_i = 0): slack
+    and surplus columns are basic and feasible at B^-1 b = |b| as they
+    stand.  Only the rows no such column covers get an artificial column
+    sign(b_i) * e_i, and phase one minimizes the sum of those; when every
+    row is covered, phase one is skipped.
+    """
 
     def __init__(self, A: np.ndarray, b: np.ndarray, c: np.ndarray, retry: bool = False):
         self.m, self.n = A.shape
         self.refactor_every = 1 if retry else _REFACTOR_EVERY
         self.max_pivots = _RETRY_MAX_PIVOTS if retry else _MAX_PIVOTS
-        self.sign = np.where(b < 0, -1.0, 1.0)
+        # Row i starts from its first column equal to +-e_i with a sign that
+        # fits b_i; column n, one past the last, marks a row without one.
+        fits = np.ones((self.m, self.n + 1), dtype=bool)
+        fits[:, : self.n] = (
+            (np.count_nonzero(A, axis=0) == 1) & (np.abs(A) == 1.0) & (A * b[:, None] >= 0.0)
+        )
+        self.basis = fits.argmax(axis=1)
+        uncovered = np.nonzero(self.basis == self.n)[0]
+        self.basis[uncovered] = self.n + np.arange(uncovered.size)
         # Artificial columns are sign(b_i) * e_i so the artificial start is
         # feasible without flipping rows (keeps duals in the original row frame).
-        self.A = np.hstack([A, np.diag(self.sign)])
+        self.A = np.zeros((self.m, self.n + uncovered.size))
+        self.A[:, : self.n] = A
+        self.A[uncovered, self.basis[uncovered]] = np.where(b[uncovered] < 0, -1.0, 1.0)
         self.b = b
-        self.c_true = np.concatenate([c, np.zeros(self.m)])
+        self.c_true = np.zeros(self.A.shape[1])
+        self.c_true[: self.n] = c
         self.art0 = self.n
-        self.basis = np.arange(self.n, self.n + self.m)
-        self.Binv = np.diag(self.sign)
+        # The basis matrix is diagonal with entries +-1, so it is its own inverse.
+        self.Binv = np.diag(self.A[np.arange(self.m), self.basis])
         self.pivots = 0
         self.since_refactor = 0
 
@@ -303,10 +327,11 @@ class _Simplex:
                 return "unbounded", None, None
             return "optimal", np.zeros(self.n), np.zeros(0)
 
-        allowed = np.ones(self.n + self.m, dtype=bool)
-        phase1_cost = np.concatenate([np.zeros(self.n), np.ones(self.m)])
-        status = self._iterate(phase1_cost, allowed)
-        # Phase one is bounded below by zero, so "unbounded" cannot occur here.
+        n_art = self.A.shape[1] - self.n
+        allowed = np.ones(self.A.shape[1], dtype=bool)
+        if n_art:
+            # Phase one is bounded below by zero, so it always ends "optimal".
+            self._iterate(np.concatenate([np.zeros(self.n), np.ones(n_art)]), allowed)
         xb = self._xb()
         art_mask = self.basis >= self.art0
         resid = float(np.sum(np.maximum(xb[art_mask], 0.0))) if np.any(art_mask) else 0.0
@@ -336,15 +361,25 @@ class _Simplex:
         status = self._iterate(self.c_true, allowed)
         if status == "unbounded":
             return "unbounded", None, None
-        xb = self._xb()
-        if float(xb.min(initial=0.0)) < -1e-6 * scale:
+        vertex = self.vertex(self.b)
+        if vertex is None:
             # A drifted intermediate pivot pushed a basic variable negative;
             # the vertex fails primal feasibility, so the verdict is void.
             raise RuntimeError("simplex lost primal feasibility; data is ill-conditioned")
-        z_full = np.zeros(self.n + self.m)
-        z_full[self.basis] = np.maximum(xb, 0.0)
-        y = self.c_true[self.basis] @ self.Binv
-        return "optimal", z_full[: self.n], y
+        return ("optimal", *vertex)
+
+    def vertex(self, b: np.ndarray) -> tuple[np.ndarray, np.ndarray] | None:
+        """The current basis' vertex for rhs ``b`` and its row duals.
+
+        Returns (z, y) with z in standard-form coordinates, or None when a
+        basic value lies below -1e-6 * max(1, |b|_inf).
+        """
+        xb = self.Binv @ b
+        if float(xb.min(initial=0.0)) < -1e-6 * max(1.0, float(np.abs(b).max(initial=0.0))):
+            return None
+        z = np.zeros(self.A.shape[1])
+        z[self.basis] = np.maximum(xb, 0.0)
+        return z[: self.n], self.c_true[self.basis] @ self.Binv
 
 
 def solve(lp: LinearProgram) -> LpSolution:
@@ -352,8 +387,8 @@ def solve(lp: LinearProgram) -> LpSolution:
 
     Returns an :class:`LpSolution`; on Optimal status the primal point, the
     equality-row duals and the objective value are filled in.  Identical
-    inputs produce identical outputs because pivoting follows Bland's rule
-    with fixed tie-breaking.
+    inputs produce identical outputs: the starting basis is a fixed function
+    of the data, and pivoting follows Bland's rule with fixed tie-breaking.
     """
     sf = _StandardForm(lp)
     sim = _Simplex(sf.A, sf.b, sf.c)
@@ -381,13 +416,10 @@ def solve(lp: LinearProgram) -> LpSolution:
             # so no trustworthy verdict is left to report.
             raise RuntimeError("simplex failed on degenerate data") from None
         if status == "optimal":
-            xb = sim.Binv @ sf.b
-            if float(xb.min(initial=0.0)) < -1e-6 * scale:
+            vertex = sim.vertex(sf.b)
+            if vertex is None:
                 raise RuntimeError("simplex failed on degenerate data") from None
-            z_full = np.zeros(sim.n + sim.m)
-            z_full[sim.basis] = np.maximum(xb, 0.0)
-            z = z_full[: sim.n]
-            y = sim.c_true[sim.basis] @ sim.Binv
+            z, y = vertex
     if status == "infeasible":
         return LpSolution(LpStatus.INFEASIBLE)
     if status == "unbounded":

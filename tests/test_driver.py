@@ -1,11 +1,13 @@
 """Driver tests: bound behavior, oracle agreement, policies, diagnostics."""
 
+import dataclasses
 import math
 
 import numpy as np
 import pytest
 
 import sddpkit.driver
+import sddpkit.robust
 from sddpkit.approximations import LOWER_BOX, Cut, CutPool, EnvelopeStore, WeightedLowerTerms
 from sddpkit.driver import (
     Algorithm,
@@ -35,6 +37,7 @@ from sddpkit.stages import (
     build_portfolio_instance,
 )
 
+from _kkt import assert_kkt
 from _toys import STATE_DIM, make_toy
 
 _KERNEL = KernelConfig(bandwidth_h=0.5)
@@ -164,6 +167,36 @@ def test_rdd_training_inner_max_matches_the_lp_on_portfolio(monkeypatch):
     traj, template = _portfolio(3, 8)
     config = _config(Algorithm.RDD, 0.1, max_iterations=4, epsilon=1e-12)
     assert _check_rdd_training_against_the_lp_inner_max(monkeypatch, traj, template, config) > 0
+
+
+def test_stage_lp_solves_carry_kkt_certificates(monkeypatch):
+    """Every Optimal solve of DD and RDD training, and of the nominal and
+    robust rollouts, passes a primal-dual optimality check."""
+    checked = {"train": 0, "nominal": 0, "robust": 0}
+    phase = "train"
+
+    def certified(lp):
+        sol = solve(lp)
+        if sol.status is LpStatus.OPTIMAL:
+            assert_kkt(lp, sol)
+            checked[phase] += 1
+        return sol
+
+    monkeypatch.setattr(sddpkit.driver, "solve", certified)
+    monkeypatch.setattr(sddpkit.robust, "solve", certified)
+    for seed in range(3):
+        traj, template = make_toy(seed, horizon_T=4, n_paths=4)
+        test_traj, _ = make_toy(seed + 50, horizon_T=4, n_paths=6)
+        for algorithm, rho in ((Algorithm.DD, None), (Algorithm.RDD, 0.3)):
+            phase = "train"
+            config = _config(algorithm, rho, max_iterations=10, epsilon=1e-12)
+            policy, _, _ = run(traj, template, config)
+            rollouts = [("nominal", dataclasses.replace(policy, algorithm=Algorithm.DD))]
+            if algorithm is Algorithm.RDD:
+                rollouts.append(("robust", policy))
+            for phase, rolled in rollouts:
+                assert evaluate_policy_out_of_sample(rolled, test_traj).n_failed == 0
+    assert min(checked.values()) > 0
 
 
 def test_in_sample_policy_mean_equals_root_lower_bound_for_t2():

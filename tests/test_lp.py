@@ -15,6 +15,8 @@ from sddpkit.lp import (
     solve,
 )
 
+from _kkt import assert_kkt
+
 
 def test_forced_single_variable():
     """min x s.t. x = 1, x >= 0 has the unique solution x = 1 with dual 1."""
@@ -237,3 +239,128 @@ def test_degenerate_envelope_lp_solves():
     assert sol.objective_value == pytest.approx(reference, abs=1e-9)
     assert np.max(np.abs(lp.eq_matrix @ sol.primal - lp.eq_rhs)) <= 1e-9
     assert np.min(sol.primal) >= 0.0
+
+
+def _random_lp_with_unit_columns(rng: np.random.Generator) -> LinearProgram:
+    """Dense integer columns mixed with +-e_i columns, in shuffled order.
+
+    Rows get up to two unit columns of either sign, rhs entries are often
+    zero, some variables are free (their negative part is the negated
+    column) and some have a nonzero lower bound, which shifts the rhs.
+    """
+    m = int(rng.integers(1, 5))
+    dense = rng.integers(-3, 4, size=(m, int(rng.integers(1, 4)))).astype(float)
+    units = [
+        sign * np.eye(m)[:, i]
+        for i in range(m)
+        for sign in rng.choice([-1.0, 1.0], size=int(rng.integers(0, 3)))
+    ]
+    A = np.column_stack([dense, *units])[:, rng.permutation(dense.shape[1] + len(units))]
+    n = A.shape[1]
+    free = rng.random(n) < 0.25
+    free[np.nonzero(free)[0][12 - n :]] = False  # at most 12 standard-form columns
+    lower = np.where(free | (rng.random(n) < 0.7), 0.0, rng.integers(-1, 2, size=n))
+    return LinearProgram(
+        objective=rng.integers(-3, 4, size=n).astype(float),
+        eq_matrix=A,
+        eq_rhs=rng.integers(-2, 3, size=m).astype(float) * (rng.random(m) < 0.7),
+        var_lower=lower,
+        free_mask=free,
+    )
+
+
+def _standard_columns(lp: LinearProgram) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The LP's columns with each free variable's negative part appended, the
+    matching costs, and the rhs shifted by the lower bounds."""
+    free = lp.free_mask
+    A = np.hstack([lp.eq_matrix, -lp.eq_matrix[:, free]])
+    c = np.concatenate([lp.objective, -lp.objective[free]])
+    b = lp.eq_rhs - lp.eq_matrix @ np.where(free, 0.0, lp.var_lower)
+    return A, c, b
+
+
+def _has_descent_ray(lp: LinearProgram) -> bool:
+    """Whether some d >= 0 with A d = 0 and sum(d) = 1 has c.d < 0 (standard
+    form), decided by enumerating the vertices of that normalized cone."""
+    A, c, _ = _standard_columns(lp)
+    cone = LinearProgram(
+        objective=c,
+        eq_matrix=np.vstack([A, np.ones(A.shape[1])]),
+        eq_rhs=np.append(np.zeros(A.shape[0]), 1.0),
+    )
+    return any(v < -1e-9 for _, v in enumerate_vertices(cone))
+
+
+def _unit_start_cases(lp: LinearProgram) -> set[str]:
+    """Which starting-basis situations the LP's rows present, read off its data."""
+    A, _, b = _standard_columns(lp)
+    n = lp.n_vars
+    single = np.count_nonzero(A, axis=0) == 1
+    cases = set()
+    for i in range(lp.n_rows):
+        cols = np.nonzero(single & (np.abs(A[i]) == 1.0))[0]
+        eligible = cols[A[i, cols] * b[i] >= 0.0]
+        if cols.size and b[i] == 0.0:
+            cases.add("zero rhs")
+        if np.any(A[i, cols] * b[i] > 0.0):
+            cases.add("right sign")
+        if np.any(A[i, cols] * b[i] < 0.0):
+            cases.add("wrong sign")
+        if eligible.size >= 2:
+            cases.add("two eligible")
+        if eligible.size == 1 and eligible[0] >= n:
+            cases.add("free negative part only")
+        cases.add("covered" if eligible.size else "uncovered")
+    return cases
+
+
+def test_unit_column_start_matches_enumeration_oracle():
+    """solve() agrees with vertex enumeration on LPs whose rows carry their
+    own +-e_i columns, which the simplex starts from in place of artificials.
+
+    Optimal verdicts must match the best vertex and carry a dual
+    certificate; Infeasible ones must have no vertex; Unbounded ones must
+    have a vertex and a descent ray.  The generator must produce every
+    starting-basis case at least once, and Infeasible and Unbounded LPs
+    with covered rows.
+    """
+    rng = np.random.default_rng(20261019)
+    seen: set[str] = set()
+    statuses = {status: 0 for status in LpStatus}
+    for _ in range(400):
+        lp = _random_lp_with_unit_columns(rng)
+        cases = _unit_start_cases(lp)
+        seen |= cases
+        sol = solve(lp)
+        statuses[sol.status] += 1
+        verts = enumerate_vertices(lp)
+        if sol.status is LpStatus.INFEASIBLE:
+            assert verts == []
+            if "covered" in cases:
+                seen.add("infeasible, rows covered")
+            continue
+        assert verts, "a feasible LP must have at least one vertex"
+        if sol.status is LpStatus.UNBOUNDED:
+            assert _has_descent_ray(lp)
+            if "covered" in cases:
+                seen.add("unbounded, rows covered")
+            continue
+        assert not _has_descent_ray(lp)
+        best = min(v for _, v in verts)
+        assert abs(sol.objective_value - best) <= 1e-9 * (1.0 + abs(best))
+        assert_kkt(lp, sol)
+        if "uncovered" not in cases:
+            seen.add("optimal, every row covered")
+    assert seen >= {
+        "zero rhs",
+        "right sign",
+        "wrong sign",
+        "two eligible",
+        "free negative part only",
+        "covered",
+        "uncovered",
+        "infeasible, rows covered",
+        "unbounded, rows covered",
+        "optimal, every row covered",
+    }
+    assert min(statuses.values()) > 20
