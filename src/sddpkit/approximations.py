@@ -292,13 +292,19 @@ class EnvelopeUpperTerms:
             raise DimensionMismatchError(
                 f"envelope anchors have dimension {d}, stage decision has {x_dim}"
             )
-        # Columns theta (k), y+ (d), y- (d); rows
-        # sum_j theta_j anchor_j + y+ - y- - x = 0 and sum_j theta_j = 1.
-        eye = np.eye(d)
-        rows = np.block([
-            [0.0 - eye, anchors.T, eye, 0.0 - eye],
-            [np.zeros((1, d)), np.ones((1, k)), np.zeros((1, 2 * d))],
-        ])
-        rhs = np.concatenate([np.zeros(d), [1.0]])
-        cost = np.concatenate([values, np.full(2 * d, float(self.penalty_m))])
+        # Columns y+ (d), y- (d), theta (k); rows
+        # y+ - y- + sum_j theta_j anchor_j - x = 0 and sum_j theta_j = 1.
+        # A new point appends a column, so a stored basis keeps its columns.
+        i = np.arange(d)
+        rows = np.zeros((d + 1, 3 * d + k))
+        rows[i, i] = -1.0
+        rows[i, d + i] = 1.0
+        rows[i, 2 * d + i] = -1.0
+        rows[:d, 3 * d :] = anchors.T
+        rows[d, 3 * d :] = 1.0
+        rhs = np.zeros(d + 1)
+        rhs[d] = 1.0
+        cost = np.empty(2 * d + k)
+        cost[: 2 * d] = float(self.penalty_m)
+        cost[2 * d :] = values
         return LpBlock(cost=cost, rows=rows, rhs=rhs)

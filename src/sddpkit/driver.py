@@ -25,12 +25,20 @@ since test covariates are not anchors.
 The reported upper bound is the running minimum over iterations: each
 root envelope solve is individually valid, while the penalty scale that
 keeps the envelope honest can grow as new cut gradients are observed.
+
+Training re-solves the same LPs every iteration with a new incoming state
+and one more cut row or envelope column, so each starts from the last
+optimal basis of its family (``lp.Basis``).  A family is one bound's LP
+at one (t, i): the cut LP of stage t under realization i, which the
+forward and the backward pass share, and its envelope LP; plus the two
+root LPs.  Rollout LPs start cold.
 """
 
 from __future__ import annotations
 
 import math
 import time
+from collections import defaultdict
 from dataclasses import dataclass, field, replace
 from enum import Enum
 
@@ -47,7 +55,7 @@ from .approximations import (
     stack_cut_rows,
 )
 from .kernel import ConditionalWeights, KernelConfig, nw_weights
-from .lp import LinearProgram, LpScaleError, LpStatus, solve
+from .lp import Basis, LinearProgram, LpScaleError, LpStatus, solve
 from .robust import (
     AmbiguityParams,
     DroLowerTerms,
@@ -249,11 +257,13 @@ class _Runner:
                 self.rho = amb.rho
         self.root_decision: np.ndarray | None = None
         self.best_upper = math.inf
+        # Last optimal basis per LP family: ("lower" or "upper", t, i).
+        self.bases: defaultdict[tuple[str, int, int | None], Basis] = defaultdict(Basis)
 
     # -- helpers ------------------------------------------------------------
 
-    def _solve_checked(self, lp: LinearProgram, k: int, t: int, i: int | None):
-        sol = solve(lp)
+    def _solve_checked(self, lp: LinearProgram, bound: str, k: int, t: int, i: int | None):
+        sol = solve(lp, start=self.bases[bound, t, i])
         where = f"iteration k={k}, stage t={t}" + ("" if i is None else f", scenario i={i + 1}")
         if sol.status is LpStatus.INFEASIBLE:
             raise StageInfeasibleError(f"{where}: in-sample subproblem is infeasible")
@@ -284,7 +294,7 @@ class _Runner:
             self.x0,
             extra_terms=CutLowerTerms(self.pools.cuts(2, None)),
         )
-        sol = self._solve_checked(lp, k, 1, None)
+        sol = self._solve_checked(lp, "lower", k, 1, None)
         self.root_decision = sol.primal[: self.traj.stage1.dim_out].copy()
         return sol
 
@@ -295,7 +305,7 @@ class _Runner:
             self.x0,
             extra_terms=EnvelopeUpperTerms(anchors, values, self.store.penalty(2)),
         )
-        return float(self._solve_checked(lp, k, 1, None).objective_value)
+        return float(self._solve_checked(lp, "upper", k, 1, None).objective_value)
 
     def forward_pass(self, k: int, m: int) -> tuple[ForwardScenario, list[np.ndarray]]:
         cfg = self.config
@@ -313,7 +323,7 @@ class _Runner:
             i = scenario.indices[t - 2]
             datum = self.traj.stage_data(t)[i]
             lp = assemble_stage_lp(datum, states[-1], extra_terms=self._lower_terms(t, i))
-            sol = self._solve_checked(lp, k, t, i)
+            sol = self._solve_checked(lp, "lower", k, t, i)
             states.append(sol.primal[: datum.dim_out].copy())
         return scenario, states
 
@@ -327,6 +337,7 @@ class _Runner:
             for i, datum in enumerate(self.traj.stage_data(t)):
                 sol = self._solve_checked(
                     assemble_stage_lp(datum, anchor, extra_terms=self._lower_terms(t, i)),
+                    "lower",
                     k,
                     t,
                     i,
@@ -343,6 +354,7 @@ class _Runner:
                                 anchors, values, self.store.penalty(t + 1)
                             ),
                         ),
+                        "upper",
                         k,
                         t,
                         i,

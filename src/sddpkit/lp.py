@@ -5,17 +5,25 @@ Solves equality-form LPs
     min  c^T x
     s.t. A x = b,   x >= l  (x_j free where flagged),
 
-with a two-phase revised simplex method using Bland's rule, so the pivot
-sequence (and hence the reported basis and duals) is a deterministic
-function of the input data.  The starting basis is built from the LP's own
-columns: a row whose slack or surplus column (a +-e_i column with the sign
-of its right-hand side) exists starts with the lowest-index such column
-basic, and only the remaining rows get artificial columns for phase one
-(Bixby, "Implementing the simplex method: the initial basis", ORSA J.
-Computing, 1992).  All subproblems built elsewhere in the
-package (stage LPs, envelope LPs, ambiguity-set inner problems) are
-funneled through :func:`solve`.  The solver's tolerances and pivot caps
-are module constants; nothing selects them per call.
+with a two-phase revised simplex method using Bland's rule.  The starting
+basis is built from the LP's own columns: a row whose slack or surplus
+column (a +-e_i column with the sign of its right-hand side) exists starts
+with the lowest-index such column basic, and only the remaining rows get
+artificial columns for phase one (Bixby, "Implementing the simplex method:
+the initial basis", ORSA J. Computing, 1992).  All subproblems built
+elsewhere in the package (stage LPs, envelope LPs, ambiguity-set inner
+problems) are funneled through :func:`solve`.  The solver's tolerances and
+pivot caps are module constants; nothing selects them per call.
+
+A caller that re-solves a family of related LPs (the same rows and columns
+with a new right-hand side, appended rows or columns, or new costs) can
+pass a :class:`Basis` holder.  ``solve`` then starts from the holder's
+last optimal basis: with the dual simplex when that basis is still dual
+feasible, with phase two when it is still primal feasible.  A start that
+does not fit, or a warm run that fails, falls back to the cold two-phase
+path, so a warm solve only ever returns Optimal, and always from a freshly
+inverted basis.  The pivot sequence, and hence the reported basis and
+duals, is a deterministic function of the input data and the start basis.
 
 A small-scale vertex enumerator, :func:`enumerate_vertices`, is provided
 as an independent cross-check: it enumerates basic feasible solutions of
@@ -44,6 +52,7 @@ __all__ = [
     "LpStatus",
     "LinearProgram",
     "LpSolution",
+    "Basis",
     "LpInputError",
     "LpScaleError",
     "solve",
@@ -79,6 +88,10 @@ _PIVOT_TOL = 1e-9
 # reaching a cap raises ``RuntimeError``.
 _MAX_PIVOTS = 50_000
 _RETRY_MAX_PIVOTS = 200_000
+# Cap on the pivots of a warm start; the dual simplex's largest-infeasibility
+# rule can cycle, and a warm run that reaches the cap falls back to the cold
+# path.
+_WARM_MAX_PIVOTS = 1_000
 # Updates of the basis inverse between rebuilds from scratch in the first
 # run; the reruns rebuild it after every pivot.
 _REFACTOR_EVERY = 32
@@ -167,6 +180,22 @@ class LpSolution:
     objective_value: float | None = None
 
 
+@dataclass
+class Basis:
+    """The last optimal basis of a family of LPs, kept by the caller between
+    solves so that :func:`solve` can start the next member from it.
+
+    ``cols[r]`` is the column basic in row r, indexed like the LP's own
+    columns; ``~j`` (that is, -1 - j) marks the negative part of free column
+    j.  Storing original columns rather than standard-form ones keeps the
+    basis meaningful when a later LP appends columns.  None until a solve
+    with this holder ends Optimal, and again after one whose optimal basis
+    kept an artificial column.
+    """
+
+    cols: np.ndarray | None = None
+
+
 # ---------------------------------------------------------------------------
 # Standard-form conversion
 # ---------------------------------------------------------------------------
@@ -217,12 +246,27 @@ class _Simplex:
     stand.  Only the rows no such column covers get an artificial column
     sign(b_i) * e_i, and phase one minimizes the sum of those; when every
     row is covered, phase one is skipped.
+
+    A warm start passes ``basis`` (one standard-form column per row) instead;
+    it gets no artificial columns, and its inverse is computed from scratch.
     """
 
-    def __init__(self, A: np.ndarray, b: np.ndarray, c: np.ndarray, retry: bool = False):
+    def __init__(
+        self, A: np.ndarray, b: np.ndarray, c: np.ndarray, retry: bool = False,
+        basis: np.ndarray | None = None,
+    ):
         self.m, self.n = A.shape
         self.refactor_every = 1 if retry else _REFACTOR_EVERY
         self.max_pivots = _RETRY_MAX_PIVOTS if retry else _MAX_PIVOTS
+        self.b = b
+        self.art0 = self.n
+        self.pivots = 0
+        self.since_refactor = 0
+        if basis is not None:
+            self.max_pivots = _WARM_MAX_PIVOTS
+            self.A, self.c_true, self.basis = A, c, basis
+            self._refactor()
+            return
         # Row i starts from its first column equal to +-e_i with a sign that
         # fits b_i; column n, one past the last, marks a row without one.
         fits = np.ones((self.m, self.n + 1), dtype=bool)
@@ -237,14 +281,10 @@ class _Simplex:
         self.A = np.zeros((self.m, self.n + uncovered.size))
         self.A[:, : self.n] = A
         self.A[uncovered, self.basis[uncovered]] = np.where(b[uncovered] < 0, -1.0, 1.0)
-        self.b = b
         self.c_true = np.zeros(self.A.shape[1])
         self.c_true[: self.n] = c
-        self.art0 = self.n
         # The basis matrix is diagonal with entries +-1, so it is its own inverse.
         self.Binv = np.diag(self.A[np.arange(self.m), self.basis])
-        self.pivots = 0
-        self.since_refactor = 0
 
     def _refactor(self) -> None:
         B = self.A[:, self.basis]
@@ -320,6 +360,41 @@ class _Simplex:
             r = int(ties[np.argmin(self.basis[ties])])
             self._pivot(q, int(r), d)
 
+    def _dual(self, tol: float) -> bool:
+        """Run dual simplex pivots from a dual feasible basis until every
+        basic value is at least -tol.
+
+        The leaving row has the most negative basic value; the entering
+        column has the smallest ratio of reduced cost to minus its entry in
+        that row, ties to the lowest index.  Returns False when the leaving
+        row has no negative entry, which proves the LP infeasible.
+        """
+        while True:
+            if self.pivots > self.max_pivots:
+                raise RuntimeError("simplex pivot limit exceeded; data is ill-conditioned")
+            xb = self._xb()
+            r = int(np.argmin(xb))
+            if xb[r] >= -tol:
+                if self.since_refactor:
+                    self._refactor()
+                    continue
+                return True
+            alpha = self.Binv[r] @ self.A
+            alpha[self.basis] = 0.0
+            a_eps = _PIVOT_TOL * max(1.0, float(np.abs(alpha).max()))
+            cand = np.nonzero(alpha < -a_eps)[0]
+            if cand.size == 0:
+                if self.since_refactor:
+                    self._refactor()
+                    continue
+                return False
+            y = self.c_true[self.basis] @ self.Binv
+            rc = np.maximum(self.c_true[cand] - y @ self.A[:, cand], 0.0)
+            ratios = rc / -alpha[cand]
+            rmin = ratios.min()
+            q = int(cand[np.argmax(ratios <= rmin + 1e-12 * (1.0 + rmin))])
+            self._pivot(q, r, self.Binv @ self.A[:, q])
+
     def run(self) -> tuple[str, np.ndarray | None, np.ndarray | None]:
         """Solve; returns (status, z, duals) with z in standard-form coordinates."""
         if self.m == 0:
@@ -382,15 +457,68 @@ class _Simplex:
         return z[: self.n], self.c_true[self.basis] @ self.Binv
 
 
-def solve(lp: LinearProgram) -> LpSolution:
-    """Solve an equality-form LP with the revised simplex method.
+def _warm_basis(sf: _StandardForm, cols: np.ndarray) -> np.ndarray | None:
+    """A stored basis in the standard form's columns, or None if it does not fit.
 
-    Returns an :class:`LpSolution`; on Optimal status the primal point, the
-    equality-row duals and the objective value are filled in.  Identical
-    inputs produce identical outputs: the starting basis is a fixed function
-    of the data, and pivoting follows Bland's rule with fixed tie-breaking.
+    Stored rows keep their columns; each row past them takes its
+    lowest-index +-e_i column, whatever its sign.  None when the LP has
+    fewer rows than the basis, or no rows; when a stored column does not
+    exist or is not free where its negative part is stored; when a new row
+    has no unit column; or when a column would be basic twice.
     """
-    sf = _StandardForm(lp)
+    m, n = sf.A.shape[0], sf.n_orig
+    k = cols.shape[0]
+    if m == 0 or k > m or (k and not -n <= int(cols.min()) <= int(cols.max()) < n):
+        return None
+    basis = np.array(cols, dtype=np.int64)
+    neg = basis < 0
+    if neg.any():
+        basis[neg] = sf.neg_col[~basis[neg]]
+        if int(basis.min()) < 0:
+            return None
+    if k < m:
+        unit = (np.count_nonzero(sf.A, axis=0) == 1) & (np.abs(sf.A[k:]) == 1.0)
+        if not unit.any(axis=1).all():
+            return None
+        basis = np.concatenate([basis, unit.argmax(axis=1)])
+    if len(set(basis.tolist())) < m:
+        return None
+    return basis
+
+
+def _warm_solve(sf: _StandardForm, cols: np.ndarray) -> _Simplex | None:
+    """Solve from a stored basis; the simplex at an Optimal basis, or None.
+
+    A dual feasible start runs the dual simplex, a primal feasible one
+    phase two; both end in phase two, whose verdict comes from a freshly
+    inverted basis.  None, for the cold path to take over, when the start
+    does not fit or is neither primal nor dual feasible, when the run
+    raises or ends in anything but Optimal, or when the final vertex is
+    not primal feasible to ``_FEAS_TOL`` or does not solve A z = b to it.
+    """
+    basis = _warm_basis(sf, cols)
+    if basis is None:
+        return None
+    tol = _FEAS_TOL * max(1.0, float(np.abs(sf.b).max(initial=0.0)))
+    try:
+        sim = _Simplex(sf.A, sf.b, sf.c, basis=basis)
+        if float(sim._xb().min()) < -tol:
+            rc = sf.c - (sf.c[basis] @ sim.Binv) @ sf.A
+            rc[basis] = 0.0
+            if float(rc.min()) < -_OPT_TOL or not sim._dual(tol):
+                return None
+        if sim._iterate(sf.c, np.ones(sim.n, dtype=bool)) != "optimal":
+            return None
+    except RuntimeError:
+        return None
+    xb = sim._xb()
+    if float(xb.min()) < -tol or float(np.abs(sf.A[:, sim.basis] @ xb - sf.b).max()) > tol:
+        return None
+    return sim
+
+
+def _cold_solve(sf: _StandardForm) -> tuple[str, np.ndarray | None, np.ndarray | None, _Simplex]:
+    """The two-phase run from the unit-column start, with its retry paths."""
     sim = _Simplex(sf.A, sf.b, sf.c)
     try:
         status, z, y = sim.run()
@@ -420,11 +548,52 @@ def solve(lp: LinearProgram) -> LpSolution:
             if vertex is None:
                 raise RuntimeError("simplex failed on degenerate data") from None
             z, y = vertex
+    return status, z, y, sim
+
+
+def _stored_basis(sf: _StandardForm, basis: np.ndarray) -> np.ndarray | None:
+    """A standard-form basis by original column (see :class:`Basis`); None
+    when an artificial column is basic."""
+    top = int(basis.max(initial=-1))
+    if top >= sf.A.shape[1]:
+        return None
+    cols = basis.copy()
+    if top >= sf.n_orig:
+        neg = cols >= sf.n_orig
+        cols[neg] = ~np.flatnonzero(sf.neg_col >= 0)[cols[neg] - sf.n_orig]
+    return cols
+
+
+def solve(lp: LinearProgram, start: Basis | None = None) -> LpSolution:
+    """Solve an equality-form LP with the revised simplex method.
+
+    Returns an :class:`LpSolution`; on Optimal status the primal point, the
+    equality-row duals and the objective value are filled in.  Without
+    ``start``, identical inputs produce identical outputs: the starting
+    basis is a fixed function of the data, and pivoting follows Bland's rule
+    with fixed tie-breaking.
+
+    With ``start``, the solve begins from the basis the holder kept (see
+    the module docstring) and, when it ends Optimal, writes its final basis
+    back.  The outputs are then a deterministic function of the data and the
+    start basis.  A start that does not lead to an Optimal verdict is
+    dropped for the cold path, so every status other than Optimal, and every
+    ``RuntimeError``, is the cold path's own.
+    """
+    sf = _StandardForm(lp)
+    sim = None if start is None or start.cols is None else _warm_solve(sf, start.cols)
+    if sim is not None:
+        status = "optimal"
+        z, y = sim.vertex(sf.b)
+    else:
+        status, z, y, sim = _cold_solve(sf)
     if status == "infeasible":
         return LpSolution(LpStatus.INFEASIBLE)
     if status == "unbounded":
         return LpSolution(LpStatus.UNBOUNDED)
     assert z is not None and y is not None
+    if start is not None:
+        start.cols = _stored_basis(sf, sim.basis)
     x = sf.recover_primal(z)
     obj = float(sf.c @ z) + sf.const
     return LpSolution(LpStatus.OPTIMAL, x, y, obj)

@@ -15,7 +15,10 @@ columns and rows, which ``assemble_stage_lp`` stacks under ``[A_t | 0]``.
 
 Column and row layout is fixed: decision columns first (0..d_t-1), extras
 after; structural rows first, extras after.  Downstream code relies on
-this ordering.
+this ordering.  A block that grows between iterations grows only at its
+end (a new cut row with its surplus column, a new envelope column), so a
+basis stored by column index still names the same columns in the next
+iteration's LP.
 """
 
 from __future__ import annotations

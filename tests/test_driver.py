@@ -175,8 +175,8 @@ def test_stage_lp_solves_carry_kkt_certificates(monkeypatch):
     checked = {"train": 0, "nominal": 0, "robust": 0}
     phase = "train"
 
-    def certified(lp):
-        sol = solve(lp)
+    def certified(lp, start=None):
+        sol = solve(lp, start)
         if sol.status is LpStatus.OPTIMAL:
             assert_kkt(lp, sol)
             checked[phase] += 1
@@ -197,6 +197,53 @@ def test_stage_lp_solves_carry_kkt_certificates(monkeypatch):
             for phase, rolled in rollouts:
                 assert evaluate_policy_out_of_sample(rolled, test_traj).n_failed == 0
     assert min(checked.values()) > 0
+
+
+def test_warm_started_training_matches_cold_training(monkeypatch):
+    """Starting each training LP from its family's last optimal basis
+    changes how the LPs are solved, not their values.
+
+    Every solve of a warm run returns the status and objective of a cold
+    solve of the same LP.  On the toys (DD and RDD) and the portfolio (DD),
+    the bounds match, iteration by iteration, a run whose every solve
+    starts cold, and the DD toy bounds sandwich the extensive form.  RDD on
+    the portfolio is compared solve by solve only: warm and cold values
+    differ in the last bits, and tied worst-case maximizers then pick
+    other, equally valid cuts.
+    """
+    warm_solves = 0
+
+    def checked(lp, start=None):
+        nonlocal warm_solves
+        warm_solves += start is not None and start.cols is not None
+        sol, cold = solve(lp, start), solve(lp)
+        assert sol.status is cold.status
+        if cold.status is LpStatus.OPTIMAL:
+            v = cold.objective_value
+            assert abs(sol.objective_value - v) <= 1e-9 * (1.0 + abs(v))
+        return sol
+
+    cases = [make_toy(seed, horizon_T=4, n_paths=4) + (True,) for seed in range(8)]
+    cases.append(_portfolio(3, 8) + (False,))
+    for traj, template, toy in cases:
+        target = extensive_form_oracle(traj, template, kernel=_KERNEL) if toy else None
+        for algorithm, rho in ((Algorithm.DD, None), (Algorithm.RDD, 0.3)):
+            config = _config(algorithm, rho, max_iterations=10 if toy else 5, epsilon=1e-12)
+            with monkeypatch.context() as patch:
+                patch.setattr(sddpkit.driver, "solve", checked)
+                _, warm, _ = run(traj, template, config)
+                patch.setattr(sddpkit.driver, "solve", lambda lp, start=None: solve(lp))
+                _, cold, _ = run(traj, template, config)
+            if toy or algorithm is Algorithm.DD:
+                assert len(warm) == len(cold)
+                for w, c in zip(warm, cold):
+                    for got, want in ((w.lower_bound, c.lower_bound), (w.upper_bound, c.upper_bound)):
+                        assert abs(got - want) <= 1e-9 * (1.0 + abs(want))
+            if toy and algorithm is Algorithm.DD:
+                for rec in warm:
+                    assert rec.lower_bound <= target + 1e-7
+                    assert rec.upper_bound >= target - 1e-7
+    assert warm_solves > 0
 
 
 def test_in_sample_policy_mean_equals_root_lower_bound_for_t2():
@@ -247,11 +294,11 @@ def test_solver_breakdown_fails_only_its_own_path(monkeypatch):
     healthy = evaluate_policy_out_of_sample(policy, test_traj)
     calls = []
 
-    def breaks_on_path_1(lp):
+    def breaks_on_path_1(lp, start=None):
         calls.append(lp)
         if len(calls) == 3:  # two stage LPs per path: path 1's first
             raise RuntimeError("simplex failed on degenerate data")
-        return solve(lp)
+        return solve(lp, start)
 
     monkeypatch.setattr(sddpkit.driver, "solve", breaks_on_path_1)
     report = evaluate_policy_out_of_sample(policy, test_traj)
@@ -317,8 +364,8 @@ def _check_rollout_against_full_pools(monkeypatch, policy, test_traj):
         calls.append([datum, np.array(incoming_state), lp, None])
         return lp
 
-    def recording_solve(lp):
-        calls[-1][3] = solve_lp(lp)
+    def recording_solve(lp, start=None):
+        calls[-1][3] = solve_lp(lp, start)
         return calls[-1][3]
 
     with monkeypatch.context() as patch:

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from sddpkit.lp import (
+    Basis,
     LinearProgram,
     LpInputError,
     LpScaleError,
@@ -364,3 +365,109 @@ def test_unit_column_start_matches_enumeration_oracle():
         "optimal, every row covered",
     }
     assert min(statuses.values()) > 20
+
+
+def _relative(rng: np.random.Generator, lp: LinearProgram, change: str) -> LinearProgram:
+    """A member of the LP's family: new rhs, one more row with its surplus
+    column, one more column, or new costs."""
+    A, b, c = lp.eq_matrix, lp.eq_rhs, lp.objective
+    lower, free = lp.var_lower, lp.free_mask
+    m, n = A.shape
+    if change == "rhs":
+        b = b + rng.integers(-2, 3, size=m)
+    elif change == "row":
+        A = np.block([[A, np.zeros((m, 1))], [rng.integers(-3, 4, size=(1, n)), -np.ones((1, 1))]])
+        b, c = np.append(b, rng.integers(-3, 4)), np.append(c, 0.0)
+        lower, free = np.append(lower, 0.0), np.append(free, False)
+    elif change == "column":
+        A = np.hstack([A, rng.integers(-3, 4, size=(m, 1))])
+        c = np.append(c, rng.integers(-3, 4))
+        lower, free = np.append(lower, 0.0), np.append(free, rng.random() < 0.25)
+    else:
+        c = c + rng.integers(-2, 3, size=n)
+    return LinearProgram(objective=c, eq_matrix=A, eq_rhs=b, var_lower=lower, free_mask=free)
+
+
+def _assert_warm_matches_cold(lp: LinearProgram, start: Basis) -> LpStatus:
+    warm, cold = solve(lp, start), solve(lp)
+    assert warm.status is cold.status
+    if cold.status is LpStatus.OPTIMAL:
+        v = cold.objective_value
+        assert abs(warm.objective_value - v) <= 1e-9 * (1.0 + abs(v))
+        assert_kkt(lp, warm)
+        # None only when an artificial column stayed basic (a redundant row).
+        assert start.cols is None or start.cols.shape == (lp.n_rows,)
+    return cold.status
+
+
+def test_warm_starts_match_the_cold_solve_across_lp_families(monkeypatch):
+    """A solve started from a family member's optimal basis returns the cold
+    solve's status and, on Optimal, its objective with a KKT certificate.
+
+    Each chain starts from a random LP and changes its rhs, appends a row
+    with its surplus column, appends a column or changes its costs, step
+    after step, warm-starting each step from the one before.  Stale starts
+    (a basis with too many rows, a singular one, one naming an artificial
+    column, one from another LP) must give the cold answer too.  Spies on
+    the private paths show the dual simplex, phase two and the fallback to
+    the cold path are each taken.
+    """
+    import sddpkit.lp as lp_module
+
+    paths = {"dual": 0, "primal": 0, "fallback": 0}
+    dual_runs = []
+    real_dual, real_warm = lp_module._Simplex._dual, lp_module._warm_solve
+
+    def spy_dual(self, tol):
+        dual_runs.append(self)
+        return real_dual(self, tol)
+
+    def spy_warm(sf, cols):
+        dual_runs.clear()
+        sim = real_warm(sf, cols)
+        if sim is None:
+            paths["fallback"] += 1
+        elif dual_runs:
+            paths["dual"] += 1
+        elif sim.pivots:
+            paths["primal"] += 1
+        return sim
+
+    monkeypatch.setattr(lp_module._Simplex, "_dual", spy_dual)
+    monkeypatch.setattr(lp_module, "_warm_solve", spy_warm)
+    rng = np.random.default_rng(20261020)
+    changes = ("rhs", "row", "column", "cost")
+    optimal = 0
+    for _ in range(150):
+        lp = _random_lp_with_unit_columns(rng)
+        start = Basis()
+        _assert_warm_matches_cold(lp, start)
+        for change in rng.choice(changes, size=6):
+            # The chain moves on from Optimal members only, as training does.
+            member = _relative(rng, lp, str(change))
+            if _assert_warm_matches_cold(member, start) is LpStatus.OPTIMAL:
+                lp = member
+                optimal += 1
+        # Stale starts: too many rows; a column basic twice; a zero column
+        # (an exactly singular basis); an artificial column's index.
+        m, n = lp.n_rows, lp.n_vars
+        with_zero = LinearProgram(
+            objective=np.append(lp.objective, 1.0),
+            eq_matrix=np.hstack([lp.eq_matrix, np.zeros((m, 1))]),
+            eq_rhs=lp.eq_rhs,
+            var_lower=np.append(lp.var_lower, 0.0),
+            free_mask=np.append(lp.free_mask, False),
+        )
+        for stale_lp, cols in (
+            (lp, np.arange(m + 1)),
+            (lp, np.zeros(m, dtype=np.int64)),
+            (with_zero, np.array([n])),
+            (lp, np.array([n + int(lp.free_mask.sum())])),
+        ):
+            _assert_warm_matches_cold(stale_lp, Basis(cols))
+        # A start from an unrelated LP.
+        held = Basis()
+        solve(_random_lp_with_unit_columns(rng), held)
+        _assert_warm_matches_cold(lp, held)
+    assert optimal > 200
+    assert min(paths.values()) > 20, paths

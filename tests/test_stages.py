@@ -103,9 +103,9 @@ class _RowByRow:
             self.var(cost=1.0, lower=UPPER_BOX)
             return
         k = values.size
-        theta = [self.var(cost=v) for v in values]
         y_pos = [self.var(cost=terms.penalty_m) for _ in range(self.d)]
         y_neg = [self.var(cost=terms.penalty_m) for _ in range(self.d)]
+        theta = [self.var(cost=v) for v in values]
         for i in range(self.d):
             coeffs = {theta[j]: float(anchors[j, i]) for j in range(k)}
             coeffs.update({y_pos[i]: 1.0, y_neg[i]: -1.0, i: -1.0})
