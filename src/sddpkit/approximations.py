@@ -96,6 +96,10 @@ class CutRows:
     def __len__(self) -> int:
         return self.offsets.shape[0]
 
+    def values(self, x: np.ndarray) -> np.ndarray:
+        """Each cut's value at x."""
+        return self.offsets + self.gradients @ x if len(self) else np.zeros(0)
+
 
 _NO_CUTS = CutRows(np.zeros((0, 0)), np.zeros(0))
 
@@ -208,64 +212,72 @@ class EnvelopeStore:
 # ---------------------------------------------------------------------------
 
 
-def stack_cut_rows(
-    node_cuts: Sequence[CutRows], x_dim: int
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """One epigraph row per cut, node after node, for an LP block.
+def stack_cut_rows(node_cuts: Sequence[CutRows]) -> tuple[np.ndarray, CutRows]:
+    """Every node's cuts, node after node: each row's node index and the rows."""
+    node = np.repeat(np.arange(len(node_cuts)), [len(rows) for rows in node_cuts])
+    filled = [rows for rows in node_cuts if len(rows)]
+    if not filled:
+        return node, _NO_CUTS
+    if len({rows.gradients.shape[1] for rows in filled}) > 1:
+        raise DimensionMismatchError("cut pools have gradients of different dimensions")
+    return node, CutRows(
+        np.concatenate([rows.gradients for rows in filled]),
+        np.concatenate([rows.offsets for rows in filled]),
+    )
 
-    A node without cuts gets a flat sentinel cut at ``LOWER_BOX`` instead.
-    Returns each row's node index, its coefficients on the stage decision
-    (the negated cut gradient) and its right-hand side (the cut offset).
-    """
-    sentinel = CutRows(np.zeros((1, x_dim)), np.full(1, LOWER_BOX))
-    if any(len(rows) and rows.gradients.shape[1] != x_dim for rows in node_cuts):
+
+def cut_x_rows(cuts: CutRows, x_dim: int) -> np.ndarray:
+    """The cuts' coefficients on the stage decision in their epigraph rows:
+    the negated gradients."""
+    if not len(cuts):
+        return np.zeros((0, x_dim))
+    if cuts.gradients.shape[1] != x_dim:
         raise DimensionMismatchError(
             f"cut gradients do not have the stage decision's dimension {x_dim}"
         )
-    per_node = [rows if len(rows) else sentinel for rows in node_cuts]
-    node = np.repeat(np.arange(len(per_node)), [len(rows) for rows in per_node])
     # 0.0 - g rather than -g keeps zero coefficients +0.0.
-    x_rows = 0.0 - np.concatenate([rows.gradients for rows in per_node])
-    return node, x_rows, np.concatenate([rows.offsets for rows in per_node])
+    return 0.0 - cuts.gradients
 
 
 @dataclass
 class WeightedLowerTerms:
     """Epigraph variables for several conditioning nodes at once.
 
-    Adds one free variable ell_i with objective weight w_i per node and
-    one row ell_i - surplus = cut(x) per cut; with no cuts for a node its
-    ell sits on the sentinel box.  Policy evaluation uses this with the
-    conditional weights; the ordinary single-node block is the weight-1
-    special case.
+    Adds one epigraph variable ell_i with objective weight ``weights[i]``
+    per node and, for row k of ``cuts``, the row
+    ell_{node[k]} - surplus_k = cut_k(x).  The columns are every ell first,
+    then one surplus per row, with the rows in the order given, so a block
+    that gains rows, of any node, grows only at its end.  An ell with a
+    row is free; one whose node has no row is bounded below by
+    ``LOWER_BOX`` instead, which keeps the sentinel out of the right-hand
+    side.  Policy evaluation uses this with the conditional weights; the
+    ordinary single-node block is the weight-1 special case.
     """
 
-    node_cuts: list[tuple[float, CutRows]]
+    weights: np.ndarray
+    node: np.ndarray
+    cuts: CutRows
 
     def block(self, x_dim: int) -> LpBlock:
-        # A free epigraph variable avoids mixing the huge sentinel into
-        # every basic solution; the box enters as a row only while no cut
-        # bounds ell from below.
-        node, x_rows, rhs = stack_cut_rows([cuts for _, cuts in self.node_cuts], x_dim)
-        n_nodes, n_rows = len(self.node_cuts), node.shape[0]
-        # Node i's columns are ell_i and then one surplus per row of node i,
-        # so row r of node i has its surplus at column r + i + 1.
-        ell = np.searchsorted(node, np.arange(n_nodes)) + np.arange(n_nodes)
+        x_rows = cut_x_rows(self.cuts, x_dim)
+        n_nodes, n_rows = self.weights.shape[0], x_rows.shape[0]
         r = np.arange(n_rows)
-        rows = np.zeros((n_rows, x_dim + n_rows + n_nodes))
+        rows = np.zeros((n_rows, x_dim + n_nodes + n_rows))
         rows[:, :x_dim] = x_rows
-        rows[r, x_dim + ell[node]] = 1.0
-        rows[r, x_dim + r + node + 1] = -1.0
-        cost = np.zeros(n_rows + n_nodes)
-        cost[ell] = [float(weight) for weight, _ in self.node_cuts]
-        free = np.zeros(n_rows + n_nodes, dtype=bool)
-        free[ell] = True
-        return LpBlock(cost=cost, rows=rows, rhs=rhs, free=free)
+        rows[r, x_dim + self.node] = 1.0
+        rows[r, x_dim + n_nodes + r] = -1.0
+        cost = np.zeros(n_nodes + n_rows)
+        cost[:n_nodes] = self.weights
+        free = np.zeros(n_nodes + n_rows, dtype=bool)
+        free[self.node] = True
+        lower = np.zeros(n_nodes + n_rows)
+        lower[:n_nodes] = np.where(free[:n_nodes], 0.0, LOWER_BOX)
+        return LpBlock(cost=cost, rows=rows, rhs=self.cuts.offsets, lower=lower, free=free)
 
 
 def CutLowerTerms(cuts: CutRows) -> WeightedLowerTerms:
     """Single epigraph variable bounded below by every cut in the node's pool."""
-    return WeightedLowerTerms(node_cuts=[(1.0, cuts)])
+    return WeightedLowerTerms(np.ones(1), np.zeros(len(cuts), dtype=np.int64), cuts)
 
 
 @dataclass

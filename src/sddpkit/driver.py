@@ -31,7 +31,10 @@ and one more cut row or envelope column, so each starts from the last
 optimal basis of its family (``lp.Basis``).  A family is one bound's LP
 at one (t, i): the cut LP of stage t under realization i, which the
 forward and the backward pass share, and its envelope LP; plus the two
-root LPs.  Rollout LPs start cold.
+root LPs.  The nominal rollout keeps one basis per stage for a whole
+``evaluate_policy_out_of_sample`` call: every working-set LP of a stage,
+over all test paths and rounds, starts from the last one's optimal basis,
+and so do the last stage's LPs.  Robust rollout LPs start cold.
 """
 
 from __future__ import annotations
@@ -470,19 +473,6 @@ def _node_max(values: np.ndarray, node: np.ndarray, n_nodes: int) -> np.ndarray:
     return top
 
 
-def _working_terms(
-    weights: np.ndarray, node: np.ndarray, grads: np.ndarray, offsets: np.ndarray,
-    active: np.ndarray,
-) -> WeightedLowerTerms:
-    """The weighted epigraph block over the active cuts of each node."""
-    members = (active & (node == i) for i in range(weights.shape[0]))
-    return WeightedLowerTerms(
-        node_cuts=[
-            (float(wi), CutRows(grads[on], offsets[on])) for wi, on in zip(weights, members)
-        ]
-    )
-
-
 def evaluate_policy_out_of_sample(
     policy: Policy, test_traj: TrajectorySet
 ) -> PolicyReport:
@@ -495,15 +485,22 @@ def evaluate_policy_out_of_sample(
     reported as failed, not fatal.
 
     The nominal stage LP is solved on a working set of cut rows rather
-    than on every cut of every pool.  Each node starts with its highest
-    cut at the incoming state.  After each solve, every cut is evaluated
-    at the decision x (one matvec over the stacked pools), and every cut
-    of a node with positive weight that lies above the node's working
-    maximum by more than ``SEPARATION_TOL`` joins the set.  Each round
-    adds a row that was not in the set, so the loop ends; when it does,
-    no left-out cut binds at x, so x is optimal for the full LP and the
-    two optima agree.  A working LP that comes back unbounded is re-solved
-    with every cut.  The robust rollout keeps every cut in its dual block.
+    than on every cut of every pool.  Each stage keeps one working set for
+    the whole call, shared by every test path: a list of cuts in the order
+    they joined, whose rows the stage LP carries in that order.  A path
+    first appends each node's highest cut at its incoming state, unless
+    it is already in.  After each solve, every cut is evaluated at the
+    decision x (one matvec over the stacked pools), and every cut of a
+    node with positive weight that lies above the node's working maximum
+    by more than ``SEPARATION_TOL`` is appended.  Each round adds a row
+    that was not in the set, so the loop ends; when it does, no left-out
+    cut binds at x, so x is optimal for the full LP and the two optima
+    agree.  A working LP that comes back unbounded is re-solved with every
+    cut appended.  Since the rows only grow at the end, each stage also
+    keeps one ``lp.Basis`` for the call, and every working LP of the stage,
+    over all paths and rounds, starts from the last optimal basis; so does
+    the last stage, whose LPs differ only in their data.  The robust
+    rollout keeps every cut in its dual block and solves cold.
     """
     train = policy.trajectories
     if test_traj.horizon_T != train.horizon_T:
@@ -512,9 +509,15 @@ def evaluate_policy_out_of_sample(
         )
     T = train.horizon_T
     n_train = train.n_paths
+    robust = policy.algorithm is Algorithm.RDD
     pools = {t: [policy.pools.cuts(t + 1, i) for i in range(n_train)] for t in range(2, T)}
-    # Stage t's cuts, every pool stacked: node, gradient, offset.
-    stacked: dict[int, tuple[np.ndarray, np.ndarray, np.ndarray]] = {}
+    # Stage t's cuts, every pool stacked: node and rows.
+    stacked = {t: stack_cut_rows(pools[t]) for t in pools}
+    # Stage t's working set: the stacked indices in the order they joined,
+    # and which cuts are in.
+    order = {t: np.zeros(0, dtype=np.int64) for t in pools}
+    active = {t: np.zeros(len(stacked[t][1]), dtype=bool) for t in pools}
+    bases = {t: None if robust and t < T else Basis() for t in range(2, T + 1)}
     x1 = policy.root_decision
     stage1_cost = float(train.stage1.c @ x1)
     objectives: list[float] = []
@@ -528,44 +531,45 @@ def evaluate_policy_out_of_sample(
             working = False
             if t < T:
                 w = nw_weights(datum.feature, train.features(t), policy.kernel).weights
-                if policy.algorithm is Algorithm.RDD:
+                if robust:
                     extra = DroLowerTerms(
                         AmbiguityParams(rho=policy.rho, nominal=sanitize_nominal(w)), pools[t]
                     )
                 else:
                     working = True
-                    if t not in stacked:
-                        node, x_rows, offsets = stack_cut_rows(pools[t], datum.dim_out)
-                        stacked[t] = node, 0.0 - x_rows, offsets
-                    node, grads, offsets = stacked[t]
+                    node, cuts = stacked[t]
                     start = x_prev if x_prev.shape[0] == datum.dim_out else np.zeros(datum.dim_out)
-                    values = offsets + grads @ start
-                    active = values == _node_max(values, node, n_train)[node]
+                    values = cuts.values(start)
+                    joins = ~active[t] & (values == _node_max(values, node, n_train)[node])
             while True:
                 if working:
-                    extra = _working_terms(w, node, grads, offsets, active)
+                    order[t] = np.concatenate([order[t], np.flatnonzero(joins)])
+                    active[t] |= joins
+                    on = order[t]
+                    extra = WeightedLowerTerms(
+                        w, node[on], CutRows(cuts.gradients[on], cuts.offsets[on])
+                    )
                 lp = assemble_stage_lp(datum, x_prev, extra_terms=extra)
                 try:
-                    sol = solve(lp)
+                    sol = solve(lp, start=bases[t])
                 except RuntimeError:  # the simplex gave up on degenerate data
                     sol = None
                 if not working or sol is None:
                     break
-                if sol.status is LpStatus.UNBOUNDED and not active.all():
-                    active[:] = True
+                if sol.status is LpStatus.UNBOUNDED and not active[t].all():
+                    joins = ~active[t]
                     continue
                 if sol.status is not LpStatus.OPTIMAL:
                     break
-                values = offsets + grads @ sol.primal[: datum.dim_out]
-                top = _node_max(values[active], node[active], n_train)[node]
-                violated = (
-                    ~active
+                values = cuts.values(sol.primal[: datum.dim_out])
+                top = _node_max(values[active[t]], node[active[t]], n_train)[node]
+                joins = (
+                    ~active[t]
                     & (w[node] > 0)
                     & (values > top + SEPARATION_TOL * (1.0 + np.abs(top)))
                 )
-                if not violated.any():
+                if not joins.any():
                     break
-                active |= violated
             if sol is None or sol.status is not LpStatus.OPTIMAL:
                 failed = True
                 break

@@ -19,11 +19,17 @@ A caller that re-solves a family of related LPs (the same rows and columns
 with a new right-hand side, appended rows or columns, or new costs) can
 pass a :class:`Basis` holder.  ``solve`` then starts from the holder's
 last optimal basis: with the dual simplex when that basis is still dual
-feasible, with phase two when it is still primal feasible.  A start that
-does not fit, or a warm run that fails, falls back to the cold two-phase
-path, so a warm solve only ever returns Optimal, and always from a freshly
-inverted basis.  The pivot sequence, and hence the reported basis and
-duals, is a deterministic function of the input data and the start basis.
+feasible, with phase two when it is still primal feasible.  A basis that
+is neither gets shifted costs: each column with a negative reduced cost
+costs exactly that much more, the dual simplex runs on those costs until
+the basis is primal feasible, and phase two finishes on the true costs.
+The warm path falls back to the cold two-phase path only when the start
+does not fit the LP, when its basis is singular, when a run raises or
+reaches the warm pivot cap, when it ends in anything but Optimal, or when
+its final vertex fails the feasibility checks.  So a warm solve only ever
+returns Optimal, and always from a freshly inverted basis.  The pivot
+sequence, and hence the reported basis and duals, is a deterministic
+function of the input data and the start basis.
 
 A small-scale vertex enumerator, :func:`enumerate_vertices`, is provided
 as an independent cross-check: it enumerates basic feasible solutions of
@@ -360,9 +366,9 @@ class _Simplex:
             r = int(ties[np.argmin(self.basis[ties])])
             self._pivot(q, int(r), d)
 
-    def _dual(self, tol: float) -> bool:
-        """Run dual simplex pivots from a dual feasible basis until every
-        basic value is at least -tol.
+    def _dual(self, tol: float, cost: np.ndarray) -> bool:
+        """Run dual simplex pivots from a basis that is dual feasible for
+        ``cost`` until every basic value is at least -tol.
 
         The leaving row has the most negative basic value; the entering
         column has the smallest ratio of reduced cost to minus its entry in
@@ -388,8 +394,8 @@ class _Simplex:
                     self._refactor()
                     continue
                 return False
-            y = self.c_true[self.basis] @ self.Binv
-            rc = np.maximum(self.c_true[cand] - y @ self.A[:, cand], 0.0)
+            y = cost[self.basis] @ self.Binv
+            rc = np.maximum(cost[cand] - y @ self.A[:, cand], 0.0)
             ratios = rc / -alpha[cand]
             rmin = ratios.min()
             q = int(cand[np.argmax(ratios <= rmin + 1e-12 * (1.0 + rmin))])
@@ -490,11 +496,16 @@ def _warm_solve(sf: _StandardForm, cols: np.ndarray) -> _Simplex | None:
     """Solve from a stored basis; the simplex at an Optimal basis, or None.
 
     A dual feasible start runs the dual simplex, a primal feasible one
-    phase two; both end in phase two, whose verdict comes from a freshly
+    phase two.  A start that is neither first raises the cost of each
+    column with a negative reduced cost by exactly that amount, which makes
+    the basis dual feasible for the shifted costs, and runs the dual simplex
+    on those (Koberstein, "The dual simplex method, techniques for a fast
+    and stable implementation", PhD thesis, Paderborn, 2005).  Every start
+    ends in phase two on the true costs, whose verdict comes from a freshly
     inverted basis.  None, for the cold path to take over, when the start
-    does not fit or is neither primal nor dual feasible, when the run
-    raises or ends in anything but Optimal, or when the final vertex is
-    not primal feasible to ``_FEAS_TOL`` or does not solve A z = b to it.
+    does not fit, when the run raises or ends in anything but Optimal, or
+    when the final vertex is not primal feasible to ``_FEAS_TOL`` or does
+    not solve A z = b to it.
     """
     basis = _warm_basis(sf, cols)
     if basis is None:
@@ -505,7 +516,8 @@ def _warm_solve(sf: _StandardForm, cols: np.ndarray) -> _Simplex | None:
         if float(sim._xb().min()) < -tol:
             rc = sf.c - (sf.c[basis] @ sim.Binv) @ sf.A
             rc[basis] = 0.0
-            if float(rc.min()) < -_OPT_TOL or not sim._dual(tol):
+            cost = sf.c - np.minimum(rc, 0.0) if float(rc.min()) < -_OPT_TOL else sf.c
+            if not sim._dual(tol, cost):
                 return None
         if sim._iterate(sf.c, np.ones(sim.n, dtype=bool)) != "optimal":
             return None
@@ -575,10 +587,12 @@ def solve(lp: LinearProgram, start: Basis | None = None) -> LpSolution:
 
     With ``start``, the solve begins from the basis the holder kept (see
     the module docstring) and, when it ends Optimal, writes its final basis
-    back.  The outputs are then a deterministic function of the data and the
-    start basis.  A start that does not lead to an Optimal verdict is
-    dropped for the cold path, so every status other than Optimal, and every
-    ``RuntimeError``, is the cold path's own.
+    back.  A kept basis that is neither primal nor dual feasible for this
+    LP starts from shifted costs rather than cold.  The outputs are then a
+    deterministic function of the data and the start basis.  A start that
+    does not fit, is singular, or does not lead to an Optimal verdict within
+    the warm pivot cap is dropped for the cold path, so every status other
+    than Optimal, and every ``RuntimeError``, is the cold path's own.
     """
     sf = _StandardForm(lp)
     sim = None if start is None or start.cols is None else _warm_solve(sf, start.cols)

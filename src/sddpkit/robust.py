@@ -68,7 +68,7 @@ from enum import Enum
 
 import numpy as np
 
-from .approximations import CutRows, stack_cut_rows
+from .approximations import LOWER_BOX, CutRows, cut_x_rows, stack_cut_rows
 from .kernel import ConditionalWeights
 from .lp import LinearProgram, LpStatus, solve
 from .scenarios import DimensionMismatchError
@@ -365,5 +365,7 @@ class DroLowerTerms:
             raise DimensionMismatchError(
                 f"{len(self.node_cuts)} cut pools for {n} nominal weights"
             )
-        return _dual_block(self.params, *stack_cut_rows(self.node_cuts, x_dim))
+        sentinel = CutRows(np.zeros((1, x_dim)), np.full(1, LOWER_BOX))
+        node, cuts = stack_cut_rows([rows if len(rows) else sentinel for rows in self.node_cuts])
+        return _dual_block(self.params, node, cut_x_rows(cuts, x_dim), cuts.offsets)
 

@@ -6,7 +6,7 @@ from typing import Sequence
 
 import numpy as np
 
-from sddpkit.approximations import Cut, CutPool, CutRows
+from sddpkit.approximations import Cut, CutPool, CutRows, WeightedLowerTerms, stack_cut_rows
 from sddpkit.lp import LinearProgram, LpStatus, solve
 from sddpkit.stages import ExtraTerms
 
@@ -17,6 +17,12 @@ def cut_rows(cuts: Sequence[Cut]) -> CutRows:
     for cut in cuts:
         pool.add(0, None, cut)
     return pool.cuts(0, None)
+
+
+def weighted_pools(node_cuts: Sequence[tuple[float, CutRows]]) -> WeightedLowerTerms:
+    """The weighted epigraph block over every cut of every node, node after node."""
+    node, cuts = stack_cut_rows([rows for _, rows in node_cuts])
+    return WeightedLowerTerms(np.array([float(w) for w, _ in node_cuts]), node, cuts)
 
 
 def block_value(terms: ExtraTerms, x) -> float:

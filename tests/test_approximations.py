@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from _blocks import block_value, cut_rows
+from _blocks import block_value, cut_rows, weighted_pools
 from sddpkit.approximations import (
     LOWER_BOX,
     Cut,
@@ -15,8 +15,8 @@ from sddpkit.approximations import (
     CutPool,
     EnvelopeStore,
     EnvelopeUpperTerms,
-    WeightedLowerTerms,
     aggregate_backward,
+    cut_x_rows,
     stack_cut_rows,
 )
 from sddpkit.kernel import ConditionalWeights
@@ -216,8 +216,8 @@ def test_splice_lower_empty_pool_hits_sentinel():
 def test_weighted_multi_node_splice():
     """Two constant cuts with weights (0.3, 0.7) add 0.3*5 + 0.7*9 to the stage."""
     datum = _one_var_stage()
-    terms = WeightedLowerTerms(
-        node_cuts=[
+    terms = weighted_pools(
+        [
             (0.3, cut_rows([Cut(gradient=[0.0], intercept=5.0, anchor=[0.0])])),
             (0.7, cut_rows([Cut(gradient=[0.0], intercept=9.0, anchor=[0.0])])),
         ]
@@ -295,9 +295,11 @@ def test_pool_arrays_stack_the_cuts_bit_for_bit(adds):
         offsets = np.array([c.intercept - float(c.gradient @ c.anchor) for c in cuts])
         assert rows.gradients.shape == grads.shape and rows.gradients.tobytes() == grads.tobytes()
         assert rows.offsets.tobytes() == offsets.tobytes()
-        # Stage LP rows from the arrays are the negated gradients and the offsets.
+        # Stacked, the node's rows are its arrays, and their stage LP rows are
+        # the negated gradients and the offsets.
+        node, stacked = stack_cut_rows([rows])
         expected = (np.zeros(len(cuts), dtype=np.int64), 0.0 - grads, offsets)
-        for a, b in zip(stack_cut_rows([rows], d), expected):
+        for a, b in zip((node, cut_x_rows(stacked, d), stacked.offsets), expected):
             assert a.shape == b.shape and a.tobytes() == b.tobytes()
     for rows, cuts in snapshots:
         assert len(rows) == len(cuts)

@@ -8,7 +8,7 @@ import pytest
 
 import sddpkit.driver
 import sddpkit.robust
-from sddpkit.approximations import LOWER_BOX, Cut, CutPool, EnvelopeStore, WeightedLowerTerms
+from sddpkit.approximations import LOWER_BOX, Cut, CutPool, EnvelopeStore
 from sddpkit.driver import (
     Algorithm,
     GapMode,
@@ -37,6 +37,7 @@ from sddpkit.stages import (
     build_portfolio_instance,
 )
 
+from _blocks import weighted_pools
 from _kkt import assert_kkt
 from _toys import STATE_DIM, make_toy
 
@@ -258,13 +259,23 @@ def test_in_sample_policy_mean_equals_root_lower_bound_for_t2():
 
 
 def test_policy_evaluation_is_deterministic():
+    """Each call starts its working sets and bases afresh, so two calls on
+    one policy agree bit for bit, on the toy and on a portfolio policy
+    rolled out over 16 paths."""
     traj, template = make_toy(5, horizon_T=3, n_paths=3)
-    policy, _, _ = run(traj, template, _config(max_iterations=15))
-    test_traj, _ = make_toy(5, horizon_T=3, n_paths=6)
-    first = evaluate_policy_out_of_sample(policy, test_traj)
-    second = evaluate_policy_out_of_sample(policy, test_traj)
-    assert np.array_equal(first.objectives, second.objectives)
-    assert first.mean == second.mean and first.variance == second.variance
+    toy_test, _ = make_toy(5, horizon_T=3, n_paths=6)
+    portfolio, portfolio_template = _portfolio(2, 10)
+    portfolio_test, _ = _portfolio(102, 16)
+    for train, instance, test_traj in (
+        (traj, template, toy_test),
+        (portfolio, portfolio_template, portfolio_test),
+    ):
+        policy, _, _ = run(train, instance, _config(max_iterations=15))
+        first = evaluate_policy_out_of_sample(policy, test_traj)
+        second = evaluate_policy_out_of_sample(policy, test_traj)
+        assert first.n_failed == 0
+        assert first.objectives.tobytes() == second.objectives.tobytes()
+        assert first.mean == second.mean and first.variance == second.variance
 
 
 def test_policy_failure_paths_are_reported_not_fatal():
@@ -314,8 +325,8 @@ def _full_pool_terms(policy, datum, t):
     if t == train.horizon_T:
         return None
     w = nw_weights(datum.feature, train.features(t), policy.kernel).weights
-    return WeightedLowerTerms(
-        node_cuts=[(float(w[i]), policy.pools.cuts(t + 1, i)) for i in range(train.n_paths)]
+    return weighted_pools(
+        [(float(w[i]), policy.pools.cuts(t + 1, i)) for i in range(train.n_paths)]
     )
 
 
@@ -411,7 +422,8 @@ def test_working_set_rollout_matches_full_pools_on_portfolio(monkeypatch):
     for seed in (0, 1):
         traj, template = _portfolio(seed, 10)
         policy, _, _ = run(traj, template, _config(epsilon=1e-12, max_iterations=10))
-        test_traj, _ = _portfolio(seed + 100, 4)
+        # 16 paths: each stage's working set and basis carry over from path to path.
+        test_traj, _ = _portfolio(seed + 100, 16)
         rows = _check_rollout_against_full_pools(monkeypatch, policy, test_traj)
         full_rows = 4 + 10 * 10  # structural rows plus every cut of every node
         assert min(rows) < full_rows

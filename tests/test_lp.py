@@ -6,6 +6,13 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from sddpkit.approximations import (
+    Cut,
+    CutPool,
+    EnvelopeStore,
+    EnvelopeUpperTerms,
+    WeightedLowerTerms,
+)
 from sddpkit.lp import (
     Basis,
     LinearProgram,
@@ -15,8 +22,10 @@ from sddpkit.lp import (
     enumerate_vertices,
     solve,
 )
+from sddpkit.stages import assemble_stage_lp, build_portfolio_instance
 
 from _kkt import assert_kkt
+from _toys import STATE_DIM, toy_builder
 
 
 def test_forced_single_variable():
@@ -400,6 +409,38 @@ def _assert_warm_matches_cold(lp: LinearProgram, start: Basis) -> LpStatus:
     return cold.status
 
 
+def _spy_warm_paths(monkeypatch) -> dict[str, int]:
+    """Count the path each warm start takes: the dual simplex on the true
+    costs, the dual simplex on shifted costs, phase two alone, or the
+    fallback to the cold path."""
+    import sddpkit.lp as lp_module
+
+    paths = {"dual": 0, "shifted": 0, "primal": 0, "fallback": 0}
+    dual_costs = []
+    real_dual, real_warm = lp_module._Simplex._dual, lp_module._warm_solve
+
+    def spy_dual(self, tol, cost):
+        dual_costs.append(cost)
+        return real_dual(self, tol, cost)
+
+    def spy_warm(sf, cols):
+        dual_costs.clear()
+        sim = real_warm(sf, cols)
+        if sim is None:
+            paths["fallback"] += 1
+        elif any(not np.array_equal(cost, sf.c) for cost in dual_costs):
+            paths["shifted"] += 1
+        elif dual_costs:
+            paths["dual"] += 1
+        elif sim.pivots:
+            paths["primal"] += 1
+        return sim
+
+    monkeypatch.setattr(lp_module._Simplex, "_dual", spy_dual)
+    monkeypatch.setattr(lp_module, "_warm_solve", spy_warm)
+    return paths
+
+
 def test_warm_starts_match_the_cold_solve_across_lp_families(monkeypatch):
     """A solve started from a family member's optimal basis returns the cold
     solve's status and, on Optimal, its objective with a KKT certificate.
@@ -412,29 +453,7 @@ def test_warm_starts_match_the_cold_solve_across_lp_families(monkeypatch):
     the private paths show the dual simplex, phase two and the fallback to
     the cold path are each taken.
     """
-    import sddpkit.lp as lp_module
-
-    paths = {"dual": 0, "primal": 0, "fallback": 0}
-    dual_runs = []
-    real_dual, real_warm = lp_module._Simplex._dual, lp_module._warm_solve
-
-    def spy_dual(self, tol):
-        dual_runs.append(self)
-        return real_dual(self, tol)
-
-    def spy_warm(sf, cols):
-        dual_runs.clear()
-        sim = real_warm(sf, cols)
-        if sim is None:
-            paths["fallback"] += 1
-        elif dual_runs:
-            paths["dual"] += 1
-        elif sim.pivots:
-            paths["primal"] += 1
-        return sim
-
-    monkeypatch.setattr(lp_module._Simplex, "_dual", spy_dual)
-    monkeypatch.setattr(lp_module, "_warm_solve", spy_warm)
+    paths = _spy_warm_paths(monkeypatch)
     rng = np.random.default_rng(20261020)
     changes = ("rhs", "row", "column", "cost")
     optimal = 0
@@ -470,4 +489,51 @@ def test_warm_starts_match_the_cold_solve_across_lp_families(monkeypatch):
         solve(_random_lp_with_unit_columns(rng), held)
         _assert_warm_matches_cold(lp, held)
     assert optimal > 200
-    assert min(paths.values()) > 20, paths
+    assert min(paths["dual"], paths["primal"], paths["fallback"]) > 20, paths
+
+
+def _stage_lp_chain(rng: np.random.Generator, family: str):
+    """Stage LPs of one family whose rhs and costs change together, step
+    after step: a new realization (new costs on the toy, new returns on
+    the portfolio) at a new incoming state, and either new kernel weights
+    over cut pools that gain a cut now and then, or an envelope that gains
+    a point and a new penalty.  Every member is feasible and bounded."""
+    if rng.random() < 0.5:
+        builder, d_in = toy_builder(int(rng.integers(1000))), STATE_DIM
+        draw = lambda: rng.uniform(-1.0, 1.0, size=1)
+    else:
+        builder, d_in = build_portfolio_instance(3, 4, fees=(0.005, 0.005)).datum_builder, 10
+        draw = lambda: rng.uniform(0.8, 1.2, size=3)
+    d = builder(2, draw()).dim_out
+    n_nodes = int(rng.integers(1, 6))
+    # Cut rows in the order they arrive, as the rollout appends them.
+    node, cuts = np.zeros(0, dtype=np.int64), CutPool()
+    store = EnvelopeStore()
+    for _ in range(8):
+        datum = builder(2, draw())
+        state = rng.uniform(0.0, 1.0, size=d_in)
+        if family == "lower":
+            if rng.random() < 0.6:
+                node = np.append(node, rng.integers(n_nodes))
+                cuts.add(0, None, Cut(rng.normal(size=d), float(rng.normal()), rng.uniform(size=d)))
+            weights = rng.dirichlet(np.ones(n_nodes)) * (rng.random(n_nodes) < 0.8)
+            terms = WeightedLowerTerms(weights, node, cuts.cuts(0, None))
+        else:
+            store.add(0, None, rng.uniform(size=d), float(rng.normal()))
+            terms = EnvelopeUpperTerms(*store.points(0, None), float(rng.uniform(0.5, 5.0)))
+        yield assemble_stage_lp(datum, state, extra_terms=terms)
+
+
+def test_warm_starts_match_the_cold_solve_on_stage_lp_chains(monkeypatch):
+    """Warm starts of rollout-like and envelope-like stage LP chains, whose
+    stored basis is often neither primal nor dual feasible for the next
+    member, return the cold solve's verdict with a KKT certificate, and
+    take the shifted-cost start more than 20 times."""
+    paths = _spy_warm_paths(monkeypatch)
+    rng = np.random.default_rng(20261021)
+    for _ in range(40):
+        for family in ("lower", "upper"):
+            start = Basis()
+            for lp in _stage_lp_chain(rng, family):
+                assert _assert_warm_matches_cold(lp, start) is LpStatus.OPTIMAL
+    assert paths["shifted"] > 20, paths

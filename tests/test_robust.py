@@ -10,8 +10,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from _blocks import cut_rows
-from sddpkit.approximations import Cut, CutLowerTerms, CutRows, WeightedLowerTerms
+from _blocks import cut_rows, weighted_pools
+from sddpkit.approximations import Cut, CutLowerTerms, CutRows
 from sddpkit.kernel import ConditionalWeights
 from sddpkit.lp import LinearProgram, LpStatus, solve
 from sddpkit.robust import (
@@ -420,8 +420,8 @@ def test_zero_radius_splice_equals_weighted_splice():
             assemble_stage_lp(
                 datum,
                 [1.0],
-                extra_terms=WeightedLowerTerms(
-                    node_cuts=[(float(w), cuts) for w, cuts in zip(nominal.weights, pools)]
+                extra_terms=weighted_pools(
+                    [(float(w), cuts) for w, cuts in zip(nominal.weights, pools)]
                 ),
             )
         )

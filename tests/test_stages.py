@@ -92,9 +92,12 @@ class _RowByRow:
         self.rows.append((coeffs, float(rhs)))
 
     def weighted(self, weights, pools):
-        for weight, cuts in zip(weights, pools):
-            ell = self.var(cost=weight, free=True)
-            for cut in cuts or (None,):
+        """Every ell first, free if its node has cuts and on the sentinel box
+        if not; then the cut rows, node after node."""
+        ells = [self.var(cost=w, lower=0.0 if c else LOWER_BOX, free=bool(c))
+                for w, c in zip(weights, pools)]
+        for ell, cuts in zip(ells, pools):
+            for cut in cuts:
                 self.cut_row({ell: 1.0}, cut)
 
     def envelope(self, terms):
@@ -137,8 +140,8 @@ class _RowByRow:
 
 def test_block_assembly_matches_row_by_row_reference():
     """Same arrays, bit for bit (signed zeros included), as one row at a time."""
-    from _blocks import cut_rows
-    from sddpkit.approximations import Cut, EnvelopeUpperTerms, WeightedLowerTerms
+    from _blocks import cut_rows, weighted_pools
+    from sddpkit.approximations import Cut, EnvelopeUpperTerms
     from sddpkit.kernel import ConditionalWeights
     from sddpkit.robust import AmbiguityParams, DroLowerTerms
 
@@ -167,7 +170,7 @@ def test_block_assembly_matches_row_by_row_reference():
         # The reference builds each cut's row from the Cut object itself.
         for terms, method, args in (
             (None, None, ()),
-            (WeightedLowerTerms(list(zip(weights, rows))), "weighted", (weights, pools)),
+            (weighted_pools(list(zip(weights, rows))), "weighted", (weights, pools)),
             (envelope, "envelope", (envelope,)),
             (DroLowerTerms(params, rows), "dro", (params, pools)),
         ):
