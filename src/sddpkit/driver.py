@@ -759,7 +759,9 @@ def cross_validate_rho(
 
     Each candidate trains the robust solver on the out-of-fold paths and
     scores the mean realized objective on the held-out paths; the lowest
-    mean across folds wins.  Ties go to the smaller coefficient.
+    mean across folds wins.  Ties go to the smaller coefficient.  A fold
+    on which any held-out path fails scores inf, so a candidate cannot gain
+    from the paths its policy breaks down on.
     """
     if c_grid is None:
         c_grid = np.logspace(-3.0, 1.0, 10)
@@ -791,7 +793,7 @@ def cross_validate_rho(
             )
             policy, _, _ = run(train, instance, cfg)
             report = evaluate_policy_out_of_sample(policy, test)
-            fold_scores.append(report.mean if math.isfinite(report.mean) else math.inf)
+            fold_scores.append(math.inf if report.n_failed else report.mean)
         scores.append((float(c), float(np.mean(fold_scores))))
     best_c, _ = min(scores, key=lambda cv: (cv[1], cv[0]))
     h_full = config.kernel.effective_h(traj.n_paths, traj.feature_dim)

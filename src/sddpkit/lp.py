@@ -5,12 +5,20 @@ Solves equality-form LPs
     min  c^T x
     s.t. A x = b,   x >= l  (x_j free where flagged),
 
-with a two-phase revised simplex method using Bland's rule.  The starting
-basis is built from the LP's own columns: a row whose slack or surplus
-column (a +-e_i column with the sign of its right-hand side) exists starts
-with the lowest-index such column basic, and only the remaining rows get
-artificial columns for phase one (Bixby, "Implementing the simplex method:
-the initial basis", ORSA J. Computing, 1992).  All subproblems built
+with a two-phase revised simplex method.  The entering column follows
+Bland's rule, and the leaving row Harris' two-pass ratio test (Harris,
+"Pivot selection methods of the Devex LP code", Math. Prog., 1973): among
+the rows whose ratio lies within a feasibility tolerance of the smallest
+one, the one with the largest pivot element leaves, so a tiny pivot is
+never taken when a sound one ties with it.  The starting basis is built
+from the LP's own columns: a row whose slack or surplus column (a +-e_i
+column with the sign of its right-hand side) exists starts with the
+lowest-index such column basic, and only the remaining rows get artificial
+columns for phase one (Bixby, "Implementing the simplex method: the
+initial basis", ORSA J. Computing, 1992).  A cold solve is one run of
+that simplex: its verdict is final, and a run that breaks down (a
+singular basis, the pivot cap, an optimal basis whose vertex is not
+primal feasible) raises ``RuntimeError``.  All subproblems built
 elsewhere in the package (stage LPs, envelope LPs, ambiguity-set inner
 problems) are funneled through :func:`solve`.  The solver's tolerances and
 pivot caps are module constants; nothing selects them per call.
@@ -86,21 +94,25 @@ _FEAS_TOL = 1e-9
 # Dual feasibility (reduced cost) tolerance for optimality.
 _OPT_TOL = 1e-9
 # Magnitude below which a candidate pivot element is treated as zero,
-# relative to the largest magnitude in its tableau column.
+# relative to the largest magnitude in its tableau column.  The Harris
+# ratio test admits every row above it, but among near-ties it takes the
+# largest pivot, so one this small leaves only when no larger one ties.
 _PIVOT_TOL = 1e-9
-# Caps on total pivots across both phases, for the first run and for the
-# reruns in ``solve``.  Bland's rule precludes cycling only in exact
-# arithmetic: drift in the inverse can make it cycle between two bases, so
-# reaching a cap raises ``RuntimeError``.
+# Cap on total pivots across both phases.  Bland's rule precludes cycling
+# only in exact arithmetic: drift in the inverse can make it cycle between
+# two bases, so reaching the cap raises ``RuntimeError``.
 _MAX_PIVOTS = 50_000
-_RETRY_MAX_PIVOTS = 200_000
 # Cap on the pivots of a warm start; the dual simplex's largest-infeasibility
 # rule can cycle, and a warm run that reaches the cap falls back to the cold
 # path.
 _WARM_MAX_PIVOTS = 1_000
-# Updates of the basis inverse between rebuilds from scratch in the first
-# run; the reruns rebuild it after every pivot.
+# Updates of the basis inverse between rebuilds from scratch.
 _REFACTOR_EVERY = 32
+# A pivot element below this magnitude amplifies noise through the
+# product-form update, so the inverse is rebuilt from the new basis rather
+# than updated; the primal simplex also takes one only from a freshly
+# inverted basis.
+_SMALL_PIVOT = 1e-7
 
 
 @dataclass
@@ -244,7 +256,8 @@ class _StandardForm:
 
 
 class _Simplex:
-    """Two-phase revised simplex on standard-form data with Bland's rule.
+    """Two-phase revised simplex on standard-form data: Bland's rule picks
+    the entering column, Harris' two-pass ratio test the leaving row.
 
     The starting basis takes, for each row i, the lowest-index column that
     is exactly +-e_i with the sign of b_i (either sign when b_i = 0): slack
@@ -258,13 +271,12 @@ class _Simplex:
     """
 
     def __init__(
-        self, A: np.ndarray, b: np.ndarray, c: np.ndarray, retry: bool = False,
-        basis: np.ndarray | None = None,
+        self, A: np.ndarray, b: np.ndarray, c: np.ndarray, basis: np.ndarray | None = None
     ):
         self.m, self.n = A.shape
-        self.refactor_every = 1 if retry else _REFACTOR_EVERY
-        self.max_pivots = _RETRY_MAX_PIVOTS if retry else _MAX_PIVOTS
+        self.max_pivots = _MAX_PIVOTS
         self.b = b
+        self.scale = max(1.0, float(np.abs(b).max(initial=0.0)))
         self.art0 = self.n
         self.pivots = 0
         self.since_refactor = 0
@@ -309,9 +321,7 @@ class _Simplex:
         self.basis[r] = q
         piv = d[r]
         self.pivots += 1
-        if abs(piv) < 1e-7:
-            # A pivot element this small amplifies noise through the
-            # product-form update; rebuild the inverse from the new basis.
+        if abs(piv) < _SMALL_PIVOT:
             self._refactor()
             return
         row = self.Binv[r] / piv
@@ -320,13 +330,21 @@ class _Simplex:
         self.Binv -= np.outer(coef, row)
         self.Binv[r] = row
         self.since_refactor += 1
-        if self.since_refactor >= self.refactor_every:
+        if self.since_refactor >= _REFACTOR_EVERY:
             self._refactor()
 
     def _iterate(self, cost: np.ndarray, allowed: np.ndarray) -> str:
-        """Run Bland-rule pivots to optimality for the given cost vector.
+        """Run primal simplex pivots to optimality for the given cost vector.
 
-        Returns "optimal" or "unbounded".
+        The entering column is the lowest-index one with a negative reduced
+        cost (Bland).  The leaving row comes from Harris' two passes over
+        the rows whose pivot element exceeds ``_PIVOT_TOL`` of the column's
+        largest: the first bounds the step by each row's ratio with its
+        basic value relaxed by ``_FEAS_TOL * max(1, |b|_inf)``; the second
+        takes, among the rows whose own ratio is within that bound, the
+        largest pivot element, ties to the lowest basic column index.  A
+        pivot element below ``_SMALL_PIVOT`` is only taken from a freshly
+        inverted basis.  Returns "optimal" or "unbounded".
         """
         while True:
             if self.pivots > self.max_pivots:
@@ -357,14 +375,17 @@ class _Simplex:
                     self._refactor()
                     continue
                 return "unbounded"
-            xb = np.maximum(self._xb(), 0.0)
-            ratios = np.full(self.m, np.inf)
-            ratios[pos] = xb[pos] / d[pos]
-            rmin = ratios.min()
-            ties = np.nonzero(ratios <= rmin + 1e-12 * (1.0 + rmin))[0]
-            # Bland: among ties, leave the row whose basic column index is smallest.
-            r = int(ties[np.argmin(self.basis[ties])])
-            self._pivot(q, int(r), d)
+            rows = np.flatnonzero(pos)
+            xb, dp = np.maximum(self._xb()[rows], 0.0), d[rows]
+            bound = float(((xb + _FEAS_TOL * self.scale) / dp).min())
+            near = rows[xb / dp <= bound]
+            r = int(near[np.lexsort((self.basis[near], -d[near]))[0]])
+            if d[r] < _SMALL_PIVOT and self.since_refactor:
+                # An element this small may be mostly drift of the updated
+                # inverse; choose the row again from a fresh one.
+                self._refactor()
+                continue
+            self._pivot(q, r, d)
 
     def _dual(self, tol: float, cost: np.ndarray) -> bool:
         """Run dual simplex pivots from a basis that is dual feasible for
@@ -413,11 +434,8 @@ class _Simplex:
         if n_art:
             # Phase one is bounded below by zero, so it always ends "optimal".
             self._iterate(np.concatenate([np.zeros(self.n), np.ones(n_art)]), allowed)
-        xb = self._xb()
         art_mask = self.basis >= self.art0
-        resid = float(np.sum(np.maximum(xb[art_mask], 0.0))) if np.any(art_mask) else 0.0
-        scale = max(1.0, float(np.abs(self.b).max(initial=0.0)))
-        if resid > _FEAS_TOL * scale:
+        if float(np.sum(np.maximum(self._xb()[art_mask], 0.0))) > _FEAS_TOL * self.scale:
             return "infeasible", None, None
 
         # Drive remaining artificials out of the basis where possible; a row
@@ -442,21 +460,21 @@ class _Simplex:
         status = self._iterate(self.c_true, allowed)
         if status == "unbounded":
             return "unbounded", None, None
-        vertex = self.vertex(self.b)
+        vertex = self.vertex()
         if vertex is None:
             # A drifted intermediate pivot pushed a basic variable negative;
             # the vertex fails primal feasibility, so the verdict is void.
             raise RuntimeError("simplex lost primal feasibility; data is ill-conditioned")
         return ("optimal", *vertex)
 
-    def vertex(self, b: np.ndarray) -> tuple[np.ndarray, np.ndarray] | None:
-        """The current basis' vertex for rhs ``b`` and its row duals.
+    def vertex(self) -> tuple[np.ndarray, np.ndarray] | None:
+        """The current basis' vertex and its row duals.
 
         Returns (z, y) with z in standard-form coordinates, or None when a
         basic value lies below -1e-6 * max(1, |b|_inf).
         """
-        xb = self.Binv @ b
-        if float(xb.min(initial=0.0)) < -1e-6 * max(1.0, float(np.abs(b).max(initial=0.0))):
+        xb = self._xb()
+        if float(xb.min(initial=0.0)) < -1e-6 * self.scale:
             return None
         z = np.zeros(self.A.shape[1])
         z[self.basis] = np.maximum(xb, 0.0)
@@ -510,9 +528,9 @@ def _warm_solve(sf: _StandardForm, cols: np.ndarray) -> _Simplex | None:
     basis = _warm_basis(sf, cols)
     if basis is None:
         return None
-    tol = _FEAS_TOL * max(1.0, float(np.abs(sf.b).max(initial=0.0)))
     try:
         sim = _Simplex(sf.A, sf.b, sf.c, basis=basis)
+        tol = _FEAS_TOL * sim.scale
         if float(sim._xb().min()) < -tol:
             rc = sf.c - (sf.c[basis] @ sim.Binv) @ sf.A
             rc[basis] = 0.0
@@ -527,40 +545,6 @@ def _warm_solve(sf: _StandardForm, cols: np.ndarray) -> _Simplex | None:
     if float(xb.min()) < -tol or float(np.abs(sf.A[:, sim.basis] @ xb - sf.b).max()) > tol:
         return None
     return sim
-
-
-def _cold_solve(sf: _StandardForm) -> tuple[str, np.ndarray | None, np.ndarray | None, _Simplex]:
-    """The two-phase run from the unit-column start, with its retry paths."""
-    sim = _Simplex(sf.A, sf.b, sf.c)
-    try:
-        status, z, y = sim.run()
-        if status == "infeasible":
-            # Degenerate data can leave phase one stuck a hair above the
-            # feasibility gate; only exact pivoting can confirm the verdict.
-            sim = _Simplex(sf.A, sf.b, sf.c, retry=True)
-            status, z, y = sim.run()
-    except RuntimeError:
-        # Massively degenerate inputs (pools of near-parallel cuts) can
-        # defeat the product-form updates or stall Bland's rule on a
-        # plateau.  Retry once on a deterministically jittered rhs with the
-        # inverse recomputed every pivot: the jitter removes degeneracy, and
-        # because reduced costs never depend on b, the optimal basis carries
-        # back to the true rhs, which only needs a feasibility recheck.
-        rng = np.random.default_rng(1729)
-        scale = max(1.0, float(np.abs(sf.b).max(initial=0.0)))
-        jitter = scale * 1e-9 * (1.0 + rng.random(sf.b.shape[0]))
-        sim = _Simplex(sf.A, sf.b + jitter, sf.c, retry=True)
-        status, z, y = sim.run()
-        if status == "infeasible":
-            # Jitter can push a feasible-but-degenerate system infeasible,
-            # so no trustworthy verdict is left to report.
-            raise RuntimeError("simplex failed on degenerate data") from None
-        if status == "optimal":
-            vertex = sim.vertex(sf.b)
-            if vertex is None:
-                raise RuntimeError("simplex failed on degenerate data") from None
-            z, y = vertex
-    return status, z, y, sim
 
 
 def _stored_basis(sf: _StandardForm, basis: np.ndarray) -> np.ndarray | None:
@@ -581,9 +565,12 @@ def solve(lp: LinearProgram, start: Basis | None = None) -> LpSolution:
 
     Returns an :class:`LpSolution`; on Optimal status the primal point, the
     equality-row duals and the objective value are filled in.  Without
-    ``start``, identical inputs produce identical outputs: the starting
-    basis is a fixed function of the data, and pivoting follows Bland's rule
-    with fixed tie-breaking.
+    ``start``, the solve is one two-phase run of the simplex from the
+    LP's unit columns, and identical inputs produce identical outputs: the
+    starting basis is a fixed function of the data, the entering column
+    follows Bland's rule, and the leaving row Harris' two-pass ratio test
+    (the largest pivot among the near-minimal ratios), ties to the lowest
+    basic column index.  A run that breaks down raises ``RuntimeError``.
 
     With ``start``, the solve begins from the basis the holder kept (see
     the module docstring) and, when it ends Optimal, writes its final basis
@@ -591,16 +578,16 @@ def solve(lp: LinearProgram, start: Basis | None = None) -> LpSolution:
     LP starts from shifted costs rather than cold.  The outputs are then a
     deterministic function of the data and the start basis.  A start that
     does not fit, is singular, or does not lead to an Optimal verdict within
-    the warm pivot cap is dropped for the cold path, so every status other
-    than Optimal, and every ``RuntimeError``, is the cold path's own.
+    the warm pivot cap is dropped for the cold run.
     """
     sf = _StandardForm(lp)
     sim = None if start is None or start.cols is None else _warm_solve(sf, start.cols)
     if sim is not None:
         status = "optimal"
-        z, y = sim.vertex(sf.b)
+        z, y = sim.vertex()
     else:
-        status, z, y, sim = _cold_solve(sf)
+        sim = _Simplex(sf.A, sf.b, sf.c)
+        status, z, y = sim.run()
     if status == "infeasible":
         return LpSolution(LpStatus.INFEASIBLE)
     if status == "unbounded":

@@ -756,3 +756,33 @@ def test_cross_validate_rho_scores_the_grid():
     assert result.best_c in (0.01, 1.0)
     assert result.best_rho >= 0.0
     assert all(math.isfinite(s) for _, s in result.scores)
+
+
+def test_cross_validate_rho_scores_a_fold_with_a_failed_path_inf(monkeypatch):
+    """A single held-out path whose rollout solve raises makes its fold, and
+    so its candidate, score inf, rather than leaving that path out of the
+    fold's mean; the other candidate keeps its score and wins."""
+    traj, template = make_toy(6, horizon_T=2, n_paths=6)
+    args = (traj, template, _config(max_iterations=8))
+    clean = cross_validate_rho(*args, c_grid=[0.01, 1.0], n_folds=2)
+    real_rollout, real_solve = sddpkit.driver.evaluate_policy_out_of_sample, sddpkit.driver.solve
+    calls = {"rollouts": 0, "raised": 0}
+
+    def counting_rollout(policy, test_traj):
+        calls["rollouts"] += 1
+        return real_rollout(policy, test_traj)
+
+    def solve_failing_once_in_the_first_rollout(lp, start=None):
+        if calls["rollouts"] == 1 and not calls["raised"]:
+            calls["raised"] += 1
+            raise RuntimeError("simplex basis became singular; data is ill-conditioned")
+        return real_solve(lp, start=start)
+
+    monkeypatch.setattr(sddpkit.driver, "evaluate_policy_out_of_sample", counting_rollout)
+    monkeypatch.setattr(sddpkit.driver, "solve", solve_failing_once_in_the_first_rollout)
+    result = cross_validate_rho(*args, c_grid=[0.01, 1.0], n_folds=2)
+    assert calls == {"rollouts": 4, "raised": 1}
+    assert result.scores[0] == (0.01, math.inf)
+    assert result.scores[1] == clean.scores[1]
+    assert math.isfinite(clean.scores[0][1])
+    assert result.best_c == 1.0

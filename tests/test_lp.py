@@ -232,13 +232,13 @@ def test_drifted_basic_column_is_not_entered():
     assert np.min(sol.primal) >= 0.0
 
 
-@pytest.mark.xfail(strict=True, raises=RuntimeError, reason="simplex breaks down on this LP")
 def test_degenerate_envelope_lp_solves():
     """A 15x46 envelope LP from DD training on the portfolio instance
     (workload seed 2001, instance 5, iteration 16, stage 2, scenario 2).
 
-    The simplex raises "simplex failed on degenerate data" on it, and the
-    training run that needs it is lost.  ``reference_value`` is the
+    The textbook ratio test ended its run at a basis whose vertex was not
+    primal feasible, and the training run that needed the LP was lost; the
+    Harris ratio test solves it in one run.  ``reference_value`` is the
     optimum HiGHS reports (``scipy.optimize.linprog``).
     """
     data = json.loads((Path(__file__).parent / "data" / "degenerate_envelope_lp.json").read_text())
@@ -324,16 +324,27 @@ def _unit_start_cases(lp: LinearProgram) -> set[str]:
     return cases
 
 
-def test_unit_column_start_matches_enumeration_oracle():
+def test_unit_column_start_matches_enumeration_oracle(monkeypatch):
     """solve() agrees with vertex enumeration on LPs whose rows carry their
     own +-e_i columns, which the simplex starts from in place of artificials.
 
     Optimal verdicts must match the best vertex and carry a dual
     certificate; Infeasible ones must have no vertex; Unbounded ones must
-    have a vertex and a descent ray.  The generator must produce every
+    have a vertex and a descent ray.  Each cold solve, whatever its
+    verdict, is exactly one simplex run.  The generator must produce every
     starting-basis case at least once, and Infeasible and Unbounded LPs
     with covered rows.
     """
+    import sddpkit.lp as lp_module
+
+    runs = []
+    real_run = lp_module._Simplex.run
+
+    def spy_run(self):
+        runs.append(self)
+        return real_run(self)
+
+    monkeypatch.setattr(lp_module._Simplex, "run", spy_run)
     rng = np.random.default_rng(20261019)
     seen: set[str] = set()
     statuses = {status: 0 for status in LpStatus}
@@ -341,7 +352,9 @@ def test_unit_column_start_matches_enumeration_oracle():
         lp = _random_lp_with_unit_columns(rng)
         cases = _unit_start_cases(lp)
         seen |= cases
+        runs.clear()
         sol = solve(lp)
+        assert len(runs) == 1, sol.status
         statuses[sol.status] += 1
         verts = enumerate_vertices(lp)
         if sol.status is LpStatus.INFEASIBLE:
