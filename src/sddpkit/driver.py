@@ -31,7 +31,16 @@ and one more cut row or envelope column, so each starts from the last
 optimal basis of its family (``lp.Basis``).  A family is one bound's LP
 at one (t, i): the cut LP of stage t under realization i, which the
 forward and the backward pass share, and its envelope LP; plus the two
-root LPs.  The nominal rollout keeps one basis per stage for a whole
+root LPs.  The N realization LPs of one backward stage share their row
+layout and incoming state.  So when a stage's anchor differs from the
+one of its last backward pass, or it has none, each realization after
+the first starts both bounds' LPs from the bases the realization before
+it just ended at ("bunching": Wets, "Large scale linear programming
+techniques in stochastic programming", 1988), not from its own, which
+was solved at another anchor.  When the anchor repeats, every family
+starts from its own basis.
+
+The nominal rollout keeps one basis per stage for a whole
 ``evaluate_policy_out_of_sample`` call: every working-set LP of a stage,
 over all test paths and rounds, starts from the last one's optimal basis,
 and so do the last stage's LPs.  Robust rollout LPs start cold.
@@ -260,8 +269,12 @@ class _Runner:
                 self.rho = amb.rho
         self.root_decision: np.ndarray | None = None
         self.best_upper = math.inf
-        # Last optimal basis per LP family: ("lower" or "upper", t, i).
+        # Last optimal basis per LP family: ("lower" or "upper", t, i).  When
+        # stage t's backward anchor moves, realization i's two holders are
+        # first set to copies of what realization i-1's LPs just ended at.
         self.bases: defaultdict[tuple[str, int, int | None], Basis] = defaultdict(Basis)
+        # Anchor of each stage's last backward pass.
+        self.anchors: dict[int, np.ndarray] = {}
 
     # -- helpers ------------------------------------------------------------
 
@@ -334,10 +347,18 @@ class _Runner:
         n_cuts = n_points = 0
         for t in range(self.T, 1, -1):
             anchor = states[t - 2]
+            last = self.anchors.get(t)
+            moved = last is None or not np.array_equal(anchor, last)
+            self.anchors[t] = anchor
+            bounds = ("lower", "upper") if t < self.T else ("lower",)
             lower_vals = np.empty(self.N)
             upper_vals = np.empty(self.N)
             grads = []
             for i, datum in enumerate(self.traj.stage_data(t)):
+                if moved and i > 0:
+                    for bound in bounds:
+                        cols = self.bases[bound, t, i - 1].cols
+                        self.bases[bound, t, i].cols = None if cols is None else cols.copy()
                 sol = self._solve_checked(
                     assemble_stage_lp(datum, anchor, extra_terms=self._lower_terms(t, i)),
                     "lower",

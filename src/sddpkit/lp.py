@@ -25,12 +25,15 @@ pivot caps are module constants; nothing selects them per call.
 
 A caller that re-solves a family of related LPs (the same rows and columns
 with a new right-hand side, appended rows or columns, or new costs) can
-pass a :class:`Basis` holder.  ``solve`` then starts from the holder's
-last optimal basis: with the dual simplex when that basis is still dual
-feasible, with phase two when it is still primal feasible.  A basis that
-is neither gets shifted costs: each column with a negative reduced cost
-costs exactly that much more, the dual simplex runs on those costs until
-the basis is primal feasible, and phase two finishes on the true costs.
+pass a :class:`Basis` holder.  ``solve`` then starts from the basis the
+holder keeps: the last optimal basis of its own family, or one the
+caller copied in from a sibling LP with the same row and column layout
+(another realization's LP at the same stage, say).  It starts with the
+dual simplex when that basis is still dual feasible, with phase two when
+it is still primal feasible.  A basis that is neither gets shifted
+costs: each column with a negative reduced cost costs exactly that much
+more, the dual simplex runs on those costs until the basis is primal
+feasible, and phase two finishes on the true costs.
 The warm path falls back to the cold two-phase path only when the start
 does not fit the LP, when its basis is singular, when a run raises or
 reaches the warm pivot cap, when it ends in anything but Optimal, or when
@@ -208,7 +211,10 @@ class Basis:
     j.  Storing original columns rather than standard-form ones keeps the
     basis meaningful when a later LP appends columns.  None until a solve
     with this holder ends Optimal, and again after one whose optimal basis
-    kept an artificial column.
+    kept an artificial column.  A caller may also set ``cols`` to a copy of
+    a sibling holder's, the basis of an LP with the same layout, to start
+    from there instead; :func:`solve` only ever replaces ``cols``, never
+    writes into it.
     """
 
     cols: np.ndarray | None = None

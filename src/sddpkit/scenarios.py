@@ -459,6 +459,13 @@ def generate_synthetic_markov(
 ) -> TrajectorySet:
     """Simulate N paths of the declared process, clamped to the compact box.
 
+    All noise comes from one ``multivariate_normal`` call (one SVD of the
+    covariance), read path by path and, within a path, stage by stage: the
+    order in which one draw per step would consume the generator.  With a
+    diagonal covariance the paths equal such per-step draws bit for bit;
+    otherwise an entry may differ from them by an ulp, since the batched
+    product sums in another order.
+
     Raises
     ------
     UnstableProcessError
@@ -471,12 +478,14 @@ def generate_synthetic_markov(
         )
     rng = np.random.default_rng(rng_seed)
     p = spec.mu.shape[0]
+    noise = rng.multivariate_normal(
+        np.zeros(p), spec.noise_cov, size=(n_paths, horizon_T - 1), method="svd"
+    )
     stage1 = spec.datum_builder(1, spec.xi1.copy())
     data: list[list[StageDatum]] = [[] for _ in range(horizon_T - 1)]
-    for _ in range(n_paths):
+    for path in noise:
         xi = spec.xi1
-        for t in range(2, horizon_T + 1):
-            eps = rng.multivariate_normal(np.zeros(p), spec.noise_cov, method="svd")
+        for t, eps in enumerate(path, start=2):
             xi = np.clip(spec.mu + spec.phi @ xi + eps, spec.box_lower, spec.box_upper)
             data[t - 2].append(spec.datum_builder(t, xi.copy()))
     return TrajectorySet(horizon_T=horizon_T, n_paths=n_paths, stage1=stage1, data=data)

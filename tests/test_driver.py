@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 import sddpkit.driver
+import sddpkit.lp
 import sddpkit.robust
 from sddpkit.approximations import LOWER_BOX, Cut, CutPool, EnvelopeStore
 from sddpkit.driver import (
@@ -201,8 +202,9 @@ def test_stage_lp_solves_carry_kkt_certificates(monkeypatch):
 
 
 def test_warm_started_training_matches_cold_training(monkeypatch):
-    """Starting each training LP from its family's last optimal basis
-    changes how the LPs are solved, not their values.
+    """Starting each training LP from its family's last optimal basis, or
+    at a new backward anchor from the basis its sibling realization just
+    ended at, changes how the LPs are solved, not their values.
 
     Every solve of a warm run returns the status and objective of a cold
     solve of the same LP.  On the toys (DD and RDD) and the portfolio (DD),
@@ -245,6 +247,35 @@ def test_warm_started_training_matches_cold_training(monkeypatch):
                     assert rec.lower_bound <= target + 1e-7
                     assert rec.upper_bound >= target - 1e-7
     assert warm_solves > 0
+
+
+@pytest.mark.parametrize("algorithm, rho", [(Algorithm.DD, None), (Algorithm.RDD, 0.3)])
+def test_cold_simplex_runs_do_not_grow_with_realizations(monkeypatch, algorithm, rho):
+    """Only the first solve of a stage's backward LPs at a new anchor may run
+    cold: realization i starts from the basis realization i-1 just ended at.
+
+    So three training iterations run the cold simplex at most once for each
+    of the root LPs, the forward stage LPs, and the first realization's
+    lower and upper LPs at every backward stage, however many realizations there are.
+    """
+    runs = 0
+    cold_run = sddpkit.lp._Simplex.run
+
+    def counted(self):
+        nonlocal runs
+        runs += 1
+        return cold_run(self)
+
+    monkeypatch.setattr(sddpkit.lp._Simplex, "run", counted)
+    T = 4
+    # root lower and upper; forward stages 2..T-1; backward lower at 2..T and upper at 2..T-1
+    limit = 2 + (T - 2) + (T - 1) + (T - 2)
+    for n_paths in (4, 8, 16):
+        traj, template = _portfolio(5, n_paths)
+        runs = 0
+        _, records, _ = run(traj, template, _config(algorithm, rho, max_iterations=3, epsilon=1e-12))
+        assert len(records) == 3
+        assert runs <= limit
 
 
 def test_in_sample_policy_mean_equals_root_lower_bound_for_t2():

@@ -407,6 +407,19 @@ def test_singular_robust_rollout_lp_solves():
     _assert_recorded_robust_rollout_lp_solves("singular_robust_rollout_lp")
 
 
+@pytest.mark.xfail(
+    strict=True,
+    raises=AssertionError,
+    reason="the simplex calls it Unbounded; ROADMAP item 14 takes this LP family out of the rollout",
+)
+def test_falsely_unbounded_robust_rollout_lp_solves():
+    """An 84x132 rollout stage LP of an RDD policy (perfbench rdd_train seed
+    72, instance 6, test path 2) that the in-house simplex reports
+    Unbounded, so the path is lost.  HiGHS finds a finite optimum, the
+    recorded value."""
+    _assert_recorded_robust_rollout_lp_solves("unbounded_robust_rollout_lp")
+
+
 def _stage_with_pools(rng, n_scen):
     datum = StageDatum(
         c=[1.0, 0.5], A=[[1.0, 1.0]], B=[[1.0]], b=[3.0], feature=[0.0]

@@ -235,3 +235,25 @@ def test_synthetic_determinism_and_instability():
     )
     with pytest.raises(UnstableProcessError):
         generate_synthetic_markov(bad, 3, 2, rng_seed=0)
+
+
+def test_synthetic_diagonal_noise_equals_per_step_draws():
+    """With a diagonal covariance the one batched noise draw reproduces,
+    bit for bit, one draw per step taken path by path, then stage by stage."""
+    spec = SyntheticSpec(
+        mu=[0.1, -0.2, 0.3],
+        phi=[[0.5, 0.1, 0.0], [0.0, 0.4, 0.2], [0.1, 0.0, 0.3]],
+        noise_cov=np.diag([0.04, 0.25, 0.01]),
+        xi1=[1.0, 0.0, -1.0],
+        box_lower=[-1e3] * 3,
+        box_upper=[1e3] * 3,
+    )
+    T, N = 5, 4
+    ts = generate_synthetic_markov(spec, T, N, rng_seed=17)
+    rng = np.random.default_rng(17)
+    for i in range(N):
+        xi = spec.xi1
+        for t in range(2, T + 1):
+            eps = rng.multivariate_normal(np.zeros(3), spec.noise_cov, method="svd")
+            xi = np.clip(spec.mu + spec.phi @ xi + eps, spec.box_lower, spec.box_upper)
+            assert np.array_equal(ts.features(t)[i], xi)
