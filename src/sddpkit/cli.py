@@ -184,11 +184,7 @@ def _template_from(cfg: dict, traj: TrajectorySet) -> InstanceTemplate:
     if "initial_state" not in cfg:
         raise CliError("config needs \"initial_state\" (the pre-horizon decision vector)")
     x0 = np.asarray(cfg["initial_state"], dtype=float).reshape(-1)
-    return InstanceTemplate(
-        horizon_T=traj.horizon_T,
-        initial_state=x0,
-        feature_dim=traj.feature_dim,
-    )
+    return InstanceTemplate(horizon_T=traj.horizon_T, initial_state=x0)
 
 
 def _snapshot(config: SolveConfig, cfg: dict) -> dict:

@@ -40,10 +40,10 @@ techniques in stochastic programming", 1988), not from its own, which
 was solved at another anchor.  When the anchor repeats, every family
 starts from its own basis.
 
-The nominal rollout keeps one basis per stage for a whole
-``evaluate_policy_out_of_sample`` call: every working-set LP of a stage,
-over all test paths and rounds, starts from the last one's optimal basis,
-and so do the last stage's LPs.  Robust rollout LPs start cold.
+The rollout keeps one basis per stage for a whole
+``evaluate_policy_out_of_sample`` call: every stage LP, nominal or robust,
+over all test paths and rounds, starts from the last optimal basis of its
+stage.
 """
 
 from __future__ import annotations
@@ -231,6 +231,16 @@ def _summarize(objectives: list[float], n_paths: int) -> PolicyReport:
 # ---------------------------------------------------------------------------
 
 
+def _conditional_rows(traj: TrajectorySet, kernel: KernelConfig) -> dict[int, np.ndarray]:
+    """P[t][j, i]: the weight of stage-t realization i given the stage-(t-1)
+    node j, for t = 2..T.  Stage 1 is one node, so P[2] is one uniform row."""
+    P = {2: np.full((1, traj.n_paths), 1.0 / traj.n_paths)}
+    for t in range(3, traj.horizon_T + 1):
+        anchors = traj.features(t - 1)
+        P[t] = np.vstack([nw_weights(q, anchors, kernel).weights for q in anchors])
+    return P
+
+
 class _Runner:
     def __init__(self, traj: TrajectorySet, template: InstanceTemplate, config: SolveConfig):
         if traj.horizon_T != template.horizon_T:
@@ -250,13 +260,7 @@ class _Runner:
         self.T = traj.horizon_T
         self.p = traj.feature_dim
         self.h = config.kernel.effective_h(self.N, self.p)
-        # W[t][j, i]: weight of stage-(t+1) index i given the stage-t node j.
-        self.W: dict[int, np.ndarray] = {}
-        for t in range(2, self.T):
-            anchors = traj.features(t)
-            self.W[t] = np.vstack(
-                [nw_weights(q, anchors, config.kernel).weights for q in anchors]
-            )
+        self.P = _conditional_rows(traj, config.kernel)
         self.pools = CutPool()
         self.store = EnvelopeStore(penalty_override=config.M_override)
         self.rho = 0.0
@@ -324,15 +328,8 @@ class _Runner:
         return float(self._solve_checked(lp, "upper", k, 1, None).objective_value)
 
     def forward_pass(self, k: int, m: int) -> tuple[ForwardScenario, list[np.ndarray]]:
-        cfg = self.config
-
-        def weights_fn(t: int, prev_feature: np.ndarray) -> ConditionalWeights:
-            if t == 2:
-                return ConditionalWeights.uniform(self.N)
-            return nw_weights(prev_feature, self.traj.features(t - 1), cfg.kernel)
-
-        seed = int(np.random.SeedSequence((cfg.seed, k, m)).generate_state(1)[0])
-        scenario = sample_forward(self.traj, weights_fn, seed)
+        seed = int(np.random.SeedSequence((self.config.seed, k, m)).generate_state(1)[0])
+        scenario = sample_forward([self.P[t] for t in range(2, self.T + 1)], seed)
         assert self.root_decision is not None
         states = [self.root_decision]
         for t in range(2, self.T):
@@ -384,12 +381,8 @@ class _Runner:
                         i,
                     )
                     upper_vals[i] = ub_sol.objective_value
-            if t == 2:
-                nodes: list[int | None] = [None]
-                nominal = np.full((1, self.N), 1.0 / self.N)
-            else:
-                nodes = list(range(self.N))
-                nominal = self.W[t - 1]
+            nominal = self.P[t]
+            nodes: list[int | None] = [None] if t == 2 else list(range(self.N))
             w_lower = self._weights(lower_vals, nominal)
             if t == self.T:  # no cost-to-go: the upper values are the lower ones
                 upper_vals, w_upper = lower_vals, w_lower
@@ -517,11 +510,16 @@ def evaluate_policy_out_of_sample(
     that was not in the set, so the loop ends; when it does, no left-out
     cut binds at x, so x is optimal for the full LP and the two optima
     agree.  A working LP that comes back unbounded is re-solved with every
-    cut appended.  Since the rows only grow at the end, each stage also
-    keeps one ``lp.Basis`` for the call, and every working LP of the stage,
-    over all paths and rounds, starts from the last optimal basis; so does
-    the last stage, whose LPs differ only in their data.  The robust
-    rollout keeps every cut in its dual block and solves cold.
+    cut appended.
+
+    The robust stage LP carries every cut of every pool in its dual block,
+    so within one call its rows and columns stay fixed; only the nominal
+    weights, the costs and the rhs change.  Each stage keeps one
+    ``lp.Basis`` for the call, and every stage LP, over all paths and
+    rounds, starts from the last optimal basis of its stage: working rows
+    only grow at the end, and the robust and last-stage LPs keep their
+    shape.  A start that breaks down falls back to the cold run inside
+    ``lp.solve``.
     """
     train = policy.trajectories
     if test_traj.horizon_T != train.horizon_T:
@@ -538,7 +536,8 @@ def evaluate_policy_out_of_sample(
     # and which cuts are in.
     order = {t: np.zeros(0, dtype=np.int64) for t in pools}
     active = {t: np.zeros(len(stacked[t][1]), dtype=bool) for t in pools}
-    bases = {t: None if robust and t < T else Basis() for t in range(2, T + 1)}
+    bases = {t: Basis() for t in range(2, T + 1)}
+    anchors = {t: train.features(t) for t in pools}
     x1 = policy.root_decision
     stage1_cost = float(train.stage1.c @ x1)
     objectives: list[float] = []
@@ -551,7 +550,7 @@ def evaluate_policy_out_of_sample(
             extra = None
             working = False
             if t < T:
-                w = nw_weights(datum.feature, train.features(t), policy.kernel).weights
+                w = nw_weights(datum.feature, anchors[t], policy.kernel).weights
                 if robust:
                     extra = DroLowerTerms(
                         AmbiguityParams(rho=policy.rho, nominal=sanitize_nominal(w)), pools[t]
@@ -626,10 +625,7 @@ def extensive_form_oracle(
             f"extensive form would have {N ** (T - 1)} leaves; cap is {_ORACLE_MAX_LEAVES}"
         )
     x0 = np.asarray(instance.initial_state, dtype=float).reshape(-1)
-    W: dict[int, np.ndarray] = {}
-    for t in range(2, T):
-        anchors = traj.features(t)
-        W[t] = np.vstack([nw_weights(q, anchors, kernel).weights for q in anchors])
+    P = _conditional_rows(traj, kernel)
 
     # Flat node enumeration: data/parents/probs are indexed by node id,
     # assigned level by level so a node's parent always precedes it.
@@ -639,14 +635,12 @@ def extensive_form_oracle(
     data.append(traj.stage1)
     parents.append(-1)
     probs.append(1.0)
-    prev_level: list[tuple[int, int]] = [(0, -1)]  # (node id, scenario index)
+    # (node id, scenario index); the root is row 0 of P[2].
+    prev_level: list[tuple[int, int]] = [(0, 0)]
     for t in range(2, T + 1):
         level: list[tuple[int, int]] = []
         for parent_id, parent_i in prev_level:
-            if t == 2:
-                weights = np.full(N, 1.0 / N)
-            else:
-                weights = W[t - 1][parent_i]
+            weights = P[t][parent_i]
             for i in range(N):
                 data.append(traj.stage_data(t)[i])
                 parents.append(parent_id)

@@ -102,9 +102,11 @@ def rate_scaled_rho(c: float, n_samples: int, h: float, p: int) -> float:
     return float(c / math.sqrt(n_samples * h**p))
 
 
-def sanitize_nominal(
-    weights: ConditionalWeights | np.ndarray, floor: float = 1e-300
-) -> ConditionalWeights:
+# ``sanitize_nominal`` raises nominal weights below this to it.
+NOMINAL_FLOOR = 1e-300
+
+
+def sanitize_nominal(weights: ConditionalWeights | np.ndarray) -> ConditionalWeights:
     """Floor entries that underflowed to zero and renormalize.
 
     Kernel weights are positive in exact arithmetic but can underflow for
@@ -112,7 +114,7 @@ def sanitize_nominal(
     weight at working precision.
     """
     w = weights.weights if isinstance(weights, ConditionalWeights) else np.asarray(weights, float)
-    w = np.maximum(w, floor)
+    w = np.maximum(w, NOMINAL_FLOOR)
     return ConditionalWeights(w / w.sum())
 
 

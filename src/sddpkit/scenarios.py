@@ -26,8 +26,6 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .kernel import ConditionalWeights
-
 __all__ = [
     "StageDatum",
     "TrajectorySet",
@@ -368,33 +366,21 @@ def load_trajectories(
 # ---------------------------------------------------------------------------
 
 
-def sample_forward(
-    trajectories: TrajectorySet,
-    weights_fn: Callable[[int, np.ndarray], ConditionalWeights],
-    rng_seed: int,
-) -> ForwardScenario:
+def sample_forward(rows: Sequence[np.ndarray], rng_seed: int) -> ForwardScenario:
     """Sample one forward path by chained inverse-CDF draws.
 
-    ``weights_fn(t, prev_feature)`` must return the conditional weights
-    over the N stage-t realizations given the realized stage-(t-1)
-    covariate; it is called for t = 2..T with the covariate of whichever
-    datum the previous draw selected (the stage-1 covariate first).
+    ``rows[k]`` holds the conditional weights of the stage-(k+2)
+    realizations, one row per stage-(k+1) node; ``rows[0]`` has a single
+    row, the root's.  Each draw reads the row of the index the previous
+    draw realized.
     """
     rng = np.random.default_rng(rng_seed)
     indices: list[int] = []
-    prev_feature = trajectories.stage1.feature
-    for t in range(2, trajectories.horizon_T + 1):
-        w = weights_fn(t, prev_feature)
-        if len(w) != trajectories.n_paths:
-            raise DimensionMismatchError(
-                f"stage t={t}: weight vector has {len(w)} entries, "
-                f"expected N={trajectories.n_paths}"
-            )
-        cdf = np.cumsum(w.weights)
-        i = int(np.searchsorted(cdf, rng.random(), side="right"))
-        i = min(i, trajectories.n_paths - 1)
+    i = 0
+    for P in rows:
+        cdf = np.cumsum(P[i])
+        i = min(int(np.searchsorted(cdf, rng.random(), side="right")), P.shape[1] - 1)
         indices.append(i)
-        prev_feature = trajectories.stage_data(t)[i].feature
     return ForwardScenario(indices=tuple(indices), rng_seed=int(rng_seed))
 
 

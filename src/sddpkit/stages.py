@@ -141,7 +141,6 @@ class InstanceTemplate:
 
     horizon_T: int
     initial_state: np.ndarray
-    feature_dim: int
     datum_builder: Callable[[int, np.ndarray], StageDatum] | None = None
 
 
@@ -277,6 +276,5 @@ def build_portfolio_instance(
     return InstanceTemplate(
         horizon_T=T,
         initial_state=np.array([1.0]),
-        feature_dim=K,
         datum_builder=datum_builder,
     )

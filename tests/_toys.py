@@ -62,7 +62,6 @@ def make_toy(
     template = InstanceTemplate(
         horizon_T=horizon_T,
         initial_state=np.zeros(STATE_DIM),
-        feature_dim=1,
         datum_builder=builder,
     )
     return traj, template

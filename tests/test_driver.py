@@ -291,17 +291,19 @@ def test_in_sample_policy_mean_equals_root_lower_bound_for_t2():
 
 def test_policy_evaluation_is_deterministic():
     """Each call starts its working sets and bases afresh, so two calls on
-    one policy agree bit for bit, on the toy and on a portfolio policy
-    rolled out over 16 paths."""
+    one policy agree bit for bit, on the toy and on a DD and an RDD
+    (robust rollout) portfolio policy rolled out over 16 paths."""
     traj, template = make_toy(5, horizon_T=3, n_paths=3)
     toy_test, _ = make_toy(5, horizon_T=3, n_paths=6)
     portfolio, portfolio_template = _portfolio(2, 10)
     portfolio_test, _ = _portfolio(102, 16)
-    for train, instance, test_traj in (
-        (traj, template, toy_test),
-        (portfolio, portfolio_template, portfolio_test),
+    robust = _config(Algorithm.RDD, 0.3, max_iterations=5, epsilon=1e-12)
+    for train, instance, test_traj, config in (
+        (traj, template, toy_test, _config(max_iterations=15)),
+        (portfolio, portfolio_template, portfolio_test, _config(max_iterations=15)),
+        (portfolio, portfolio_template, portfolio_test, robust),
     ):
-        policy, _, _ = run(train, instance, _config(max_iterations=15))
+        policy, _, _ = run(train, instance, config)
         first = evaluate_policy_out_of_sample(policy, test_traj)
         second = evaluate_policy_out_of_sample(policy, test_traj)
         assert first.n_failed == 0
@@ -447,6 +449,55 @@ def _portfolio(seed, n_paths):
         datum_builder=template.datum_builder,
     )
     return generate_synthetic_markov(spec, 4, n_paths, rng_seed=seed), template
+
+
+def _sub_seed(*entropy):
+    return int(np.random.SeedSequence(entropy).generate_state(1)[0])
+
+
+@pytest.mark.parametrize("seed, instance", [(72, 6), (76, 7), (90, 1)])
+def test_warm_robust_rollout_solves_every_path_the_cold_one_loses(monkeypatch, seed, instance):
+    """RDD policies on whose robust rollouts cold solves lose a path, one
+    to a singular basis and two to a false Unbounded.  Started from its
+    stage's last optimal basis, every stage LP solves, and each path agrees
+    with the cold rollout wherever that one is finite."""
+    train, template = _portfolio(_sub_seed(seed, instance, 0), 20)
+    test_traj, _ = _portfolio(_sub_seed(seed, instance, 1), 16)
+    config = SolveConfig(
+        algorithm=Algorithm.RDD,
+        epsilon=1e-12,
+        max_iterations=3,
+        seed=_sub_seed(seed, instance, 2),
+        ambiguity=AmbiguityParams(rho=0.1, nominal=ConditionalWeights.uniform(1)),
+    )
+    policy, _, _ = run(train, template, config)
+    warm = evaluate_policy_out_of_sample(policy, test_traj)
+    monkeypatch.setattr(sddpkit.driver, "solve", lambda lp, start=None: solve(lp))
+    cold = evaluate_policy_out_of_sample(policy, test_traj).objectives
+    assert warm.n_failed == 0
+    ok = np.isfinite(cold)
+    assert np.all(np.abs(warm.objectives[ok] - cold[ok]) <= 1e-9 * (1.0 + np.abs(cold[ok])))
+
+
+def test_robust_rollout_runs_the_cold_simplex_at_most_once_per_stage(monkeypatch):
+    """Every robust stage LP after a stage's first starts from that stage's
+    last optimal basis, so the cold runs do not grow with the test paths."""
+    runs = 0
+    cold_run = sddpkit.lp._Simplex.run
+
+    def counted(self):
+        nonlocal runs
+        runs += 1
+        return cold_run(self)
+
+    traj, template = _portfolio(3, 8)
+    policy, _, _ = run(traj, template, _config(Algorithm.RDD, 0.3, max_iterations=5, epsilon=1e-12))
+    monkeypatch.setattr(sddpkit.lp._Simplex, "run", counted)
+    for n_paths in (4, 16):
+        test_traj, _ = _portfolio(103, n_paths)
+        runs = 0
+        assert evaluate_policy_out_of_sample(policy, test_traj).n_failed == 0
+        assert runs <= traj.horizon_T - 1
 
 
 def test_working_set_rollout_matches_full_pools_on_portfolio(monkeypatch):
@@ -622,7 +673,6 @@ def test_infeasible_subproblem_reports_iteration_stage_scenario():
     template = InstanceTemplate(
         horizon_T=2,
         initial_state=np.zeros(1),
-        feature_dim=1,
         datum_builder=lambda t, f: stage1,
     )
     with pytest.raises(StageInfeasibleError, match=r"k=1.*t=2.*i=1"):

@@ -5,7 +5,6 @@ import io
 import numpy as np
 import pytest
 
-from sddpkit.kernel import ConditionalWeights
 from sddpkit.scenarios import (
     DimensionMismatchError,
     StageDatum,
@@ -119,54 +118,44 @@ def test_stage_count_validation():
         )
 
 
+def _rows(*widths):
+    """Uniform conditional rows: a single root row, then one row per node."""
+    rows, n_nodes = [], 1
+    for n in widths:
+        rows.append(np.full((n_nodes, n), 1.0 / n))
+        n_nodes = n
+    return rows
+
+
 def test_degenerate_weights_always_pick_first():
-    ts = _random_trajectories(seed=6, T=4, N=3)
-
-    def first(t, prev):
-        return ConditionalWeights(np.array([1.0, 0.0, 0.0]))
-
+    first = [np.tile([1.0, 0.0, 0.0], (nodes, 1)) for nodes in (1, 3, 3)]
     for seed in (0, 1, 99):
-        sc = sample_forward(ts, first, seed)
+        sc = sample_forward(first, seed)
         assert sc.indices == (0, 0, 0)
 
 
 def test_identical_seeds_identical_scenarios():
-    ts = _random_trajectories(seed=8)
-
-    def uniform(t, prev):
-        return ConditionalWeights.uniform(ts.n_paths)
-
-    a = sample_forward(ts, uniform, 12345)
-    b = sample_forward(ts, uniform, 12345)
+    rows = _rows(3, 3, 3)
+    a = sample_forward(rows, 12345)
+    b = sample_forward(rows, 12345)
     assert a == b
 
 
 def test_uniform_two_path_frequency():
     """10,000 seeded draws land within the 3-sigma binomial band around 0.5."""
-    ts = _random_trajectories(seed=9, T=2, N=2)
-
-    def uniform(t, prev):
-        return ConditionalWeights.uniform(2)
-
-    hits = sum(
-        sample_forward(ts, uniform, seed).indices[0] for seed in range(10_000)
-    )
+    rows = _rows(2)
+    hits = sum(sample_forward(rows, seed).indices[0] for seed in range(10_000))
     assert abs(hits / 10_000 - 0.5) < 0.02
 
 
-def test_sampling_chains_on_realized_feature():
-    """The weight provider at stage t must see the covariate drawn at t-1."""
-    ts = _random_trajectories(seed=10, T=3, N=3)
-    seen = {}
-
-    def recorder(t, prev):
-        seen[t] = np.array(prev)
-        return ConditionalWeights(np.array([0.0, 0.0, 1.0]))
-
-    sc = sample_forward(ts, recorder, 0)
-    assert sc.indices == (2, 2)
-    np.testing.assert_array_equal(seen[2], ts.stage1.feature)
-    np.testing.assert_array_equal(seen[3], ts.stage_data(2)[2].feature)
+def test_sampling_chains_on_realized_index():
+    """The draw at stage t reads the row of the index realized at t-1."""
+    root = np.array([[0.0, 0.0, 1.0]])
+    # Only row 2, the one stage 2 realizes, puts its mass on index 1.
+    stage3 = np.array([[1.0, 0.0, 0.0], [1.0, 0.0, 0.0], [0.0, 1.0, 0.0]])
+    for seed in (0, 1, 99):
+        sc = sample_forward([root, stage3], seed)
+        assert sc.indices == (2, 1)
 
 
 def test_synthetic_constant_when_phi_zero():

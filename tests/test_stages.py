@@ -316,7 +316,7 @@ def test_state_gradient_agrees_with_copy_row_oracle(seed, kink, xbar):
 def _stack_deterministic(template, features_by_stage, x0):
     """Extensive LP of the single deterministic path defined by the features."""
     T = template.horizon_T
-    data = [template.datum_builder(1, np.ones(template.feature_dim))]
+    data = [template.datum_builder(1, np.ones(len(features_by_stage[2])))]
     for t in range(2, T + 1):
         data.append(template.datum_builder(t, features_by_stage[t]))
     offs = np.cumsum([0] + [d.dim_out for d in data])
