@@ -10,7 +10,7 @@ realization, or the deterministic root) the toolkit maintains
   over-estimates it.
 
 Both are appended to stage LPs through the :class:`~sddpkit.stages.ExtraTerms`
-protocol.  The infinite initializations of the textbook recursion are
+interface.  The infinite initializations of the textbook recursion are
 realized by large sentinel boxes (``LOWER_BOX``/``UPPER_BOX``); they stop
 binding as soon as a first cut or point arrives.
 
@@ -32,7 +32,7 @@ import numpy as np
 
 from .kernel import ConditionalWeights
 from .scenarios import DimensionMismatchError
-from .stages import LpBlock
+from .stages import ExtraTerms, LpBlock
 
 __all__ = [
     "Cut",
@@ -240,7 +240,7 @@ def cut_x_rows(cuts: CutRows, x_dim: int) -> np.ndarray:
 
 
 @dataclass
-class WeightedLowerTerms:
+class WeightedLowerTerms(ExtraTerms):
     """Epigraph variables for several conditioning nodes at once.
 
     Adds one epigraph variable ell_i with objective weight ``weights[i]``
@@ -258,21 +258,20 @@ class WeightedLowerTerms:
     node: np.ndarray
     cuts: CutRows
 
-    def block(self, x_dim: int) -> LpBlock:
-        x_rows = cut_x_rows(self.cuts, x_dim)
-        n_nodes, n_rows = self.weights.shape[0], x_rows.shape[0]
+    def shape(self, x_dim: int) -> tuple[int, int]:
+        n_rows = len(self.cuts)
+        return n_rows, self.weights.shape[0] + n_rows
+
+    def write(self, x_dim: int, out: LpBlock) -> None:
+        n_nodes, n_rows = self.weights.shape[0], len(self.cuts)
+        out.rows[:, :x_dim] = cut_x_rows(self.cuts, x_dim)
         r = np.arange(n_rows)
-        rows = np.zeros((n_rows, x_dim + n_nodes + n_rows))
-        rows[:, :x_dim] = x_rows
-        rows[r, x_dim + self.node] = 1.0
-        rows[r, x_dim + n_nodes + r] = -1.0
-        cost = np.zeros(n_nodes + n_rows)
-        cost[:n_nodes] = self.weights
-        free = np.zeros(n_nodes + n_rows, dtype=bool)
-        free[self.node] = True
-        lower = np.zeros(n_nodes + n_rows)
-        lower[:n_nodes] = np.where(free[:n_nodes], 0.0, LOWER_BOX)
-        return LpBlock(cost=cost, rows=rows, rhs=self.cuts.offsets, lower=lower, free=free)
+        out.rows[r, x_dim + self.node] = 1.0
+        out.rows[r, x_dim + n_nodes + r] = -1.0
+        out.rhs[:] = self.cuts.offsets
+        out.cost[:n_nodes] = self.weights
+        out.free[self.node] = True
+        out.lower[:n_nodes] = np.where(out.free[:n_nodes], 0.0, LOWER_BOX)
 
 
 def CutLowerTerms(cuts: CutRows) -> WeightedLowerTerms:
@@ -281,42 +280,41 @@ def CutLowerTerms(cuts: CutRows) -> WeightedLowerTerms:
 
 
 @dataclass
-class EnvelopeUpperTerms:
+class EnvelopeUpperTerms(ExtraTerms):
     """Inner-approximation block: convex weights over stored anchors plus
-    penalized L1 deviation, coupled to the stage decision columns."""
+    penalized L1 deviation, coupled to the stage decision columns.
+
+    Columns y+ (d), y- (d), theta (k); rows
+    y+ - y- + sum_j theta_j anchor_j - x = 0 and sum_j theta_j = 1.  A new
+    point appends a column, so a stored basis keeps its columns.  With no
+    point yet, the block is one column bounded below by ``UPPER_BOX``.
+    """
 
     anchors: np.ndarray
     values: np.ndarray
     penalty_m: float
 
-    def block(self, x_dim: int) -> LpBlock:
-        anchors = np.atleast_2d(np.asarray(self.anchors, dtype=float))
-        values = np.asarray(self.values, dtype=float).reshape(-1)
-        if values.size == 0:
-            return LpBlock(
-                cost=np.ones(1),
-                rows=np.zeros((0, x_dim + 1)),
-                rhs=np.zeros(0),
-                lower=np.full(1, UPPER_BOX),
-            )
-        k, d = anchors.shape
+    def shape(self, x_dim: int) -> tuple[int, int]:
+        k = self.values.shape[0]
+        return (0, 1) if k == 0 else (x_dim + 1, 2 * x_dim + k)
+
+    def write(self, x_dim: int, out: LpBlock) -> None:
+        if self.values.shape[0] == 0:
+            out.cost[0] = 1.0
+            out.lower[0] = UPPER_BOX
+            return
+        d = self.anchors.shape[1]
         if d != x_dim:
             raise DimensionMismatchError(
                 f"envelope anchors have dimension {d}, stage decision has {x_dim}"
             )
-        # Columns y+ (d), y- (d), theta (k); rows
-        # y+ - y- + sum_j theta_j anchor_j - x = 0 and sum_j theta_j = 1.
-        # A new point appends a column, so a stored basis keeps its columns.
         i = np.arange(d)
-        rows = np.zeros((d + 1, 3 * d + k))
+        rows = out.rows
         rows[i, i] = -1.0
         rows[i, d + i] = 1.0
         rows[i, 2 * d + i] = -1.0
-        rows[:d, 3 * d :] = anchors.T
+        rows[:d, 3 * d :] = self.anchors.T
         rows[d, 3 * d :] = 1.0
-        rhs = np.zeros(d + 1)
-        rhs[d] = 1.0
-        cost = np.empty(2 * d + k)
-        cost[: 2 * d] = float(self.penalty_m)
-        cost[2 * d :] = values
-        return LpBlock(cost=cost, rows=rows, rhs=rhs)
+        out.rhs[d] = 1.0
+        out.cost[: 2 * d] = float(self.penalty_m)
+        out.cost[2 * d :] = self.values

@@ -37,8 +37,10 @@ one of its last backward pass, or it has none, each realization after
 the first starts both bounds' LPs from the bases the realization before
 it just ended at ("bunching": Wets, "Large scale linear programming
 techniques in stochastic programming", 1988), not from its own, which
-was solved at another anchor.  When the anchor repeats, every family
-starts from its own basis.
+was solved at another anchor: its holders become copies of the whole
+holders of the realization before, so a kept basis inverse travels with
+its basis.  When the anchor repeats, every family starts from its own
+basis.
 
 The rollout keeps one basis per stage for a whole
 ``evaluate_policy_out_of_sample`` call: every stage LP, nominal or robust,
@@ -271,11 +273,18 @@ class _Runner:
                 self.rho = rate_scaled_rho(amb.c_coefficient, self.N, self.h, self.p)
             else:
                 self.rho = amb.rho
+        # The rows of P[t] as the inner max takes them; P is fixed for the run.
+        self.sanitized = {
+            t: np.vstack([sanitize_nominal(row).weights for row in rows])
+            for t, rows in self.P.items()
+            if self.rho != 0.0
+        }
         self.root_decision: np.ndarray | None = None
         self.best_upper = math.inf
         # Last optimal basis per LP family: ("lower" or "upper", t, i).  When
         # stage t's backward anchor moves, realization i's two holders are
-        # first set to copies of what realization i-1's LPs just ended at.
+        # first replaced by copies of realization i-1's, which its LPs just
+        # ended at.
         self.bases: defaultdict[tuple[str, int, int | None], Basis] = defaultdict(Basis)
         # Anchor of each stage's last backward pass.
         self.anchors: dict[int, np.ndarray] = {}
@@ -284,12 +293,12 @@ class _Runner:
 
     def _solve_checked(self, lp: LinearProgram, bound: str, k: int, t: int, i: int | None):
         sol = solve(lp, start=self.bases[bound, t, i])
+        if sol.status is LpStatus.OPTIMAL:
+            return sol
         where = f"iteration k={k}, stage t={t}" + ("" if i is None else f", scenario i={i + 1}")
         if sol.status is LpStatus.INFEASIBLE:
             raise StageInfeasibleError(f"{where}: in-sample subproblem is infeasible")
-        if sol.status is not LpStatus.OPTIMAL:
-            raise RuntimeError(f"{where}: solver returned {sol.status.value}")
-        return sol
+        raise RuntimeError(f"{where}: solver returned {sol.status.value}")
 
     def _lower_terms(self, t: int, i: int | None) -> CutLowerTerms | None:
         """Cost-to-go epigraph of the stage-t subproblem under realization i."""
@@ -297,13 +306,12 @@ class _Runner:
             return None
         return CutLowerTerms(self.pools.cuts(t + 1, i))
 
-    def _weights(self, values: np.ndarray, nominal: np.ndarray) -> np.ndarray:
-        """The nodes' nominal weight rows, or for rho > 0 the worst case of the
-        values under each row, all rows in one batch."""
+    def _weights(self, values: np.ndarray, t: int) -> np.ndarray:
+        """Stage t's nominal weight rows, or for rho > 0 the worst case of the
+        values under each sanitized row, all rows in one batch."""
         if self.rho == 0.0:
-            return nominal
-        rows = np.vstack([sanitize_nominal(row).weights for row in nominal])
-        _, worst = worst_case(values, rows, self.rho)
+            return self.P[t]
+        _, worst = worst_case(values, self.sanitized[t], self.rho)
         return worst / worst.sum(axis=1, keepdims=True)
 
     # -- passes ---------------------------------------------------------
@@ -354,8 +362,7 @@ class _Runner:
             for i, datum in enumerate(self.traj.stage_data(t)):
                 if moved and i > 0:
                     for bound in bounds:
-                        cols = self.bases[bound, t, i - 1].cols
-                        self.bases[bound, t, i].cols = None if cols is None else cols.copy()
+                        self.bases[bound, t, i] = self.bases[bound, t, i - 1].copy()
                 sol = self._solve_checked(
                     assemble_stage_lp(datum, anchor, extra_terms=self._lower_terms(t, i)),
                     "lower",
@@ -381,13 +388,12 @@ class _Runner:
                         i,
                     )
                     upper_vals[i] = ub_sol.objective_value
-            nominal = self.P[t]
             nodes: list[int | None] = [None] if t == 2 else list(range(self.N))
-            w_lower = self._weights(lower_vals, nominal)
+            w_lower = self._weights(lower_vals, t)
             if t == self.T:  # no cost-to-go: the upper values are the lower ones
                 upper_vals, w_upper = lower_vals, w_lower
             else:
-                w_upper = self._weights(upper_vals, nominal)
+                w_upper = self._weights(upper_vals, t)
             for j, wl, wu in zip(nodes, w_lower, w_upper):
                 cut = aggregate_backward(lower_vals, grads, ConditionalWeights(wl), anchor)
                 point_value = float(wu @ upper_vals)

@@ -42,6 +42,16 @@ returns Optimal, and always from a freshly inverted basis.  The pivot
 sequence, and hence the reported basis and duals, is a deterministic
 function of the input data and the start basis.
 
+A holder carries, next to the basis, the standard-form basis matrix B of
+the solve that ended there and its inverse, whenever that inverse is
+exactly ``np.linalg.inv(B)``.  A start whose basis matrix equals the
+carried B bit for bit takes a copy of the carried inverse instead of
+inverting again: LPs that keep their matrix between solves (the last
+stage's, and envelope LPs, which only gain columns) often end where they
+started.  The inverse is reused only for a bitwise-equal B, so a solve's
+outputs are those of a start from the same basis alone.  ``solve``
+replaces a holder's arrays and never writes into them.
+
 A small-scale vertex enumerator, :func:`enumerate_vertices`, is provided
 as an independent cross-check: it enumerates basic feasible solutions of
 the same internal standard form by brute force over column subsets.
@@ -175,7 +185,7 @@ class LinearProgram:
             ("eq_rhs", self.eq_rhs),
             ("var_lower", self.var_lower),
         ):
-            if not np.all(np.isfinite(arr)):
+            if not np.isfinite(arr).all():
                 raise LpInputError(f"{name} contains non-finite entries")
 
     @property
@@ -211,13 +221,27 @@ class Basis:
     j.  Storing original columns rather than standard-form ones keeps the
     basis meaningful when a later LP appends columns.  None until a solve
     with this holder ends Optimal, and again after one whose optimal basis
-    kept an artificial column.  A caller may also set ``cols`` to a copy of
-    a sibling holder's, the basis of an LP with the same layout, to start
-    from there instead; :func:`solve` only ever replaces ``cols``, never
-    writes into it.
+    kept an artificial column.
+
+    ``B`` and ``Binv`` are the standard-form basis matrix of the solve that
+    ended at ``cols`` and its inverse, kept only when that inverse is
+    exactly ``np.linalg.inv(B)``: freshly inverted, or an earlier kept
+    copy, never a product-form update; otherwise both are None.  A start
+    whose basis matrix equals ``B`` bit for bit begins from a copy of
+    ``Binv`` instead of inverting, so its outputs are those of a start
+    from ``cols`` alone.  A caller may start from a sibling holder's basis,
+    that of an LP with the same layout, by taking its :meth:`copy`;
+    :func:`solve` only ever replaces a holder's arrays, never writes into
+    them.
     """
 
     cols: np.ndarray | None = None
+    B: np.ndarray | None = None
+    Binv: np.ndarray | None = None
+
+    def copy(self) -> Basis:
+        """A holder with copies of this one's arrays."""
+        return Basis(*(None if a is None else a.copy() for a in (self.cols, self.B, self.Binv)))
 
 
 # ---------------------------------------------------------------------------
@@ -229,30 +253,35 @@ class _StandardForm:
     """Internal representation  min c^T z : A z = b, z >= 0.
 
     Columns 0..n-1 map to the original variables (shifted by their lower
-    bound); free variables contribute an extra negative-part column.
+    bound); free variables contribute an extra negative-part column.  The
+    LP's own arrays are used as they are, never written, where there is
+    nothing to convert: A and c when no column is free, b when no lower
+    bound is shifted.
     """
 
-    __slots__ = ("A", "b", "c", "const", "n_orig", "neg_col", "lower")
+    __slots__ = ("A", "b", "c", "const", "n_orig", "free", "lower")
 
     def __init__(self, lp: LinearProgram) -> None:
-        n = lp.n_vars
-        lower = np.where(lp.free_mask, 0.0, lp.var_lower)
-        free = np.nonzero(lp.free_mask)[0]
-
+        self.n_orig = lp.n_vars
+        self.free = lp.free_mask.nonzero()[0]
+        if self.free.size:
+            self.lower = np.where(lp.free_mask, 0.0, lp.var_lower)
+            self.A = np.concatenate([lp.eq_matrix, -lp.eq_matrix[:, self.free]], axis=1)
+            self.c = np.concatenate([lp.objective, -lp.objective[self.free]])
+        else:
+            self.lower, self.A, self.c = lp.var_lower, lp.eq_matrix, lp.objective
         # Shift x = z + l so bounded variables satisfy z >= 0.
-        self.A = np.hstack([lp.eq_matrix, -lp.eq_matrix[:, free]])
-        self.b = lp.eq_rhs - lp.eq_matrix @ lower
-        self.c = np.concatenate([lp.objective, -lp.objective[free]])
-        self.const = float(lp.objective @ lower)
-        self.n_orig = n
-        self.neg_col = np.full(n, -1, dtype=np.int64)
-        self.neg_col[free] = n + np.arange(free.size)
-        self.lower = lower
+        if self.lower.any():
+            self.b = lp.eq_rhs - lp.eq_matrix @ self.lower
+            self.const = float(lp.objective @ self.lower)
+        else:
+            self.b, self.const = lp.eq_rhs, 0.0
 
     def recover_primal(self, z: np.ndarray) -> np.ndarray:
-        x = z[: self.n_orig].copy()
-        has_neg = self.neg_col >= 0
-        x[has_neg] -= z[self.neg_col[has_neg]]
+        x = z[: self.n_orig]
+        if self.free.size:
+            x = x.copy()
+            x[self.free] -= z[self.n_orig :]
         return x + self.lower
 
 
@@ -272,12 +301,24 @@ class _Simplex:
     sign(b_i) * e_i, and phase one minimizes the sum of those; when every
     row is covered, phase one is skipped.
 
-    A warm start passes ``basis`` (one standard-form column per row) instead;
-    it gets no artificial columns, and its inverse is computed from scratch.
+    A warm start passes ``basis`` (one standard-form column per row) and
+    the :class:`Basis` holder it came from instead; it gets no artificial
+    columns, and its inverse is computed from scratch unless the holder
+    kept the inverse of this very basis matrix.
+
+    ``B`` is the basis matrix whenever ``Binv`` is exactly
+    ``np.linalg.inv(B)``, and None while ``Binv`` is a product-form update
+    or the cold start's diagonal.  The basic values and the duals of the
+    true costs are computed at most once per basis inverse.
     """
 
     def __init__(
-        self, A: np.ndarray, b: np.ndarray, c: np.ndarray, basis: np.ndarray | None = None
+        self,
+        A: np.ndarray,
+        b: np.ndarray,
+        c: np.ndarray,
+        basis: np.ndarray | None = None,
+        held: Basis | None = None,
     ):
         self.m, self.n = A.shape
         self.max_pivots = _MAX_PIVOTS
@@ -289,7 +330,7 @@ class _Simplex:
         if basis is not None:
             self.max_pivots = _WARM_MAX_PIVOTS
             self.A, self.c_true, self.basis = A, c, basis
-            self._refactor()
+            self._refactor(held)
             return
         # Row i starts from its first column equal to +-e_i with a sign that
         # fits b_i; column n, one past the last, marks a row without one.
@@ -308,20 +349,38 @@ class _Simplex:
         self.c_true = np.zeros(self.A.shape[1])
         self.c_true[: self.n] = c
         # The basis matrix is diagonal with entries +-1, so it is its own inverse.
-        self.Binv = np.diag(self.A[np.arange(self.m), self.basis])
+        self._set_inverse(None, np.diag(self.A[np.arange(self.m), self.basis]))
 
-    def _refactor(self) -> None:
+    def _set_inverse(self, B: np.ndarray | None, Binv: np.ndarray) -> None:
+        self.B, self.Binv = B, Binv
+        self._xb_now = self._y_now = None
+
+    def _refactor(self, held: Basis | None = None) -> None:
         B = self.A[:, self.basis]
-        try:
-            self.Binv = np.linalg.inv(B)
-        except np.linalg.LinAlgError:
-            # Propagating garbage from a pseudo-inverse would corrupt every
-            # verdict downstream; fail loudly instead.
-            raise RuntimeError("simplex basis became singular; data is ill-conditioned")
+        Binv = _carried_inverse(held, B)
+        if Binv is None:
+            try:
+                Binv = np.linalg.inv(B)
+            except np.linalg.LinAlgError:
+                # Propagating garbage from a pseudo-inverse would corrupt every
+                # verdict downstream; fail loudly instead.
+                raise RuntimeError("simplex basis became singular; data is ill-conditioned")
+        self._set_inverse(B, Binv)
         self.since_refactor = 0
 
     def _xb(self) -> np.ndarray:
-        return self.Binv @ self.b
+        """The basic values B^-1 b."""
+        if self._xb_now is None:
+            self._xb_now = self.Binv @ self.b
+        return self._xb_now
+
+    def _y(self, cost: np.ndarray) -> np.ndarray:
+        """The row duals c_B B^-1 of ``cost``; kept for the true costs."""
+        if cost is not self.c_true:
+            return cost[self.basis] @ self.Binv
+        if self._y_now is None:
+            self._y_now = self.c_true[self.basis] @ self.Binv
+        return self._y_now
 
     def _pivot(self, q: int, r: int, d: np.ndarray) -> None:
         self.basis[r] = q
@@ -333,13 +392,14 @@ class _Simplex:
         row = self.Binv[r] / piv
         coef = d.copy()
         coef[r] = 0.0
-        self.Binv -= np.outer(coef, row)
-        self.Binv[r] = row
+        Binv = self.Binv - np.outer(coef, row)
+        Binv[r] = row
+        self._set_inverse(None, Binv)
         self.since_refactor += 1
         if self.since_refactor >= _REFACTOR_EVERY:
             self._refactor()
 
-    def _iterate(self, cost: np.ndarray, allowed: np.ndarray) -> str:
+    def _iterate(self, cost: np.ndarray, allowed: np.ndarray | None = None) -> str:
         """Run primal simplex pivots to optimality for the given cost vector.
 
         The entering column is the lowest-index one with a negative reduced
@@ -355,14 +415,16 @@ class _Simplex:
         while True:
             if self.pivots > self.max_pivots:
                 raise RuntimeError("simplex pivot limit exceeded; data is ill-conditioned")
-            y = cost[self.basis] @ self.Binv
-            rc = cost - y @ self.A
+            rc = cost - self._y(cost) @ self.A
             # Basic columns price out at zero in exact arithmetic.  Drift in
             # the product-form inverse can leave one below -tol; Bland's rule
             # would enter it, the ratio test would pick its own row, and the
             # basis would never change.
             rc[self.basis] = 0.0
-            cand = np.nonzero((rc < -_OPT_TOL) & allowed)[0]
+            enters = rc < -_OPT_TOL
+            if allowed is not None:
+                enters &= allowed
+            cand = enters.nonzero()[0]
             if cand.size == 0:
                 if self.since_refactor:
                     # Exit verdicts are only trusted from a freshly inverted
@@ -376,12 +438,12 @@ class _Simplex:
             # degrades, absolute thresholds admit noise next to huge entries.
             d_eps = _PIVOT_TOL * max(1.0, float(np.abs(d).max(initial=0.0)))
             pos = d > d_eps
-            if not np.any(pos):
+            if not pos.any():
                 if self.since_refactor:
                     self._refactor()
                     continue
                 return "unbounded"
-            rows = np.flatnonzero(pos)
+            rows = pos.nonzero()[0]
             xb, dp = np.maximum(self._xb()[rows], 0.0), d[rows]
             bound = float(((xb + _FEAS_TOL * self.scale) / dp).min())
             near = rows[xb / dp <= bound]
@@ -406,7 +468,7 @@ class _Simplex:
             if self.pivots > self.max_pivots:
                 raise RuntimeError("simplex pivot limit exceeded; data is ill-conditioned")
             xb = self._xb()
-            r = int(np.argmin(xb))
+            r = int(xb.argmin())
             if xb[r] >= -tol:
                 if self.since_refactor:
                     self._refactor()
@@ -415,14 +477,13 @@ class _Simplex:
             alpha = self.Binv[r] @ self.A
             alpha[self.basis] = 0.0
             a_eps = _PIVOT_TOL * max(1.0, float(np.abs(alpha).max()))
-            cand = np.nonzero(alpha < -a_eps)[0]
+            cand = (alpha < -a_eps).nonzero()[0]
             if cand.size == 0:
                 if self.since_refactor:
                     self._refactor()
                     continue
                 return False
-            y = cost[self.basis] @ self.Binv
-            rc = np.maximum(cost[cand] - y @ self.A[:, cand], 0.0)
+            rc = np.maximum(cost[cand] - self._y(cost) @ self.A[:, cand], 0.0)
             ratios = rc / -alpha[cand]
             rmin = ratios.min()
             q = int(cand[np.argmax(ratios <= rmin + 1e-12 * (1.0 + rmin))])
@@ -466,25 +527,18 @@ class _Simplex:
         status = self._iterate(self.c_true, allowed)
         if status == "unbounded":
             return "unbounded", None, None
-        vertex = self.vertex()
-        if vertex is None:
+        if float(self._xb().min(initial=0.0)) < -1e-6 * self.scale:
             # A drifted intermediate pivot pushed a basic variable negative;
             # the vertex fails primal feasibility, so the verdict is void.
             raise RuntimeError("simplex lost primal feasibility; data is ill-conditioned")
-        return ("optimal", *vertex)
+        return ("optimal", *self.vertex())
 
-    def vertex(self) -> tuple[np.ndarray, np.ndarray] | None:
-        """The current basis' vertex and its row duals.
-
-        Returns (z, y) with z in standard-form coordinates, or None when a
-        basic value lies below -1e-6 * max(1, |b|_inf).
-        """
-        xb = self._xb()
-        if float(xb.min(initial=0.0)) < -1e-6 * self.scale:
-            return None
+    def vertex(self) -> tuple[np.ndarray, np.ndarray]:
+        """The current basis' vertex, in standard-form coordinates with basic
+        values below zero clipped to zero, and its row duals."""
         z = np.zeros(self.A.shape[1])
-        z[self.basis] = np.maximum(xb, 0.0)
-        return z[: self.n], self.c_true[self.basis] @ self.Binv
+        z[self.basis] = np.maximum(self._xb(), 0.0)
+        return z[: self.n], self._y(self.c_true)
 
 
 def _warm_basis(sf: _StandardForm, cols: np.ndarray) -> np.ndarray | None:
@@ -498,16 +552,25 @@ def _warm_basis(sf: _StandardForm, cols: np.ndarray) -> np.ndarray | None:
     """
     m, n = sf.A.shape[0], sf.n_orig
     k = cols.shape[0]
-    if m == 0 or k > m or (k and not -n <= int(cols.min()) <= int(cols.max()) < n):
+    if m == 0 or k > m:
         return None
-    basis = np.array(cols, dtype=np.int64)
-    neg = basis < 0
-    if neg.any():
-        basis[neg] = sf.neg_col[~basis[neg]]
-        if int(basis.min()) < 0:
+    basis = cols.astype(np.int64)
+    if k:
+        listed = cols.tolist()
+        lo, hi = min(listed), max(listed)
+        if lo < -n or hi >= n:
             return None
+        if lo < 0:
+            # Free column j's negative part is standard-form column n + (j's
+            # rank among the free columns).
+            neg = basis < 0
+            j = ~basis[neg]
+            rank = sf.free.searchsorted(j)
+            if int(rank.max()) >= sf.free.size or (sf.free[rank] != j).any():
+                return None
+            basis[neg] = n + rank
     if k < m:
-        unit = (np.count_nonzero(sf.A, axis=0) == 1) & (np.abs(sf.A[k:]) == 1.0)
+        unit = ((sf.A != 0.0).sum(axis=0) == 1) & (np.abs(sf.A[k:]) == 1.0)
         if not unit.any(axis=1).all():
             return None
         basis = np.concatenate([basis, unit.argmax(axis=1)])
@@ -516,7 +579,16 @@ def _warm_basis(sf: _StandardForm, cols: np.ndarray) -> np.ndarray | None:
     return basis
 
 
-def _warm_solve(sf: _StandardForm, cols: np.ndarray) -> _Simplex | None:
+def _carried_inverse(held: Basis | None, B: np.ndarray) -> np.ndarray | None:
+    """A copy of the inverse ``held`` kept, if it kept one of B bit for bit."""
+    if held is None or held.B is None or held.B.shape != B.shape:
+        return None
+    if held.B.tobytes() != B.tobytes():
+        return None
+    return held.Binv.copy()
+
+
+def _warm_solve(sf: _StandardForm, start: Basis) -> _Simplex | None:
     """Solve from a stored basis; the simplex at an Optimal basis, or None.
 
     A dual feasible start runs the dual simplex, a primal feasible one
@@ -531,24 +603,25 @@ def _warm_solve(sf: _StandardForm, cols: np.ndarray) -> _Simplex | None:
     when the final vertex is not primal feasible to ``_FEAS_TOL`` or does
     not solve A z = b to it.
     """
-    basis = _warm_basis(sf, cols)
+    basis = _warm_basis(sf, start.cols)
     if basis is None:
         return None
     try:
-        sim = _Simplex(sf.A, sf.b, sf.c, basis=basis)
+        sim = _Simplex(sf.A, sf.b, sf.c, basis=basis, held=start)
         tol = _FEAS_TOL * sim.scale
         if float(sim._xb().min()) < -tol:
-            rc = sf.c - (sf.c[basis] @ sim.Binv) @ sf.A
+            rc = sf.c - sim._y(sf.c) @ sf.A
             rc[basis] = 0.0
             cost = sf.c - np.minimum(rc, 0.0) if float(rc.min()) < -_OPT_TOL else sf.c
             if not sim._dual(tol, cost):
                 return None
-        if sim._iterate(sf.c, np.ones(sim.n, dtype=bool)) != "optimal":
+        if sim._iterate(sf.c) != "optimal":
             return None
     except RuntimeError:
         return None
+    # An Optimal verdict comes from a freshly inverted basis, so sim.B is set.
     xb = sim._xb()
-    if float(xb.min()) < -tol or float(np.abs(sf.A[:, sim.basis] @ xb - sf.b).max()) > tol:
+    if float(xb.min()) < -tol or float(np.abs(sim.B @ xb - sf.b).max()) > tol:
         return None
     return sim
 
@@ -562,7 +635,7 @@ def _stored_basis(sf: _StandardForm, basis: np.ndarray) -> np.ndarray | None:
     cols = basis.copy()
     if top >= sf.n_orig:
         neg = cols >= sf.n_orig
-        cols[neg] = ~np.flatnonzero(sf.neg_col >= 0)[cols[neg] - sf.n_orig]
+        cols[neg] = ~sf.free[cols[neg] - sf.n_orig]
     return cols
 
 
@@ -587,7 +660,7 @@ def solve(lp: LinearProgram, start: Basis | None = None) -> LpSolution:
     the warm pivot cap is dropped for the cold run.
     """
     sf = _StandardForm(lp)
-    sim = None if start is None or start.cols is None else _warm_solve(sf, start.cols)
+    sim = None if start is None or start.cols is None else _warm_solve(sf, start)
     if sim is not None:
         status = "optimal"
         z, y = sim.vertex()
@@ -601,6 +674,8 @@ def solve(lp: LinearProgram, start: Basis | None = None) -> LpSolution:
     assert z is not None and y is not None
     if start is not None:
         start.cols = _stored_basis(sf, sim.basis)
+        exact = start.cols is not None and sim.B is not None
+        start.B, start.Binv = (sim.B, sim.Binv) if exact else (None, None)
     x = sf.recover_primal(z)
     obj = float(sf.c @ z) + sf.const
     return LpSolution(LpStatus.OPTIMAL, x, y, obj)

@@ -72,7 +72,7 @@ from .approximations import LOWER_BOX, CutRows, cut_x_rows, stack_cut_rows
 from .kernel import ConditionalWeights
 from .lp import LinearProgram, LpStatus, solve
 from .scenarios import DimensionMismatchError
-from .stages import LpBlock
+from .stages import ExtraTerms, LpBlock
 
 __all__ = [
     "RhoRule",
@@ -344,7 +344,7 @@ def inner_max_primal(
 
 
 @dataclass
-class DroLowerTerms:
+class DroLowerTerms(ExtraTerms):
     """Single-level robust epigraph block for a stage LP.
 
     Adds the dual block over the cuts of every conditioning scenario i:
@@ -361,7 +361,14 @@ class DroLowerTerms:
     params: AmbiguityParams
     node_cuts: list[CutRows]
 
-    def block(self, x_dim: int) -> LpBlock:
+    def shape(self, x_dim: int) -> tuple[int, int]:
+        n = len(self.params.nominal)
+        # One cut row per cut, or the sentinel's one row for a scenario
+        # without cuts, plus one coupling row per scenario.
+        n_cut = sum(max(len(rows), 1) for rows in self.node_cuts)
+        return n + n_cut, 2 + 3 * n + n_cut
+
+    def write(self, x_dim: int, out: LpBlock) -> None:
         n = len(self.params.nominal)
         if len(self.node_cuts) != n:
             raise DimensionMismatchError(
@@ -369,5 +376,8 @@ class DroLowerTerms:
             )
         sentinel = CutRows(np.zeros((1, x_dim)), np.full(1, LOWER_BOX))
         node, cuts = stack_cut_rows([rows if len(rows) else sentinel for rows in self.node_cuts])
-        return _dual_block(self.params, node, cut_x_rows(cuts, x_dim), cuts.offsets)
-
+        block = _dual_block(self.params, node, cut_x_rows(cuts, x_dim), cuts.offsets)
+        out.cost[:] = block.cost
+        out.rows[:] = block.rows
+        out.rhs[:] = block.rhs
+        out.free[:] = block.free

@@ -10,8 +10,8 @@ so the previous decision enters only through the right-hand side.  The
 subgradient of the stage value with respect to x_bar is then -B_t^T y
 on the structural rows' duals y (:func:`state_gradient`).  Cut pools,
 envelope blocks and ambiguity blocks are appended through the
-:class:`ExtraTerms` protocol: each returns an :class:`LpBlock` of new
-columns and rows, which ``assemble_stage_lp`` stacks under ``[A_t | 0]``.
+:class:`ExtraTerms` interface: each writes an :class:`LpBlock` of new
+columns and rows straight into the LP's arrays, under ``[A_t | 0]``.
 
 Column and row layout is fixed: decision columns first (0..d_t-1), extras
 after; structural rows first, extras after.  Downstream code relies on
@@ -23,8 +23,9 @@ iteration's LP.
 
 from __future__ import annotations
 
+from abc import ABC, abstractmethod
 from dataclasses import dataclass
-from typing import Callable, Protocol, Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -80,10 +81,35 @@ class LpBlock:
             object.__setattr__(self, "free", np.zeros(n, dtype=bool))
 
 
-class ExtraTerms(Protocol):
-    """Anything appendable to a stage LP (cuts, envelopes, ambiguity blocks)."""
+class ExtraTerms(ABC):
+    """Anything appendable to a stage LP (cuts, envelopes, ambiguity blocks).
 
-    def block(self, x_dim: int) -> LpBlock: ...
+    ``shape`` gives the numbers of rows and columns the terms append, and
+    ``write`` fills a block of that shape in place: its arrays start at
+    zero (``free`` all False) and are views of the stage LP's own arrays,
+    so :func:`assemble_stage_lp` builds each LP array once.
+    """
+
+    @abstractmethod
+    def shape(self, x_dim: int) -> tuple[int, int]:
+        """The numbers of appended rows and columns."""
+
+    @abstractmethod
+    def write(self, x_dim: int, out: LpBlock) -> None:
+        """Fill ``out``, a zero block of this shape."""
+
+    def block(self, x_dim: int) -> LpBlock:
+        """The appended block on its own, in new arrays."""
+        n_rows, n_cols = self.shape(x_dim)
+        out = LpBlock(
+            cost=np.zeros(n_cols),
+            rows=np.zeros((n_rows, x_dim + n_cols)),
+            rhs=np.zeros(n_rows),
+            lower=np.zeros(n_cols),
+            free=np.zeros(n_cols, dtype=bool),
+        )
+        self.write(x_dim, out)
+        return out
 
 
 def assemble_stage_lp(
@@ -98,20 +124,20 @@ def assemble_stage_lp(
             f"incoming state has {xbar.shape[0]} entries, expected {datum.dim_in}"
         )
     m, d = datum.A.shape
-    if extra_terms is None:
-        block = LpBlock(cost=np.zeros(0), rows=np.zeros((0, d)), rhs=np.zeros(0))
-    else:
-        block = extra_terms.block(d)
-    A = np.zeros((m + block.rhs.shape[0], d + block.cost.shape[0]))
+    n_rows, n_cols = (0, 0) if extra_terms is None else extra_terms.shape(d)
+    A = np.zeros((m + n_rows, d + n_cols))
+    c = np.zeros(d + n_cols)
+    b = np.zeros(m + n_rows)
+    lower = np.zeros(d + n_cols)
+    free = np.zeros(d + n_cols, dtype=bool)
     A[:m, :d] = datum.A
-    A[m:] = block.rows
-    return LinearProgram(
-        objective=np.concatenate([datum.c, block.cost]),
-        eq_matrix=A,
-        eq_rhs=np.concatenate([datum.b - datum.B @ xbar, block.rhs]),
-        var_lower=np.concatenate([np.zeros(d), block.lower]),
-        free_mask=np.concatenate([np.zeros(d, dtype=bool), block.free]),
-    )
+    c[:d] = datum.c
+    np.subtract(datum.b, datum.B @ xbar, out=b[:m])
+    if extra_terms is not None:
+        extra_terms.write(
+            d, LpBlock(cost=c[d:], rows=A[m:], rhs=b[m:], lower=lower[d:], free=free[d:])
+        )
+    return LinearProgram(objective=c, eq_matrix=A, eq_rhs=b, var_lower=lower, free_mask=free)
 
 
 def state_gradient(datum: StageDatum, duals: np.ndarray) -> np.ndarray:

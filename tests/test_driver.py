@@ -22,7 +22,7 @@ from sddpkit.driver import (
     run,
 )
 from sddpkit.kernel import ConditionalWeights, KernelConfig, nw_weights
-from sddpkit.lp import LinearProgram, LpScaleError, LpStatus, solve
+from sddpkit.lp import Basis, LinearProgram, LpScaleError, LpStatus, solve
 from sddpkit.robust import AmbiguityParams, inner_max_primal, sanitize_nominal, worst_case
 from sddpkit.scenarios import (
     DimensionMismatchError,
@@ -247,6 +247,48 @@ def test_warm_started_training_matches_cold_training(monkeypatch):
                     assert rec.lower_bound <= target + 1e-7
                     assert rec.upper_bound >= target - 1e-7
     assert warm_solves > 0
+
+
+def test_kept_inverses_do_not_change_training_bounds(monkeypatch):
+    """A warm start that takes the inverse its holder kept, instead of
+    inverting its basis matrix, gives the same bits: DD and RDD runs on the
+    toys and the portfolio reach bit-identical bounds and forward paths when
+    every solve starts from a fresh holder that carries only the basis."""
+    reused = 0
+    carried_inverse = sddpkit.lp._carried_inverse
+
+    def counted(held, B):
+        nonlocal reused
+        Binv = carried_inverse(held, B)
+        reused += Binv is not None
+        return Binv
+
+    def cols_only(lp, start=None):
+        if start is None:
+            return solve(lp)
+        plain = Basis(None if start.cols is None else start.cols.copy())
+        sol = solve(lp, plain)
+        start.cols = plain.cols
+        return sol
+
+    cases = [make_toy(seed, horizon_T=4, n_paths=4) for seed in range(8)]
+    cases.append(_portfolio(3, 8))
+    for traj, template in cases:
+        for algorithm, rho in ((Algorithm.DD, None), (Algorithm.RDD, 0.3)):
+            config = _config(algorithm, rho, max_iterations=10, epsilon=1e-12)
+            with monkeypatch.context() as patch:
+                patch.setattr(sddpkit.lp, "_carried_inverse", counted)
+                _, kept, _ = run(traj, template, config)
+            with monkeypatch.context() as patch:
+                patch.setattr(sddpkit.driver, "solve", cols_only)
+                _, fresh, _ = run(traj, template, config)
+            assert [
+                (r.lower_bound.hex(), r.upper_bound.hex(), r.forward_scenario.indices) for r in kept
+            ] == [
+                (r.lower_bound.hex(), r.upper_bound.hex(), r.forward_scenario.indices)
+                for r in fresh
+            ]
+    assert reused > 100
 
 
 @pytest.mark.parametrize("algorithm, rho", [(Algorithm.DD, None), (Algorithm.RDD, 0.3)])

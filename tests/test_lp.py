@@ -22,7 +22,11 @@ from sddpkit.lp import (
     enumerate_vertices,
     solve,
 )
-from sddpkit.stages import assemble_stage_lp, build_portfolio_instance
+from sddpkit.stages import (
+    assemble_stage_lp,
+    build_portfolio_instance,
+    exponential_utility_segments,
+)
 
 from _kkt import assert_kkt
 from _toys import STATE_DIM, toy_builder
@@ -410,8 +414,23 @@ def _relative(rng: np.random.Generator, lp: LinearProgram, change: str) -> Linea
     return LinearProgram(objective=c, eq_matrix=A, eq_rhs=b, var_lower=lower, free_mask=free)
 
 
+def _assert_same_bytes(a, b) -> None:
+    """Two solutions with the same status and, on Optimal, the same bytes."""
+    assert a.status is b.status
+    if a.status is LpStatus.OPTIMAL:
+        assert a.primal.tobytes() == b.primal.tobytes()
+        assert a.duals.tobytes() == b.duals.tobytes()
+        assert a.objective_value.hex() == b.objective_value.hex()
+
+
 def _assert_warm_matches_cold(lp: LinearProgram, start: Basis) -> LpStatus:
+    """The warm solve returns the cold solve's verdict, and the bytes of the
+    same solve from a holder that carries only the start's columns, so it
+    must invert its basis afresh: a kept inverse never changes an output."""
+    plain = Basis(None if start.cols is None else start.cols.copy())
     warm, cold = solve(lp, start), solve(lp)
+    _assert_same_bytes(warm, solve(lp, plain))
+    assert (start.cols is None and plain.cols is None) or np.array_equal(start.cols, plain.cols)
     assert warm.status is cold.status
     if cold.status is LpStatus.OPTIMAL:
         v = cold.objective_value
@@ -425,20 +444,29 @@ def _assert_warm_matches_cold(lp: LinearProgram, start: Basis) -> LpStatus:
 def _spy_warm_paths(monkeypatch) -> dict[str, int]:
     """Count the path each warm start takes: the dual simplex on the true
     costs, the dual simplex on shifted costs, phase two alone, or the
-    fallback to the cold path."""
+    fallback to the cold path; and, whatever its path, whether it started
+    from the inverse its holder kept instead of inverting."""
     import sddpkit.lp as lp_module
 
-    paths = {"dual": 0, "shifted": 0, "primal": 0, "fallback": 0}
-    dual_costs = []
+    paths = {"dual": 0, "shifted": 0, "primal": 0, "fallback": 0, "reused": 0}
+    dual_costs, reused = [], []
     real_dual, real_warm = lp_module._Simplex._dual, lp_module._warm_solve
+    real_carried = lp_module._carried_inverse
 
     def spy_dual(self, tol, cost):
         dual_costs.append(cost)
         return real_dual(self, tol, cost)
 
-    def spy_warm(sf, cols):
+    def spy_carried(held, B):
+        Binv = real_carried(held, B)
+        reused.append(Binv is not None)
+        return Binv
+
+    def spy_warm(sf, start):
         dual_costs.clear()
-        sim = real_warm(sf, cols)
+        reused.clear()
+        sim = real_warm(sf, start)
+        paths["reused"] += any(reused)
         if sim is None:
             paths["fallback"] += 1
         elif any(not np.array_equal(cost, sf.c) for cost in dual_costs):
@@ -450,6 +478,7 @@ def _spy_warm_paths(monkeypatch) -> dict[str, int]:
         return sim
 
     monkeypatch.setattr(lp_module._Simplex, "_dual", spy_dual)
+    monkeypatch.setattr(lp_module, "_carried_inverse", spy_carried)
     monkeypatch.setattr(lp_module, "_warm_solve", spy_warm)
     return paths
 
@@ -502,7 +531,7 @@ def test_warm_starts_match_the_cold_solve_across_lp_families(monkeypatch):
         solve(_random_lp_with_unit_columns(rng), held)
         _assert_warm_matches_cold(lp, held)
     assert optimal > 200
-    assert min(paths["dual"], paths["primal"], paths["fallback"]) > 20, paths
+    assert min(paths["dual"], paths["primal"], paths["fallback"], paths["reused"]) > 20, paths
 
 
 def _stage_lp_chain(rng: np.random.Generator, family: str):
@@ -549,4 +578,59 @@ def test_warm_starts_match_the_cold_solve_on_stage_lp_chains(monkeypatch):
             start = Basis()
             for lp in _stage_lp_chain(rng, family):
                 assert _assert_warm_matches_cold(lp, start) is LpStatus.OPTIMAL
-    assert paths["shifted"] > 20, paths
+    assert min(paths["shifted"], paths["reused"]) > 20, paths
+
+
+def test_a_kept_inverse_is_reused_only_for_the_same_basis_matrix(monkeypatch):
+    """Two last-stage portfolio LPs share A and c and differ in their rhs.
+    Solved one after the other through one holder, the second keeps the
+    first one's basis, so it starts from the inverse the holder kept and
+    makes no ``np.linalg.inv`` call; its point, duals and objective equal
+    byte for byte those of the same solve from that basis alone.  A copy of
+    the holder of a sibling LP, whose utility, and so whose basis matrix,
+    differs, inverts afresh and matches the same way."""
+    inversions = 0
+    real_inv = np.linalg.inv
+
+    def counted(a):
+        nonlocal inversions
+        inversions += 1
+        return real_inv(a)
+
+    monkeypatch.setattr(np.linalg, "inv", counted)
+    positions = np.zeros(10)
+    first, second = (
+        assemble_stage_lp(
+            build_portfolio_instance(3, 4).datum_builder(4, np.array(returns)),
+            np.concatenate([state, np.zeros(6)]),
+        )
+        for returns, state in (
+            ((1.1, 0.9, 1.05), (0.3, 0.3, 0.2, 0.2)),
+            ((1.08, 0.93, 1.02), (0.32, 0.28, 0.2, 0.21)),
+        )
+    )
+    assert np.array_equal(first.eq_matrix, second.eq_matrix)
+    assert np.array_equal(first.objective, second.objective)
+    assert not np.array_equal(first.eq_rhs, second.eq_rhs)
+
+    held = Basis()
+    solve(first, held)
+    cols = held.cols.copy()
+    # The cold run pivoted, so it ended on a freshly inverted basis.
+    assert held.B is not None
+    inversions = 0
+    sol = solve(second, held)
+    assert np.array_equal(held.cols, cols)
+    assert inversions == 0
+    _assert_same_bytes(sol, solve(second, Basis(cols.copy())))
+
+    steeper = build_portfolio_instance(3, 4, utility_slopes=exponential_utility_segments(5, 2.0))
+    sibling = Basis()
+    solve(assemble_stage_lp(steeper.datum_builder(4, np.array([1.1, 0.9, 1.05])), positions), sibling)
+    assert not np.array_equal(second.eq_matrix[:, sibling.cols], sibling.B)
+    copied = sibling.copy()
+    assert copied.B is not sibling.B and np.array_equal(copied.Binv, sibling.Binv)
+    inversions = 0
+    sol = solve(second, copied)
+    assert inversions >= 1
+    _assert_same_bytes(sol, solve(second, Basis(sibling.cols.copy())))

@@ -9,8 +9,8 @@ from sddpkit.approximations import LOWER_BOX, UPPER_BOX
 from sddpkit.lp import LinearProgram, LpStatus, solve
 from sddpkit.scenarios import DimensionMismatchError, StageDatum
 from sddpkit.stages import (
+    ExtraTerms,
     InvalidUtilityError,
-    LpBlock,
     assemble_stage_lp,
     build_portfolio_instance,
     exponential_utility_segments,
@@ -43,14 +43,16 @@ def test_wrong_state_dimension_raises():
         assemble_stage_lp(_simple_datum(), [1.0, 2.0])
 
 
-class _VacuousCut:
+class _VacuousCut(ExtraTerms):
     """Appends a costed epigraph variable pinned at zero."""
 
-    def block(self, x_dim):
+    def shape(self, x_dim):
+        return 1, 2
+
+    def write(self, x_dim, out):
         # columns ell (cost 1) and surplus; row ell - surplus = 0
-        rows = np.zeros((1, x_dim + 2))
-        rows[0, x_dim:] = [1.0, -1.0]
-        return LpBlock(cost=np.array([1.0, 0.0]), rows=rows, rhs=np.zeros(1))
+        out.rows[0, x_dim:] = [1.0, -1.0]
+        out.cost[0] = 1.0
 
 
 def test_inactive_extra_term_leaves_objective_unchanged():
