@@ -14,32 +14,31 @@ interface.  The infinite initializations of the textbook recursion are
 realized by large sentinel boxes (``LOWER_BOX``/``UPPER_BOX``); they stop
 binding as soon as a first cut or point arrives.
 
-Both keep each node's data as arrays that grow by one row per ``add``: a
-pool holds a :class:`CutRows` (gradient matrix, offset vector), a store an
-anchor matrix and a value vector.  Every ``add`` makes fresh arrays, so
-arrays handed out earlier stay as they were.  Stage LP blocks and the
-rollout's cut separation read the arrays, so evaluating every cut of a
-node at a point is one matvec.
+Every backward pass at stage t adds one cut and one envelope point to
+every node of the stage, all at the same anchor, so both keep a stage's
+data as arrays with one row per node: a pool the cut gradients (nodes, k,
+d) and offsets (nodes, k), a store one anchor matrix (k, d) and the values
+(nodes, k).  Stage 2's one node is the root, j = None; a later stage's
+nodes are the stage-(t-1) realizations j = 0, 1, ....  Every ``add`` makes
+fresh arrays, so the views of a node's rows that ``cuts`` and ``points``
+hand out stay as they were.  Evaluating every cut of a node at a point is
+one matvec.
 """
 
 from __future__ import annotations
 
-import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
 
-from .kernel import ConditionalWeights
 from .scenarios import DimensionMismatchError
 from .stages import ExtraTerms, LpBlock
 
 __all__ = [
-    "Cut",
     "CutPool",
     "CutRows",
     "EnvelopeStore",
-    "NodeKey",
     "aggregate_backward",
     "CutLowerTerms",
     "WeightedLowerTerms",
@@ -53,35 +52,6 @@ LOWER_BOX = -1e9
 UPPER_BOX = 1e9
 # Default envelope penalty per unit of the largest cut gradient seen.
 PENALTY_SAFETY = 10.0
-
-# A conditioning node: stage index plus historical path index, None at the root.
-NodeKey = tuple[int, int | None]
-
-
-@dataclass(frozen=True)
-class Cut:
-    """One affine minorant: x -> intercept + gradient . (x - anchor).
-
-    ``offset`` is its value at the origin, the right-hand side of the
-    cut's row in a stage LP.
-    """
-
-    gradient: np.ndarray
-    intercept: float
-    anchor: np.ndarray
-    offset: float = field(init=False)
-
-    def __post_init__(self) -> None:
-        g = np.asarray(self.gradient, dtype=float).reshape(-1)
-        a = np.asarray(self.anchor, dtype=float).reshape(-1)
-        object.__setattr__(self, "gradient", g)
-        object.__setattr__(self, "anchor", a)
-        object.__setattr__(self, "intercept", float(self.intercept))
-        if g.shape != a.shape:
-            raise DimensionMismatchError(
-                f"cut gradient has dimension {g.shape[0]}, anchor {a.shape[0]}"
-            )
-        object.__setattr__(self, "offset", self.intercept - float(g @ a))
 
 
 @dataclass(frozen=True)
@@ -104,60 +74,82 @@ class CutRows:
 _NO_CUTS = CutRows(np.zeros((0, 0)), np.zeros(0))
 
 
-def _grow(
-    matrix: np.ndarray, vector: np.ndarray, row: np.ndarray, value: float, what: str,
-    key: NodeKey,
-) -> tuple[np.ndarray, np.ndarray]:
-    """A node's matrix and vector with one more row, as new arrays."""
-    if not vector.size:
-        matrix = np.zeros((0, row.shape[0]))
-    elif matrix.shape[1] != row.shape[0]:
+def _node_row(t: int, node_j: int | None, n_nodes: int) -> int | None:
+    """Row of node j in stage t's arrays, or None if the stage has no such node."""
+    if t == 2:
+        return 0 if node_j is None and n_nodes else None
+    return node_j if node_j is not None and 0 <= node_j < n_nodes else None
+
+
+def _append(
+    stack: np.ndarray | None, entry: np.ndarray, axis: int, what: str, t: int
+) -> np.ndarray:
+    """``stack`` with ``entry`` as one more slice along ``axis``, as a new array."""
+    entry = np.expand_dims(np.asarray(entry, dtype=float), axis)
+    if stack is None:
+        return entry.copy()
+    if stack.shape[:axis] + stack.shape[axis + 1 :] != entry.shape[:axis] + entry.shape[axis + 1 :]:
         raise DimensionMismatchError(
-            f"{what} dimension {row.shape[0]} does not match the node's "
-            f"({matrix.shape[1]}) at (t={key[0]}, j={key[1]})"
+            f"{what} of shape {entry.shape} does not fit stage t={t}'s {stack.shape}"
         )
-    return np.vstack([matrix, row]), np.append(vector, value)
+    return np.concatenate([stack, entry], axis=axis)
 
 
 class CutPool:
-    """Cuts per (stage, node); pools only grow, so the outer bound only tightens."""
+    """Cuts per stage and node; pools only grow, so the outer bound only tightens."""
 
     def __init__(self) -> None:
-        self._rows: dict[NodeKey, CutRows] = {}
+        self._stages: dict[int, tuple[np.ndarray, np.ndarray]] = {}
 
     def cuts(self, t: int, node_j: int | None) -> CutRows:
         """The node's cuts; a later ``add`` leaves the returned arrays as they are."""
-        return self._rows.get((t, node_j), _NO_CUTS)
+        if t not in self._stages:
+            return _NO_CUTS
+        gradients, offsets = self._stages[t]
+        row = _node_row(t, node_j, offsets.shape[0])
+        return _NO_CUTS if row is None else CutRows(gradients[row], offsets[row])
 
     def n_cuts(self) -> int:
-        return sum(len(rows) for rows in self._rows.values())
+        return sum(offsets.size for _, offsets in self._stages.values())
 
-    def add(self, t: int, node_j: int | None, cut: Cut) -> None:
-        rows = self.cuts(t, node_j)
-        self._rows[(t, node_j)] = CutRows(
-            *_grow(rows.gradients, rows.offsets, cut.gradient, cut.offset, "cut", (t, node_j))
+    def add(self, t: int, new: CutRows) -> None:
+        """One more cut for every node of stage t: row j of ``new`` is node j's."""
+        gradients, offsets = self._stages.get(t, (None, None))
+        self._stages[t] = (
+            _append(gradients, new.gradients, 1, "cut gradients", t),
+            _append(offsets, new.offsets, 1, "cut offsets", t),
         )
 
 
 def aggregate_backward(
-    values: np.ndarray,
-    duals: list[np.ndarray] | np.ndarray,
-    weights: ConditionalWeights,
     anchor: np.ndarray,
-) -> Cut:
-    """Weight the N node solves into one cut anchored at the visited state.
+    duals: list[np.ndarray] | np.ndarray,
+    lower_weights: np.ndarray,
+    lower_values: np.ndarray,
+    upper_weights: np.ndarray,
+    upper_values: np.ndarray,
+) -> tuple[CutRows, np.ndarray]:
+    """Weight a stage's N realization solves into one cut and one envelope
+    value per conditioning node, all at the visited state ``anchor``.
 
-    gradient = sum_i w_i pi_i and intercept = sum_i w_i V_i, so the cut is
-    the conditional expectation of the per-realization affine minorants.
+    Row j of a weight matrix holds node j's weights over the realizations.
+    Node j's cut has gradient sum_i w_ji pi_i and value sum_i w_ji V_i at
+    the anchor, so it is the conditional expectation of the per-realization
+    affine minorants; its offset is that value minus gradient . anchor.
+    Node j's envelope value is sum_i u_ji U_i.
     """
-    v = np.asarray(values, dtype=float).reshape(-1)
-    pi = np.atleast_2d(np.asarray(duals, dtype=float))
-    w = weights.weights
-    if v.shape[0] != w.shape[0] or pi.shape[0] != w.shape[0]:
+    a = np.asarray(anchor, dtype=float).reshape(-1)
+    pi = np.asarray(duals, dtype=float)
+    W = np.asarray(lower_weights, dtype=float)
+    U = np.asarray(upper_weights, dtype=float)
+    n = len(lower_values)
+    if pi.shape != (n, a.shape[0]) or W.shape[1:] != (n,) or U.shape != W.shape:
         raise DimensionMismatchError(
-            f"got {v.shape[0]} values and {pi.shape[0]} duals for {w.shape[0]} weights"
+            f"duals {pi.shape}, weights {W.shape} and {U.shape} for {n} values "
+            f"at an anchor of dimension {a.shape[0]}"
         )
-    return Cut(gradient=pi.T @ w, intercept=float(v @ w), anchor=anchor)
+    G = W @ pi
+    return CutRows(G, W @ lower_values - G @ a), U @ upper_values
 
 
 # ---------------------------------------------------------------------------
@@ -166,7 +158,7 @@ def aggregate_backward(
 
 
 class EnvelopeStore:
-    """Anchor/value points per (stage, node) plus per-stage penalty scales.
+    """Anchor/value points per stage and node plus per-stage penalty scales.
 
     The penalty M_t must dominate the stage value's Lipschitz constant for
     the envelope to stay an upper bound; by default it is ``PENALTY_SAFETY``
@@ -177,28 +169,39 @@ class EnvelopeStore:
 
     def __init__(self, penalty_override: float | None = None):
         self.penalty_override = penalty_override
-        self._points: dict[NodeKey, tuple[np.ndarray, np.ndarray]] = {}
+        self._anchors: dict[int, np.ndarray] = {}
+        self._values: dict[int, np.ndarray] = {}
         self._grad_max: dict[int, float] = {}
+
+    def anchors(self, t: int) -> np.ndarray:
+        """Stage t's anchor matrix, one row per ``add``."""
+        return self._anchors.get(t, np.zeros((0, 0)))
 
     def points(self, t: int, node_j: int | None) -> tuple[np.ndarray, np.ndarray]:
         """The node's anchor matrix and value vector; a later ``add`` leaves
         the returned arrays as they are."""
-        return self._points.get((t, node_j), (np.zeros((0, 0)), np.zeros(0)))
+        values = self._values.get(t, np.zeros((0, 0)))
+        row = _node_row(t, node_j, values.shape[0])
+        if row is None:
+            return np.zeros((0, 0)), np.zeros(0)
+        return self._anchors[t], values[row]
 
     def n_points(self) -> int:
-        return sum(values.shape[0] for _, values in self._points.values())
+        return sum(values.size for values in self._values.values())
 
-    def add(self, t: int, node_j: int | None, anchor: np.ndarray, value: float) -> None:
-        if not math.isfinite(value):
-            raise ValueError(f"envelope value at (t={t}, j={node_j}) must be finite")
-        a = np.asarray(anchor, dtype=float).reshape(-1)
-        self._points[(t, node_j)] = _grow(
-            *self.points(t, node_j), a, float(value), "anchor", (t, node_j)
-        )
+    def add(self, t: int, anchor: np.ndarray, values: np.ndarray) -> None:
+        """One more point at ``anchor`` for every node of stage t: ``values[j]``
+        is node j's value there."""
+        v = np.asarray(values, dtype=float).reshape(-1)
+        if not np.all(np.isfinite(v)):
+            raise ValueError(f"envelope values at stage t={t} must be finite")
+        anchors = _append(self._anchors.get(t), np.reshape(anchor, -1), 0, "anchor", t)
+        self._values[t] = _append(self._values.get(t), v, 1, "envelope values", t)
+        self._anchors[t] = anchors
 
-    def note_gradient(self, t: int, gradient: np.ndarray) -> None:
-        """Record a stage-t cut gradient so penalty(t) tracks the Lipschitz scale."""
-        norm = float(np.max(np.abs(np.asarray(gradient, dtype=float))))
+    def note_gradient(self, t: int, gradients: np.ndarray) -> None:
+        """Record stage-t cut gradients so penalty(t) tracks the Lipschitz scale."""
+        norm = float(np.max(np.abs(np.asarray(gradients, dtype=float))))
         self._grad_max[t] = max(self._grad_max.get(t, 0.0), norm)
 
     def penalty(self, t: int) -> float:

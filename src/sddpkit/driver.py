@@ -9,10 +9,12 @@ realization, or the root), and finally
 re-solves the root problem against both approximations to report a
 deterministic lower and upper bound.
 
-Approximations are keyed (t, j): the stage-t cost-to-go conditioned on
-the stage-(t-1) node j, with j = None at the root.  The backward pass at
-stage t reads the (t+1, i) pools and writes the (t, j) pools, so the same
-N subproblem solves serve every conditioning node's update.
+Approximations are stored per stage: the stage-t cost-to-go conditioned
+on each stage-(t-1) node j, with j = None at the root, as arrays with one
+row per node.  The backward pass at stage t reads the (t+1, i) pools and
+writes one slice of stage t's arrays: the same N subproblem solves, weighted
+by the rows of the stage's weight matrix, give every conditioning node's
+cut and envelope value in one matrix product each.
 
 The robust variant replaces each node's nominal weighting with the
 worst-case weights of its ambiguity set, both for cut aggregation (any
@@ -286,8 +288,6 @@ class _Runner:
         # first replaced by copies of realization i-1's, which its LPs just
         # ended at.
         self.bases: defaultdict[tuple[str, int, int | None], Basis] = defaultdict(Basis)
-        # Anchor of each stage's last backward pass.
-        self.anchors: dict[int, np.ndarray] = {}
 
     # -- helpers ------------------------------------------------------------
 
@@ -348,13 +348,14 @@ class _Runner:
             states.append(sol.primal[: datum.dim_out].copy())
         return scenario, states
 
-    def backward_pass(self, k: int, states: list[np.ndarray]) -> tuple[int, int]:
-        n_cuts = n_points = 0
+    def backward_pass(self, k: int, states: list[np.ndarray]) -> int:
+        """Add one cut and one envelope point to every node of stages T..2;
+        returns how many of each."""
+        added = 0
         for t in range(self.T, 1, -1):
             anchor = states[t - 2]
-            last = self.anchors.get(t)
-            moved = last is None or not np.array_equal(anchor, last)
-            self.anchors[t] = anchor
+            last = self.store.anchors(t)
+            moved = not len(last) or not np.array_equal(anchor, last[-1])
             bounds = ("lower", "upper") if t < self.T else ("lower",)
             lower_vals = np.empty(self.N)
             upper_vals = np.empty(self.N)
@@ -388,34 +389,30 @@ class _Runner:
                         i,
                     )
                     upper_vals[i] = ub_sol.objective_value
-            nodes: list[int | None] = [None] if t == 2 else list(range(self.N))
             w_lower = self._weights(lower_vals, t)
             if t == self.T:  # no cost-to-go: the upper values are the lower ones
                 upper_vals, w_upper = lower_vals, w_lower
             else:
                 w_upper = self._weights(upper_vals, t)
-            for j, wl, wu in zip(nodes, w_lower, w_upper):
-                cut = aggregate_backward(lower_vals, grads, ConditionalWeights(wl), anchor)
-                point_value = float(wu @ upper_vals)
-                self.pools.add(t, j, cut)
-                self.store.note_gradient(t, cut.gradient)
-                self.store.add(t, j, anchor, point_value)
-                n_cuts += 1
-                n_points += 1
-        return n_cuts, n_points
+            cuts, point_values = aggregate_backward(
+                anchor, grads, w_lower, lower_vals, w_upper, upper_vals
+            )
+            self.pools.add(t, cuts)
+            self.store.note_gradient(t, cuts.gradients)
+            self.store.add(t, anchor, point_values)
+            added += len(cuts)
+        return added
 
     def iterate(self, k: int) -> IterationRecord:
         started = time.perf_counter()
         if self.root_decision is None:
             self.root_solve_lower(k)
         scenario = None
-        n_cuts = n_points = 0
+        added = 0
         for m in range(self.config.forward_paths_per_iter):
             sc, states = self.forward_pass(k, m)
             scenario = scenario or sc
-            dc, dp = self.backward_pass(k, states)
-            n_cuts += dc
-            n_points += dp
+            added += self.backward_pass(k, states)
         lb = float(self.root_solve_lower(k).objective_value)
         self.best_upper = min(self.best_upper, self.root_solve_upper(k))
         gap = self._gap(lb, self.best_upper)
@@ -426,8 +423,8 @@ class _Runner:
             upper_bound=self.best_upper,
             gap=gap,
             wall_time=time.perf_counter() - started,
-            cuts_added=n_cuts,
-            envelope_points_added=n_points,
+            cuts_added=added,
+            envelope_points_added=added,
             forward_scenario=scenario,
         )
 

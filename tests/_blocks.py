@@ -6,17 +6,26 @@ from typing import Sequence
 
 import numpy as np
 
-from sddpkit.approximations import Cut, CutPool, CutRows, WeightedLowerTerms, stack_cut_rows
+from sddpkit.approximations import CutRows, WeightedLowerTerms, stack_cut_rows
 from sddpkit.lp import LinearProgram, LpStatus, solve
 from sddpkit.stages import ExtraTerms
 
 
-def cut_rows(cuts: Sequence[Cut]) -> CutRows:
-    """The cuts as a pool stores them, added in order."""
-    pool = CutPool()
-    for cut in cuts:
-        pool.add(0, None, cut)
-    return pool.cuts(0, None)
+def cut_rows(cuts: Sequence[tuple[Sequence[float], float]]) -> CutRows:
+    """A node's cut rows from (gradient, offset) pairs, in order."""
+    if not cuts:
+        return CutRows(np.zeros((0, 0)), np.zeros(0))
+    return CutRows(
+        np.array([g for g, _ in cuts], dtype=float), np.array([o for _, o in cuts], dtype=float)
+    )
+
+
+def random_cut(rng: np.random.Generator, d: int) -> tuple[np.ndarray, float]:
+    """A cut through a random point: gradient g and value v at anchor a,
+    drawn in that order, as (g, v - g . a)."""
+    g = rng.normal(size=d)
+    value = float(rng.normal())
+    return g, value - float(g @ rng.normal(size=d))
 
 
 def weighted_pools(node_cuts: Sequence[tuple[float, CutRows]]) -> WeightedLowerTerms:

@@ -5,11 +5,12 @@ import math
 
 import numpy as np
 import pytest
+from scipy.optimize import linprog
 
 import sddpkit.driver
 import sddpkit.lp
 import sddpkit.robust
-from sddpkit.approximations import LOWER_BOX, Cut, CutPool, EnvelopeStore
+from sddpkit.approximations import LOWER_BOX, CutPool, CutRows, EnvelopeStore
 from sddpkit.driver import (
     Algorithm,
     GapMode,
@@ -585,15 +586,19 @@ def test_working_set_rollout_of_a_one_iteration_policy(monkeypatch):
 
 
 def test_working_set_rollout_with_single_cut_and_empty_pools(monkeypatch):
-    """Odd nodes keep only their newest cut, even nodes none (the sentinel row)."""
+    """At stage 3 every node keeps only its newest cut; stage 4 has none
+    (the sentinel rows)."""
     traj, template = make_toy(6, horizon_T=4, n_paths=4)
     trained, _, _ = run(traj, template, _config(max_iterations=10))
+    newest = [trained.pools.cuts(3, i) for i in range(traj.n_paths)]
     pools = CutPool()
-    for t in (3, 4):
-        for i in range(1, 4, 2):
-            newest = trained.pools.cuts(t, i)
-            pools.add(t, i, Cut(gradient=newest.gradients[-1], intercept=newest.offsets[-1],
-                                anchor=np.zeros(newest.gradients.shape[1])))
+    pools.add(
+        3,
+        CutRows(
+            np.array([rows.gradients[-1] for rows in newest]),
+            np.array([rows.offsets[-1] for rows in newest]),
+        ),
+    )
     policy = Policy(
         algorithm=Algorithm.DD,
         trajectories=traj,
@@ -619,8 +624,8 @@ def test_unbounded_working_set_falls_back_to_every_cut():
     traj = TrajectorySet(horizon_T=3, n_paths=1, stage1=stage1, data=[[stage2], [stage3]])
     pools = CutPool()
     # At the origin 5 - x1 = 5 beats x1 = 0, so it starts alone.
-    pools.add(3, 0, Cut(gradient=[-1.0, 0.0], intercept=5.0, anchor=[0.0, 0.0]))
-    pools.add(3, 0, Cut(gradient=[1.0, 0.0], intercept=0.0, anchor=[0.0, 0.0]))
+    pools.add(3, CutRows(np.array([[-1.0, 0.0]]), np.array([5.0])))
+    pools.add(3, CutRows(np.array([[1.0, 0.0]]), np.array([0.0])))
     policy = Policy(
         algorithm=Algorithm.DD,
         trajectories=traj,
@@ -761,6 +766,43 @@ def test_extensive_oracle_equals_stacked_lp_when_deterministic():
     assert extensive_form_oracle(traj, template, kernel=_KERNEL) == pytest.approx(
         target, abs=1e-9
     )
+
+
+def _highs_value(lp: LinearProgram) -> float:
+    """The LP's optimal value as HiGHS finds it."""
+    bounds = [(None, None) if free else (lo, None) for lo, free in zip(lp.var_lower, lp.free_mask)]
+    res = linprog(
+        lp.objective,
+        A_eq=lp.eq_matrix,
+        b_eq=lp.eq_rhs,
+        bounds=bounds,
+        method="highs",
+        options={"primal_feasibility_tolerance": 1e-10, "dual_feasibility_tolerance": 1e-10},
+    )
+    assert res.status == 0, res.message
+    return float(res.fun)
+
+
+@pytest.mark.parametrize("seed", [0, 14, 55])
+def test_extensive_oracle_matches_highs(monkeypatch, seed):
+    """The oracle's tree LP has the value HiGHS finds for it, on the
+    capacity-chain toys (T = 3, N = 12) that perfbench's toy_oracle gate
+    derives from these seeds."""
+    traj, template = make_toy(
+        int(np.random.SeedSequence((seed, 3)).generate_state(1)[0]), horizon_T=3, n_paths=12
+    )
+    lps = []
+    solve_lp = sddpkit.driver.solve
+
+    def recording_solve(lp, start=None):
+        lps.append(lp)
+        return solve_lp(lp, start)
+
+    monkeypatch.setattr(sddpkit.driver, "solve", recording_solve)
+    value = extensive_form_oracle(traj, template)
+    (lp,) = lps
+    reference = _highs_value(lp)
+    assert abs(value - reference) <= 1e-9 * (1.0 + abs(reference))
 
 
 def test_extensive_oracle_scale_cap():

@@ -6,13 +6,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from sddpkit.approximations import (
-    Cut,
-    CutPool,
-    EnvelopeStore,
-    EnvelopeUpperTerms,
-    WeightedLowerTerms,
-)
+from sddpkit.approximations import EnvelopeUpperTerms, WeightedLowerTerms
 from sddpkit.lp import (
     Basis,
     LinearProgram,
@@ -28,6 +22,7 @@ from sddpkit.stages import (
     exponential_utility_segments,
 )
 
+from _blocks import cut_rows
 from _kkt import assert_kkt
 from _toys import STATE_DIM, toy_builder
 
@@ -549,20 +544,24 @@ def _stage_lp_chain(rng: np.random.Generator, family: str):
     d = builder(2, draw()).dim_out
     n_nodes = int(rng.integers(1, 6))
     # Cut rows in the order they arrive, as the rollout appends them.
-    node, cuts = np.zeros(0, dtype=np.int64), CutPool()
-    store = EnvelopeStore()
+    node, cuts = np.zeros(0, dtype=np.int64), []
+    anchors, values = [], []
     for _ in range(8):
         datum = builder(2, draw())
         state = rng.uniform(0.0, 1.0, size=d_in)
         if family == "lower":
             if rng.random() < 0.6:
                 node = np.append(node, rng.integers(n_nodes))
-                cuts.add(0, None, Cut(rng.normal(size=d), float(rng.normal()), rng.uniform(size=d)))
+                g, value = rng.normal(size=d), float(rng.normal())
+                cuts.append((g, value - float(g @ rng.uniform(size=d))))
             weights = rng.dirichlet(np.ones(n_nodes)) * (rng.random(n_nodes) < 0.8)
-            terms = WeightedLowerTerms(weights, node, cuts.cuts(0, None))
+            terms = WeightedLowerTerms(weights, node, cut_rows(cuts))
         else:
-            store.add(0, None, rng.uniform(size=d), float(rng.normal()))
-            terms = EnvelopeUpperTerms(*store.points(0, None), float(rng.uniform(0.5, 5.0)))
+            anchors.append(rng.uniform(size=d))
+            values.append(float(rng.normal()))
+            terms = EnvelopeUpperTerms(
+                np.array(anchors), np.array(values), float(rng.uniform(0.5, 5.0))
+            )
         yield assemble_stage_lp(datum, state, extra_terms=terms)
 
 

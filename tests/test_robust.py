@@ -10,8 +10,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from _blocks import cut_rows, weighted_pools
-from sddpkit.approximations import Cut, CutLowerTerms, CutRows
+from _blocks import cut_rows, random_cut, weighted_pools
+from sddpkit.approximations import CutLowerTerms, CutRows
 from sddpkit.kernel import ConditionalWeights
 from sddpkit.lp import LinearProgram, LpStatus, solve
 from sddpkit.robust import (
@@ -351,18 +351,13 @@ def test_fixed_decision_block_prices_the_inner_max_of_the_cut_values():
             c=rng.normal(size=2), A=np.eye(2), B=np.eye(2), b=x + 1.0, feature=[0.0]
         )
         shared = [
-            tuple(
-                Cut(gradient=rng.normal(size=2), intercept=float(rng.normal()),
-                    anchor=rng.normal(size=2))
-                for _ in range(int(rng.integers(1, 4)))
-            )
-            for _ in range(3)
+            [random_cut(rng, 2) for _ in range(int(rng.integers(1, 4)))] for _ in range(3)
         ]
         pools = [shared[k] for k in rng.integers(0, 3, size=len(params.nominal))]
         terms = DroLowerTerms(params, [cut_rows(cuts) for cuts in pools])
         sol = solve(assemble_stage_lp(datum, np.ones(2), extra_terms=terms))
         z = np.array([
-            max(c.intercept + float(c.gradient @ (x - c.anchor)) for c in cuts) for cuts in pools
+            max(offset + float(g @ x) for g, offset in cuts) for cuts in pools
         ])
         expected = float(datum.c @ x) + _primal_lp(z, params.nominal.weights, params.rho)[0]
         assert sol.status is LpStatus.OPTIMAL
@@ -375,11 +370,7 @@ def _assert_recorded_robust_rollout_lp_solves(name: str) -> None:
     data = json.loads((Path(__file__).parent / "data" / f"{name}.json").read_text())
     datum = StageDatum(**data["datum"])
     pools = [
-        cut_rows([
-            Cut(gradient=cut["gradient"], intercept=cut["offset"], anchor=np.zeros(datum.dim_out))
-            for cut in cuts
-        ])
-        for cuts in data["cuts"]
+        cut_rows([(cut["gradient"], cut["offset"]) for cut in cuts]) for cuts in data["cuts"]
     ]
     params = AmbiguityParams(rho=data["rho"], nominal=ConditionalWeights(np.array(data["nominal"])))
     sol = solve(assemble_stage_lp(datum, data["state"], extra_terms=DroLowerTerms(params, pools)))
@@ -426,15 +417,7 @@ def _stage_with_pools(rng, n_scen):
     )
     pools = []
     for _ in range(n_scen):
-        cuts = tuple(
-            Cut(
-                gradient=rng.normal(size=2),
-                intercept=float(rng.normal()),
-                anchor=rng.normal(size=2),
-            )
-            for _ in range(int(rng.integers(1, 4)))
-        )
-        pools.append(cut_rows(cuts))
+        pools.append(cut_rows([random_cut(rng, 2) for _ in range(int(rng.integers(1, 4)))]))
     return datum, pools
 
 

@@ -86,8 +86,9 @@ class _RowByRow:
         if cut is None:
             rhs = LOWER_BOX * scale
         else:
-            rhs = (cut.intercept - float(cut.gradient @ cut.anchor)) * scale
-            for j, g in enumerate(cut.gradient):
+            gradient, offset = cut
+            rhs = offset * scale
+            for j, g in enumerate(gradient):
                 if g != 0.0:
                     coeffs[j] = -float(g) * scale
         coeffs[self.var()] = -1.0
@@ -143,7 +144,7 @@ class _RowByRow:
 def test_block_assembly_matches_row_by_row_reference():
     """Same arrays, bit for bit (signed zeros included), as one row at a time."""
     from _blocks import cut_rows, weighted_pools
-    from sddpkit.approximations import Cut, EnvelopeUpperTerms
+    from sddpkit.approximations import EnvelopeUpperTerms
     from sddpkit.kernel import ConditionalWeights
     from sddpkit.robust import AmbiguityParams, DroLowerTerms
 
@@ -155,11 +156,12 @@ def test_block_assembly_matches_row_by_row_reference():
 
         def pool():
             # Some gradient entries are exactly zero, as in the portfolio.
-            return tuple(
-                Cut(gradient=rng.normal(size=d) * (rng.random(d) < 0.6),
-                    intercept=float(rng.normal()), anchor=rng.normal(size=d))
-                for _ in range(int(rng.integers(0, 4)))
-            )
+            cuts = []
+            for _ in range(int(rng.integers(0, 4))):
+                g = rng.normal(size=d) * (rng.random(d) < 0.6)
+                value = float(rng.normal())
+                cuts.append((g, value - float(g @ rng.normal(size=d))))
+            return cuts
 
         n = int(rng.integers(1, 5))
         pools = [pool() for _ in range(n)]
@@ -169,7 +171,7 @@ def test_block_assembly_matches_row_by_row_reference():
         params = AmbiguityParams(0.3, ConditionalWeights(w / w.sum()))
         k = int(rng.integers(0, 4))
         envelope = EnvelopeUpperTerms(rng.normal(size=(k, d)), rng.normal(size=k), 7.5)
-        # The reference builds each cut's row from the Cut object itself.
+        # The reference builds each cut's row from its (gradient, offset) pair.
         for terms, method, args in (
             (None, None, ()),
             (weighted_pools(list(zip(weights, rows))), "weighted", (weights, pools)),
