@@ -31,9 +31,9 @@ caller copied in from a sibling LP with the same row and column layout
 (another realization's LP at the same stage, say).  It starts with the
 dual simplex when that basis is still dual feasible, with phase two when
 it is still primal feasible.  A basis that is neither gets shifted
-costs: each column with a negative reduced cost costs exactly that much
-more, the dual simplex runs on those costs until the basis is primal
-feasible, and phase two finishes on the true costs.
+costs: each column whose reduced cost would let it enter has it taken
+off its cost, the dual simplex runs on those costs until the basis is
+primal feasible, and phase two finishes on the true costs.
 The warm path falls back to the cold two-phase path only when the start
 does not fit the LP, when its basis is singular, when a run raises or
 reaches the warm pivot cap, when it ends in anything but Optimal, or when
@@ -54,14 +54,15 @@ replaces a holder's arrays and never writes into them.
 
 A small-scale vertex enumerator, :func:`enumerate_vertices`, is provided
 as an independent cross-check: it enumerates basic feasible solutions of
-the same internal standard form by brute force over column subsets.
+the LP, its free variables split in two, by brute force over column subsets.
 
 Conventions
 -----------
 * Variables have a finite lower bound, 0 by default, and no upper bound.
   A model that needs x <= u writes it as a row with a slack column.
-  Free variables are flagged via ``free_mask`` and handled by splitting
-  into positive and negative parts internally.
+  Free variables are flagged via ``free_mask`` and stay one column each,
+  which the simplex never chooses to leave once basic (Maros,
+  "Computational Techniques of the Simplex Method", 2003).
 * Row duals follow the sensitivity convention for minimization: the dual
   of an equality row is the derivative of the optimal value with respect
   to that row's right-hand side.
@@ -107,7 +108,7 @@ _FEAS_TOL = 1e-9
 # Dual feasibility (reduced cost) tolerance for optimality.
 _OPT_TOL = 1e-9
 # Magnitude below which a candidate pivot element is treated as zero,
-# relative to the largest magnitude in its tableau column.  The Harris
+# relative to the largest of its column on rows that can leave.  The Harris
 # ratio test admits every row above it, but among near-ties it takes the
 # largest pivot, so one this small leaves only when no larger one ties.
 _PIVOT_TOL = 1e-9
@@ -216,12 +217,10 @@ class Basis:
     """The last optimal basis of a family of LPs, kept by the caller between
     solves so that :func:`solve` can start the next member from it.
 
-    ``cols[r]`` is the column basic in row r, indexed like the LP's own
-    columns; ``~j`` (that is, -1 - j) marks the negative part of free column
-    j.  Storing original columns rather than standard-form ones keeps the
-    basis meaningful when a later LP appends columns.  None until a solve
-    with this holder ends Optimal, and again after one whose optimal basis
-    kept an artificial column.
+    ``cols[r]`` is the column basic in row r, an index 0..n-1 of the LP's
+    own columns, so the basis keeps its meaning when a later LP appends
+    columns.  None until a solve with this holder ends Optimal, and again
+    after one whose optimal basis kept an artificial column.
 
     ``B`` and ``Binv`` are the standard-form basis matrix of the solve that
     ended at ``cols`` and its inverse, kept only when that inverse is
@@ -250,39 +249,22 @@ class Basis:
 
 
 class _StandardForm:
-    """Internal representation  min c^T z : A z = b, z >= 0.
+    """Internal representation  min c^T z : A z = b, z >= 0 except where
+    ``free``, with x = z + lower.
 
-    Columns 0..n-1 map to the original variables (shifted by their lower
-    bound); free variables contribute an extra negative-part column.  The
-    LP's own arrays are used as they are, never written, where there is
-    nothing to convert: A and c when no column is free, b when no lower
-    bound is shifted.
+    Column j is the LP's variable j shifted by its lower bound, which for a
+    free one only moves its origin.  A, c, ``free`` and ``lower`` are the
+    LP's own arrays, never written, and so is b when no bound is nonzero.
     """
 
-    __slots__ = ("A", "b", "c", "const", "n_orig", "free", "lower")
+    __slots__ = ("A", "b", "c", "free", "const", "lower")
 
     def __init__(self, lp: LinearProgram) -> None:
-        self.n_orig = lp.n_vars
-        self.free = lp.free_mask.nonzero()[0]
-        if self.free.size:
-            self.lower = np.where(lp.free_mask, 0.0, lp.var_lower)
-            self.A = np.concatenate([lp.eq_matrix, -lp.eq_matrix[:, self.free]], axis=1)
-            self.c = np.concatenate([lp.objective, -lp.objective[self.free]])
-        else:
-            self.lower, self.A, self.c = lp.var_lower, lp.eq_matrix, lp.objective
-        # Shift x = z + l so bounded variables satisfy z >= 0.
+        self.A, self.c, self.b = lp.eq_matrix, lp.objective, lp.eq_rhs
+        self.free, self.lower, self.const = lp.free_mask, lp.var_lower, 0.0
         if self.lower.any():
-            self.b = lp.eq_rhs - lp.eq_matrix @ self.lower
-            self.const = float(lp.objective @ self.lower)
-        else:
-            self.b, self.const = lp.eq_rhs, 0.0
-
-    def recover_primal(self, z: np.ndarray) -> np.ndarray:
-        x = z[: self.n_orig]
-        if self.free.size:
-            x = x.copy()
-            x[self.free] -= z[self.n_orig :]
-        return x + self.lower
+            self.b = lp.eq_rhs - self.A @ self.lower
+            self.const = float(self.c @ self.lower)
 
 
 # ---------------------------------------------------------------------------
@@ -294,15 +276,23 @@ class _Simplex:
     """Two-phase revised simplex on standard-form data: Bland's rule picks
     the entering column, Harris' two-pass ratio test the leaving row.
 
-    The starting basis takes, for each row i, the lowest-index column that
-    is exactly +-e_i with the sign of b_i (either sign when b_i = 0): slack
-    and surplus columns are basic and feasible at B^-1 b = |b| as they
-    stand.  Only the rows no such column covers get an artificial column
-    sign(b_i) * e_i, and phase one minimizes the sum of those; when every
-    row is covered, phase one is skipped.
+    A column flagged in ``free`` sits at 0 while nonbasic and enters on a
+    reduced cost of either sign, moving the way that improves the
+    objective; once basic it never leaves, so only the rows of bounded
+    basic columns take part in ratio tests and feasibility checks.
 
-    A warm start passes ``basis`` (one standard-form column per row) and
-    the :class:`Basis` holder it came from instead; it gets no artificial
+    The starting basis takes, for each row i, the lowest-index column that
+    is exactly +-e_i with the sign of b_i (either sign when b_i = 0 or the
+    column is free): slack and surplus columns are basic and feasible at
+    B^-1 b = |b| as they stand.  Only the rows no such column covers get
+    an artificial column sign(b_i) * e_i, and phase one minimizes the sum
+    of those; when every row is covered, phase one is skipped.  Phase one
+    is bounded below by zero, so a column that finds no leaving row there
+    lowers it only through entries below the pivot tolerance, which count
+    as zero: phase one passes it over and goes on to the next.
+
+    A warm start passes ``basis`` (one column per row) and the
+    :class:`Basis` holder it came from instead; it gets no artificial
     columns, and its inverse is computed from scratch unless the holder
     kept the inverse of this very basis matrix.
 
@@ -313,13 +303,9 @@ class _Simplex:
     """
 
     def __init__(
-        self,
-        A: np.ndarray,
-        b: np.ndarray,
-        c: np.ndarray,
-        basis: np.ndarray | None = None,
-        held: Basis | None = None,
+        self, sf: _StandardForm, basis: np.ndarray | None = None, held: Basis | None = None
     ):
+        A, b, c, free = sf.A, sf.b, sf.c, sf.free
         self.m, self.n = A.shape
         self.max_pivots = _MAX_PIVOTS
         self.b = b
@@ -329,27 +315,32 @@ class _Simplex:
         self.since_refactor = 0
         if basis is not None:
             self.max_pivots = _WARM_MAX_PIVOTS
-            self.A, self.c_true, self.basis = A, c, basis
+            self.A, self.c_true, self.free, self.basis = A, c, free, basis
             self._refactor(held)
-            return
-        # Row i starts from its first column equal to +-e_i with a sign that
-        # fits b_i; column n, one past the last, marks a row without one.
-        fits = np.ones((self.m, self.n + 1), dtype=bool)
-        fits[:, : self.n] = (
-            (np.count_nonzero(A, axis=0) == 1) & (np.abs(A) == 1.0) & (A * b[:, None] >= 0.0)
-        )
-        self.basis = fits.argmax(axis=1)
-        uncovered = np.nonzero(self.basis == self.n)[0]
-        self.basis[uncovered] = self.n + np.arange(uncovered.size)
-        # Artificial columns are sign(b_i) * e_i so the artificial start is
-        # feasible without flipping rows (keeps duals in the original row frame).
-        self.A = np.zeros((self.m, self.n + uncovered.size))
-        self.A[:, : self.n] = A
-        self.A[uncovered, self.basis[uncovered]] = np.where(b[uncovered] < 0, -1.0, 1.0)
-        self.c_true = np.zeros(self.A.shape[1])
-        self.c_true[: self.n] = c
-        # The basis matrix is diagonal with entries +-1, so it is its own inverse.
-        self._set_inverse(None, np.diag(self.A[np.arange(self.m), self.basis]))
+        else:
+            # Row i starts from its first column equal to +-e_i with a sign
+            # that fits b_i; column n, one past the last, marks a row without.
+            fits = np.ones((self.m, self.n + 1), dtype=bool)
+            fits[:, : self.n] = (
+                (np.count_nonzero(A, axis=0) == 1)
+                & (np.abs(A) == 1.0)
+                & ((A * b[:, None] >= 0.0) | free)
+            )
+            self.basis = fits.argmax(axis=1)
+            uncovered = np.nonzero(self.basis == self.n)[0]
+            self.basis[uncovered] = self.n + np.arange(uncovered.size)
+            # Artificial columns are sign(b_i) * e_i so the artificial start is
+            # feasible without flipping rows (keeps duals in the original frame).
+            self.A = np.zeros((self.m, self.n + uncovered.size))
+            self.A[:, : self.n] = A
+            self.A[uncovered, self.basis[uncovered]] = np.where(b[uncovered] < 0, -1.0, 1.0)
+            self.c_true = np.concatenate([c, np.zeros(uncovered.size)])
+            self.free = np.concatenate([free, np.zeros(uncovered.size, dtype=bool)])
+            # The basis matrix is diagonal with entries +-1, so it is its own inverse.
+            self._set_inverse(None, np.diag(self.A[np.arange(self.m), self.basis]))
+        self.free_cols = self.free.nonzero()[0]
+        # The rows whose basic column is bounded, the only ones that can leave.
+        self.bounded = ~self.free[self.basis]
 
     def _set_inverse(self, B: np.ndarray | None, Binv: np.ndarray) -> None:
         self.B, self.Binv = B, Binv
@@ -374,6 +365,10 @@ class _Simplex:
             self._xb_now = self.Binv @ self.b
         return self._xb_now
 
+    def _bounded_min(self) -> float:
+        """The smallest basic value of a bounded row, inf when there is none."""
+        return float(self._xb().min(initial=np.inf, where=self.bounded))
+
     def _y(self, cost: np.ndarray) -> np.ndarray:
         """The row duals c_B B^-1 of ``cost``; kept for the true costs."""
         if cost is not self.c_true:
@@ -384,6 +379,7 @@ class _Simplex:
 
     def _pivot(self, q: int, r: int, d: np.ndarray) -> None:
         self.basis[r] = q
+        self.bounded[r] = not self.free[q]
         piv = d[r]
         self.pivots += 1
         if abs(piv) < _SMALL_PIVOT:
@@ -399,16 +395,24 @@ class _Simplex:
         if self.since_refactor >= _REFACTOR_EVERY:
             self._refactor()
 
+    def _either_way(self, v: np.ndarray, eps: float) -> np.ndarray:
+        """The columns with v < -eps, and the free ones with v > eps too."""
+        out = v < -eps
+        if self.free_cols.size:
+            out[self.free_cols] |= v[self.free_cols] > eps
+        return out
+
     def _iterate(self, cost: np.ndarray, allowed: np.ndarray | None = None) -> str:
         """Run primal simplex pivots to optimality for the given cost vector.
 
         The entering column is the lowest-index one with a negative reduced
-        cost (Bland).  The leaving row comes from Harris' two passes over
-        the rows whose pivot element exceeds ``_PIVOT_TOL`` of the column's
-        largest: the first bounds the step by each row's ratio with its
-        basic value relaxed by ``_FEAS_TOL * max(1, |b|_inf)``; the second
-        takes, among the rows whose own ratio is within that bound, the
-        largest pivot element, ties to the lowest basic column index.  A
+        cost, or a nonzero one if free (Bland).  The leaving row comes from
+        Harris' two passes over the bounded rows whose basic value falls as
+        it enters, by more than ``_PIVOT_TOL`` of the column's largest entry
+        on bounded rows: the first bounds the step by each row's ratio with
+        its basic value relaxed by ``_FEAS_TOL * max(1, |b|_inf)``; the
+        second takes, among the rows whose own ratio is within that bound,
+        the largest pivot element, ties to the lowest basic column index.  A
         pivot element below ``_SMALL_PIVOT`` is only taken from a freshly
         inverted basis.  Returns "optimal" or "unbounded".
         """
@@ -421,7 +425,7 @@ class _Simplex:
             # would enter it, the ratio test would pick its own row, and the
             # basis would never change.
             rc[self.basis] = 0.0
-            enters = rc < -_OPT_TOL
+            enters = self._either_way(rc, _OPT_TOL)
             if allowed is not None:
                 enters &= allowed
             cand = enters.nonzero()[0]
@@ -432,23 +436,25 @@ class _Simplex:
                     self._refactor()
                     continue
                 return "optimal"
-            q = int(cand[0])
+            q = self.entering = int(cand[0])
             d = self.Binv @ self.A[:, q]
-            # Eligibility is relative to the column scale: when the inverse
-            # degrades, absolute thresholds admit noise next to huge entries.
-            d_eps = _PIVOT_TOL * max(1.0, float(np.abs(d).max(initial=0.0)))
-            pos = d > d_eps
+            # Basic values fall by t * fall as the entering column moves by t.
+            fall = -d if rc[q] > 0.0 else d
+            # Eligibility is relative to the column scale on the rows that can
+            # leave: absolute thresholds admit noise next to huge entries.
+            d_eps = _PIVOT_TOL * max(1.0, float(np.abs(d[self.bounded]).max(initial=0.0)))
+            pos = self.bounded & (fall > d_eps)
             if not pos.any():
                 if self.since_refactor:
                     self._refactor()
                     continue
                 return "unbounded"
             rows = pos.nonzero()[0]
-            xb, dp = np.maximum(self._xb()[rows], 0.0), d[rows]
+            xb, dp = np.maximum(self._xb()[rows], 0.0), fall[rows]
             bound = float(((xb + _FEAS_TOL * self.scale) / dp).min())
             near = rows[xb / dp <= bound]
-            r = int(near[np.lexsort((self.basis[near], -d[near]))[0]])
-            if d[r] < _SMALL_PIVOT and self.since_refactor:
+            r = int(near[np.lexsort((self.basis[near], -fall[near]))[0]])
+            if fall[r] < _SMALL_PIVOT and self.since_refactor:
                 # An element this small may be mostly drift of the updated
                 # inverse; choose the row again from a fresh one.
                 self._refactor()
@@ -459,15 +465,17 @@ class _Simplex:
         """Run dual simplex pivots from a basis that is dual feasible for
         ``cost`` until every basic value is at least -tol.
 
-        The leaving row has the most negative basic value; the entering
-        column has the smallest ratio of reduced cost to minus its entry in
-        that row, ties to the lowest index.  Returns False when the leaving
-        row has no negative entry, which proves the LP infeasible.
+        The leaving row is the bounded row with the most negative basic
+        value.  The entering column, among the bounded ones with a negative
+        entry in that row and the free ones (of reduced cost zero) with a
+        nonzero one, has the smallest ratio of reduced cost, floored at 0,
+        to the entry's magnitude, ties to the lowest index.  Returns False
+        when no column can enter, which proves the LP infeasible.
         """
         while True:
             if self.pivots > self.max_pivots:
                 raise RuntimeError("simplex pivot limit exceeded; data is ill-conditioned")
-            xb = self._xb()
+            xb = np.where(self.bounded, self._xb(), np.inf)
             r = int(xb.argmin())
             if xb[r] >= -tol:
                 if self.since_refactor:
@@ -477,14 +485,14 @@ class _Simplex:
             alpha = self.Binv[r] @ self.A
             alpha[self.basis] = 0.0
             a_eps = _PIVOT_TOL * max(1.0, float(np.abs(alpha).max()))
-            cand = (alpha < -a_eps).nonzero()[0]
+            cand = self._either_way(alpha, a_eps).nonzero()[0]
             if cand.size == 0:
                 if self.since_refactor:
                     self._refactor()
                     continue
                 return False
             rc = np.maximum(cost[cand] - self._y(cost) @ self.A[:, cand], 0.0)
-            ratios = rc / -alpha[cand]
+            ratios = rc / np.abs(alpha[cand])
             rmin = ratios.min()
             q = int(cand[np.argmax(ratios <= rmin + 1e-12 * (1.0 + rmin))])
             self._pivot(q, r, self.Binv @ self.A[:, q])
@@ -492,15 +500,17 @@ class _Simplex:
     def run(self) -> tuple[str, np.ndarray | None, np.ndarray | None]:
         """Solve; returns (status, z, duals) with z in standard-form coordinates."""
         if self.m == 0:
-            if np.any(self.c_true < -_OPT_TOL):
+            if self._either_way(self.c_true, _OPT_TOL).any():
                 return "unbounded", None, None
             return "optimal", np.zeros(self.n), np.zeros(0)
 
         n_art = self.A.shape[1] - self.n
         allowed = np.ones(self.A.shape[1], dtype=bool)
         if n_art:
-            # Phase one is bounded below by zero, so it always ends "optimal".
-            self._iterate(np.concatenate([np.zeros(self.n), np.ones(n_art)]), allowed)
+            # A column that finds no leaving row is passed over (class docstring).
+            cost = np.concatenate([np.zeros(self.n), np.ones(n_art)])
+            while self._iterate(cost, allowed) == "unbounded":
+                allowed[self.entering] = False
         art_mask = self.basis >= self.art0
         if float(np.sum(np.maximum(self._xb()[art_mask], 0.0))) > _FEAS_TOL * self.scale:
             return "infeasible", None, None
@@ -523,52 +533,41 @@ class _Simplex:
                     self._pivot(q, int(r), d)
                     in_basis[q] = True
 
-        allowed[self.art0 :] = False
-        status = self._iterate(self.c_true, allowed)
+        status = self._iterate(self.c_true, np.arange(self.A.shape[1]) < self.art0)
         if status == "unbounded":
             return "unbounded", None, None
-        if float(self._xb().min(initial=0.0)) < -1e-6 * self.scale:
+        if self._bounded_min() < -1e-6 * self.scale:
             # A drifted intermediate pivot pushed a basic variable negative;
             # the vertex fails primal feasibility, so the verdict is void.
             raise RuntimeError("simplex lost primal feasibility; data is ill-conditioned")
         return ("optimal", *self.vertex())
 
     def vertex(self) -> tuple[np.ndarray, np.ndarray]:
-        """The current basis' vertex, in standard-form coordinates with basic
-        values below zero clipped to zero, and its row duals."""
+        """The current basis' vertex in standard-form coordinates, bounded
+        basic values below zero clipped to zero, and its row duals."""
         z = np.zeros(self.A.shape[1])
-        z[self.basis] = np.maximum(self._xb(), 0.0)
+        xb = self._xb()
+        z[self.basis] = np.where(self.bounded, np.maximum(xb, 0.0), xb)
         return z[: self.n], self._y(self.c_true)
 
 
 def _warm_basis(sf: _StandardForm, cols: np.ndarray) -> np.ndarray | None:
-    """A stored basis in the standard form's columns, or None if it does not fit.
+    """A stored basis for this LP, or None if it does not fit.
 
     Stored rows keep their columns; each row past them takes its
     lowest-index +-e_i column, whatever its sign.  None when the LP has
-    fewer rows than the basis, or no rows; when a stored column does not
-    exist or is not free where its negative part is stored; when a new row
-    has no unit column; or when a column would be basic twice.
+    fewer rows than the basis, or no rows; when a stored index is not one
+    of the LP's columns 0..n-1; when a new row has no unit column; or when
+    a column would be basic twice.
     """
-    m, n = sf.A.shape[0], sf.n_orig
+    m, n = sf.A.shape
     k = cols.shape[0]
     if m == 0 or k > m:
         return None
+    listed = cols.tolist()
+    if k and (min(listed) < 0 or max(listed) >= n):
+        return None
     basis = cols.astype(np.int64)
-    if k:
-        listed = cols.tolist()
-        lo, hi = min(listed), max(listed)
-        if lo < -n or hi >= n:
-            return None
-        if lo < 0:
-            # Free column j's negative part is standard-form column n + (j's
-            # rank among the free columns).
-            neg = basis < 0
-            j = ~basis[neg]
-            rank = sf.free.searchsorted(j)
-            if int(rank.max()) >= sf.free.size or (sf.free[rank] != j).any():
-                return None
-            basis[neg] = n + rank
     if k < m:
         unit = ((sf.A != 0.0).sum(axis=0) == 1) & (np.abs(sf.A[k:]) == 1.0)
         if not unit.any(axis=1).all():
@@ -592,11 +591,12 @@ def _warm_solve(sf: _StandardForm, start: Basis) -> _Simplex | None:
     """Solve from a stored basis; the simplex at an Optimal basis, or None.
 
     A dual feasible start runs the dual simplex, a primal feasible one
-    phase two.  A start that is neither first raises the cost of each
-    column with a negative reduced cost by exactly that amount, which makes
-    the basis dual feasible for the shifted costs, and runs the dual simplex
-    on those (Koberstein, "The dual simplex method, techniques for a fast
-    and stable implementation", PhD thesis, Paderborn, 2005).  Every start
+    phase two.  A start that is neither first takes off each column's cost
+    a reduced cost that would let it enter (negative, or nonzero on a free
+    column), which makes the basis dual feasible for the shifted costs, and
+    runs the dual simplex on those (Koberstein, "The dual simplex method,
+    techniques for a fast and stable implementation", PhD thesis,
+    Paderborn, 2005).  Every start
     ends in phase two on the true costs, whose verdict comes from a freshly
     inverted basis.  None, for the cold path to take over, when the start
     does not fit, when the run raises or ends in anything but Optimal, or
@@ -607,12 +607,13 @@ def _warm_solve(sf: _StandardForm, start: Basis) -> _Simplex | None:
     if basis is None:
         return None
     try:
-        sim = _Simplex(sf.A, sf.b, sf.c, basis=basis, held=start)
+        sim = _Simplex(sf, basis, start)
         tol = _FEAS_TOL * sim.scale
-        if float(sim._xb().min()) < -tol:
+        if sim._bounded_min() < -tol:
             rc = sf.c - sim._y(sf.c) @ sf.A
             rc[basis] = 0.0
-            cost = sf.c - np.minimum(rc, 0.0) if float(rc.min()) < -_OPT_TOL else sf.c
+            shift = np.where(sf.free, rc, np.minimum(rc, 0.0))
+            cost = sf.c - shift if float(np.abs(shift).max()) > _OPT_TOL else sf.c
             if not sim._dual(tol, cost):
                 return None
         if sim._iterate(sf.c) != "optimal":
@@ -620,23 +621,9 @@ def _warm_solve(sf: _StandardForm, start: Basis) -> _Simplex | None:
     except RuntimeError:
         return None
     # An Optimal verdict comes from a freshly inverted basis, so sim.B is set.
-    xb = sim._xb()
-    if float(xb.min()) < -tol or float(np.abs(sim.B @ xb - sf.b).max()) > tol:
+    if sim._bounded_min() < -tol or float(np.abs(sim.B @ sim._xb() - sf.b).max()) > tol:
         return None
     return sim
-
-
-def _stored_basis(sf: _StandardForm, basis: np.ndarray) -> np.ndarray | None:
-    """A standard-form basis by original column (see :class:`Basis`); None
-    when an artificial column is basic."""
-    top = int(basis.max(initial=-1))
-    if top >= sf.A.shape[1]:
-        return None
-    cols = basis.copy()
-    if top >= sf.n_orig:
-        neg = cols >= sf.n_orig
-        cols[neg] = ~sf.free[cols[neg] - sf.n_orig]
-    return cols
 
 
 def solve(lp: LinearProgram, start: Basis | None = None) -> LpSolution:
@@ -665,7 +652,7 @@ def solve(lp: LinearProgram, start: Basis | None = None) -> LpSolution:
         status = "optimal"
         z, y = sim.vertex()
     else:
-        sim = _Simplex(sf.A, sf.b, sf.c)
+        sim = _Simplex(sf)
         status, z, y = sim.run()
     if status == "infeasible":
         return LpSolution(LpStatus.INFEASIBLE)
@@ -673,12 +660,11 @@ def solve(lp: LinearProgram, start: Basis | None = None) -> LpSolution:
         return LpSolution(LpStatus.UNBOUNDED)
     assert z is not None and y is not None
     if start is not None:
-        start.cols = _stored_basis(sf, sim.basis)
+        # An artificial column still basic leaves nothing to keep.
+        start.cols = None if sim.basis.max(initial=-1) >= sf.A.shape[1] else sim.basis
         exact = start.cols is not None and sim.B is not None
         start.B, start.Binv = (sim.B, sim.Binv) if exact else (None, None)
-    x = sf.recover_primal(z)
-    obj = float(sf.c @ z) + sf.const
-    return LpSolution(LpStatus.OPTIMAL, x, y, obj)
+    return LpSolution(LpStatus.OPTIMAL, z + sf.lower, y, float(sf.c @ z) + sf.const)
 
 
 # ---------------------------------------------------------------------------
@@ -692,11 +678,13 @@ _ENUM_MAX_ROWS = 8
 def enumerate_vertices(lp: LinearProgram) -> list[tuple[np.ndarray, float]]:
     """Enumerate basic feasible solutions of the LP's standard form.
 
-    Intended as an independent oracle for small problems: every vertex of
-    the internal standard form is found by testing all full-rank column
-    subsets, so ``min`` over the returned objective values equals the LP
-    optimum whenever one exists.  Each distinct primal point is reported
-    exactly once, as ``(x, objective_value)`` in original coordinates.
+    Intended as an independent oracle for small problems: it splits each
+    free variable into a positive and a negative part, unlike the simplex,
+    and finds every vertex of that standard form by testing all full-rank
+    column subsets, so ``min`` over the returned objective values equals
+    the LP optimum whenever one exists.  Each distinct primal point is
+    reported exactly once, as ``(x, objective_value)`` in original
+    coordinates.
 
     Raises
     ------
@@ -706,7 +694,9 @@ def enumerate_vertices(lp: LinearProgram) -> list[tuple[np.ndarray, float]]:
         Via :class:`LinearProgram` validation on malformed data.
     """
     sf = _StandardForm(lp)
-    m, n = sf.A.shape
+    free = sf.free.nonzero()[0]
+    A = np.hstack([sf.A, -sf.A[:, free]])
+    m, n = A.shape
     if n > _ENUM_MAX_VARS or m > _ENUM_MAX_ROWS:
         raise LpScaleError(
             f"standard form is {m} rows x {n} columns; enumeration caps are "
@@ -714,9 +704,14 @@ def enumerate_vertices(lp: LinearProgram) -> list[tuple[np.ndarray, float]]:
         )
     scale = max(1.0, float(np.abs(sf.b).max(initial=0.0)))
 
+    def point(z: np.ndarray) -> np.ndarray:
+        x = z[: lp.n_vars] + sf.lower
+        x[free] -= z[lp.n_vars :]
+        return x
+
     # Reduce to an independent row subset (Gaussian elimination with partial
     # pivoting on [A | b]); an inconsistent dependent row means infeasible.
-    work = np.hstack([sf.A.copy(), sf.b.reshape(-1, 1)])
+    work = np.hstack([A, sf.b.reshape(-1, 1)])
     pivot_rows: list[int] = []
     row_order = list(range(m))
     lead = 0
@@ -740,13 +735,13 @@ def enumerate_vertices(lp: LinearProgram) -> list[tuple[np.ndarray, float]]:
         if abs(work[i, -1]) > _FEAS_TOL * scale:
             return []  # inconsistent system
 
-    A_r = sf.A[pivot_rows]
+    A_r = A[pivot_rows]
     b_r = sf.b[pivot_rows]
     r = len(pivot_rows)
     out: list[tuple[np.ndarray, float]] = []
     seen: set[tuple[float, ...]] = set()
     if r == 0:
-        x = sf.recover_primal(np.zeros(n))
+        x = point(np.zeros(n))
         return [(x, float(lp.objective @ x))]
     for cols in itertools.combinations(range(n), r):
         B = A_r[:, cols]
@@ -762,7 +757,7 @@ def enumerate_vertices(lp: LinearProgram) -> list[tuple[np.ndarray, float]]:
             continue
         z = np.zeros(n)
         z[list(cols)] = np.maximum(zb, 0.0)
-        x = sf.recover_primal(z)
+        x = point(z)
         key = tuple(np.round(x, 9).tolist())
         if key in seen:
             continue

@@ -195,9 +195,9 @@ def _dual_block(
     block_rhs = np.zeros(n + n_cut)
     block_rhs[cut_at] = rhs * scale
     cost = np.concatenate([[1.0, rho], s, -s, np.full(n, rho), np.zeros(n_cut)])
-    free = np.zeros(cost.shape[0], dtype=bool)
+    lower, free = np.zeros(cost.shape[0]), np.zeros(cost.shape[0], dtype=bool)
     free[0] = True
-    return LpBlock(cost=cost, rows=rows, rhs=block_rhs, free=free)
+    return LpBlock(cost=cost, rows=rows, rhs=block_rhs, lower=lower, free=free)
 
 
 # Rows of a batch are solved in chunks of at most this many kinks, so the

@@ -63,22 +63,14 @@ class LpBlock:
 
     ``rows`` has one column per stage decision followed by one per
     appended column, and ``rhs`` one entry per row.  ``cost``, ``lower``
-    and ``free`` describe the appended columns, which have no upper
-    bound; an omitted ``lower`` means 0 and an omitted ``free`` none.
+    and ``free`` describe the appended columns, which have no upper bound.
     """
 
     cost: np.ndarray
     rows: np.ndarray
     rhs: np.ndarray
-    lower: np.ndarray | None = None
-    free: np.ndarray | None = None
-
-    def __post_init__(self) -> None:
-        n = self.cost.shape[0]
-        if self.lower is None:
-            object.__setattr__(self, "lower", np.zeros(n))
-        if self.free is None:
-            object.__setattr__(self, "free", np.zeros(n, dtype=bool))
+    lower: np.ndarray
+    free: np.ndarray
 
 
 class ExtraTerms(ABC):
@@ -97,19 +89,6 @@ class ExtraTerms(ABC):
     @abstractmethod
     def write(self, x_dim: int, out: LpBlock) -> None:
         """Fill ``out``, a zero block of this shape."""
-
-    def block(self, x_dim: int) -> LpBlock:
-        """The appended block on its own, in new arrays."""
-        n_rows, n_cols = self.shape(x_dim)
-        out = LpBlock(
-            cost=np.zeros(n_cols),
-            rows=np.zeros((n_rows, x_dim + n_cols)),
-            rhs=np.zeros(n_rows),
-            lower=np.zeros(n_cols),
-            free=np.zeros(n_cols, dtype=bool),
-        )
-        self.write(x_dim, out)
-        return out
 
 
 def assemble_stage_lp(

@@ -8,7 +8,7 @@ import numpy as np
 
 from sddpkit.approximations import CutRows, WeightedLowerTerms, stack_cut_rows
 from sddpkit.lp import LinearProgram, LpStatus, solve
-from sddpkit.stages import ExtraTerms
+from sddpkit.stages import ExtraTerms, LpBlock
 
 
 def cut_rows(cuts: Sequence[tuple[Sequence[float], float]]) -> CutRows:
@@ -34,11 +34,25 @@ def weighted_pools(node_cuts: Sequence[tuple[float, CutRows]]) -> WeightedLowerT
     return WeightedLowerTerms(np.array([float(w) for w, _ in node_cuts]), node, cuts)
 
 
+def lp_block(terms: ExtraTerms, x_dim: int) -> LpBlock:
+    """The terms' appended block on its own, in new arrays."""
+    n_rows, n_cols = terms.shape(x_dim)
+    out = LpBlock(
+        cost=np.zeros(n_cols),
+        rows=np.zeros((n_rows, x_dim + n_cols)),
+        rhs=np.zeros(n_rows),
+        lower=np.zeros(n_cols),
+        free=np.zeros(n_cols, dtype=bool),
+    )
+    terms.write(x_dim, out)
+    return out
+
+
 def block_value(terms: ExtraTerms, x) -> float:
     """Optimal value of the terms' LP block with the decision columns pinned at x."""
     xv = np.asarray(x, dtype=float).reshape(-1)
     d = xv.shape[0]
-    block = terms.block(d)
+    block = lp_block(terms, d)
     sol = solve(
         LinearProgram(
             objective=block.cost,

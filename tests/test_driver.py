@@ -5,7 +5,6 @@ import math
 
 import numpy as np
 import pytest
-from scipy.optimize import linprog
 
 import sddpkit.driver
 import sddpkit.lp
@@ -40,6 +39,7 @@ from sddpkit.stages import (
 )
 
 from _blocks import weighted_pools
+from _highs import highs_solve, highs_value
 from _kkt import assert_kkt
 from _toys import STATE_DIM, make_toy
 
@@ -200,6 +200,38 @@ def test_stage_lp_solves_carry_kkt_certificates(monkeypatch):
             for phase, rolled in rollouts:
                 assert evaluate_policy_out_of_sample(rolled, test_traj).n_failed == 0
     assert min(checked.values()) > 0
+
+
+def test_stage_lp_solves_match_highs(monkeypatch):
+    """Every stage LP of DD and RDD (rho 0.3) training on a toy, and of its
+    nominal and robust rollouts, gets the status HiGHS finds for it and,
+    when Optimal, HiGHS' value to 1e-9 (1 + |v|)."""
+    solved = {"train": [], "nominal": [], "robust": []}
+    phase = "train"
+
+    def recording(lp, start=None):
+        sol = solve(lp, start)
+        solved[phase].append((lp, sol.status, sol.objective_value))
+        return sol
+
+    monkeypatch.setattr(sddpkit.driver, "solve", recording)
+    traj, template = make_toy(1, horizon_T=4, n_paths=4)
+    test_traj, _ = make_toy(51, horizon_T=4, n_paths=4)
+    for algorithm, rho in ((Algorithm.DD, None), (Algorithm.RDD, 0.3)):
+        phase = "train"
+        policy, _, _ = run(traj, template, _config(algorithm, rho, max_iterations=6, epsilon=1e-12))
+        rollouts = [("nominal", dataclasses.replace(policy, algorithm=Algorithm.DD))]
+        if algorithm is Algorithm.RDD:
+            rollouts.append(("robust", policy))
+        for phase, rolled in rollouts:
+            evaluate_policy_out_of_sample(rolled, test_traj)
+    for lps in solved.values():
+        assert lps
+        for lp, status, value in lps:
+            reference_status, reference = highs_solve(lp)
+            assert status is reference_status
+            if status is LpStatus.OPTIMAL:
+                assert abs(value - reference) <= 1e-9 * (1.0 + abs(reference))
 
 
 def test_warm_started_training_matches_cold_training(monkeypatch):
@@ -768,21 +800,6 @@ def test_extensive_oracle_equals_stacked_lp_when_deterministic():
     )
 
 
-def _highs_value(lp: LinearProgram) -> float:
-    """The LP's optimal value as HiGHS finds it."""
-    bounds = [(None, None) if free else (lo, None) for lo, free in zip(lp.var_lower, lp.free_mask)]
-    res = linprog(
-        lp.objective,
-        A_eq=lp.eq_matrix,
-        b_eq=lp.eq_rhs,
-        bounds=bounds,
-        method="highs",
-        options={"primal_feasibility_tolerance": 1e-10, "dual_feasibility_tolerance": 1e-10},
-    )
-    assert res.status == 0, res.message
-    return float(res.fun)
-
-
 @pytest.mark.parametrize("seed", [0, 14, 55])
 def test_extensive_oracle_matches_highs(monkeypatch, seed):
     """The oracle's tree LP has the value HiGHS finds for it, on the
@@ -801,7 +818,7 @@ def test_extensive_oracle_matches_highs(monkeypatch, seed):
     monkeypatch.setattr(sddpkit.driver, "solve", recording_solve)
     value = extensive_form_oracle(traj, template)
     (lp,) = lps
-    reference = _highs_value(lp)
+    reference = highs_value(lp)
     assert abs(value - reference) <= 1e-9 * (1.0 + abs(reference))
 
 

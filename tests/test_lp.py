@@ -23,6 +23,7 @@ from sddpkit.stages import (
 )
 
 from _blocks import cut_rows
+from _highs import highs_value
 from _kkt import assert_kkt
 from _toys import STATE_DIM, toy_builder
 
@@ -220,13 +221,15 @@ def test_drifted_basic_column_is_not_entered():
     Product-form drift once left a basic column with a reduced cost below
     -opt_tol; Bland's rule kept entering it and pivoting on its own row
     until the pivot limit, and the jittered retry then failed too.
-    HiGHS reports the optimum -0.6275637057056452.
+    HiGHS reports the optimum -0.6275637057056452, and a live HiGHS solve
+    must agree.
     """
     data = json.loads((Path(__file__).parent / "data" / "stalled_envelope_lp.json").read_text())
     lp = LinearProgram(**data)
     sol = solve(lp)
     assert sol.status is LpStatus.OPTIMAL
     assert sol.objective_value == pytest.approx(-0.6275637057056452, abs=1e-9)
+    assert sol.objective_value == pytest.approx(highs_value(lp), abs=1e-9)
     assert np.max(np.abs(lp.eq_matrix @ sol.primal - lp.eq_rhs)) <= 1e-9
     assert np.min(sol.primal) >= 0.0
 
@@ -238,7 +241,8 @@ def test_degenerate_envelope_lp_solves():
     The textbook ratio test ended its run at a basis whose vertex was not
     primal feasible, and the training run that needed the LP was lost; the
     Harris ratio test solves it in one run.  ``reference_value`` is the
-    optimum HiGHS reports (``scipy.optimize.linprog``).
+    optimum HiGHS reports (``scipy.optimize.linprog``), and a live HiGHS
+    solve must agree.
     """
     data = json.loads((Path(__file__).parent / "data" / "degenerate_envelope_lp.json").read_text())
     reference = data.pop("reference_value")
@@ -246,16 +250,51 @@ def test_degenerate_envelope_lp_solves():
     sol = solve(lp)
     assert sol.status is LpStatus.OPTIMAL
     assert sol.objective_value == pytest.approx(reference, abs=1e-9)
+    assert highs_value(lp) == pytest.approx(reference, abs=1e-9)
     assert np.max(np.abs(lp.eq_matrix @ sol.primal - lp.eq_rhs)) <= 1e-9
     assert np.min(sol.primal) >= 0.0
+
+
+def test_phase_one_passes_over_a_column_without_a_leaving_row(monkeypatch):
+    """A 23x41 robust stage LP (``DroLowerTerms`` over eight scenarios, five
+    of nominal weight 1.1e-16, rho = 2).  In phase one, with the free gamma
+    column basic, a column prices at -1.4e-8 through entries of about
+    1.5e-8 on artificials' rows, below the pivot tolerance next to its
+    entries of magnitude 7e7 on other bounded rows, so it finds no leaving
+    row.
+    Phase one passes it over instead of stopping, and the solve reaches
+    the optimum HiGHS reported (``reference_value``), which a live HiGHS
+    solve still finds."""
+    import sddpkit.lp as lp_module
+
+    passed_over = 0
+    real_iterate = lp_module._Simplex._iterate
+
+    def spy_iterate(self, cost, allowed=None):
+        nonlocal passed_over
+        status = real_iterate(self, cost, allowed)
+        passed_over += status == "unbounded" and cost is not self.c_true
+        return status
+
+    monkeypatch.setattr(lp_module._Simplex, "_iterate", spy_iterate)
+    data = json.loads((Path(__file__).parent / "data" / "phase_one_passover_lp.json").read_text())
+    reference = data.pop("reference_value")
+    lp = LinearProgram(**data)
+    sol = solve(lp)
+    assert passed_over >= 1
+    assert sol.status is LpStatus.OPTIMAL
+    assert sol.objective_value == pytest.approx(reference, abs=1e-9)
+    assert highs_value(lp) == pytest.approx(reference, abs=1e-9)
+    assert_kkt(lp, sol)
 
 
 def _random_lp_with_unit_columns(rng: np.random.Generator) -> LinearProgram:
     """Dense integer columns mixed with +-e_i columns, in shuffled order.
 
     Rows get up to two unit columns of either sign, rhs entries are often
-    zero, some variables are free (their negative part is the negated
-    column) and some have a nonzero lower bound, which shifts the rhs.
+    zero, some variables are free and some have a nonzero lower bound,
+    which shifts the rhs.  The LP has at most 12 columns once each free
+    column is split in two, the most :func:`enumerate_vertices` takes.
     """
     m = int(rng.integers(1, 5))
     dense = rng.integers(-3, 4, size=(m, int(rng.integers(1, 4)))).astype(float)
@@ -302,23 +341,24 @@ def _has_descent_ray(lp: LinearProgram) -> bool:
 
 def _unit_start_cases(lp: LinearProgram) -> set[str]:
     """Which starting-basis situations the LP's rows present, read off its data."""
-    A, _, b = _standard_columns(lp)
-    n = lp.n_vars
+    A, free, b = lp.eq_matrix, lp.free_mask, _standard_columns(lp)[2]
     single = np.count_nonzero(A, axis=0) == 1
     cases = set()
     for i in range(lp.n_rows):
         cols = np.nonzero(single & (np.abs(A[i]) == 1.0))[0]
-        eligible = cols[A[i, cols] * b[i] >= 0.0]
+        sign = A[i, cols] * b[i]
+        eligible = cols[(sign >= 0.0) | free[cols]]
         if cols.size and b[i] == 0.0:
             cases.add("zero rhs")
-        if np.any(A[i, cols] * b[i] > 0.0):
+        if np.any(sign > 0.0):
             cases.add("right sign")
-        if np.any(A[i, cols] * b[i] < 0.0):
+        if np.any(sign < 0.0):
             cases.add("wrong sign")
         if eligible.size >= 2:
             cases.add("two eligible")
-        if eligible.size == 1 and eligible[0] >= n:
-            cases.add("free negative part only")
+        if eligible.size == 1 and A[i, eligible[0]] * b[i] < 0.0:
+            # The row's only start is a free column at a negative value.
+            cases.add("free column of the wrong sign only")
         cases.add("covered" if eligible.size else "uncovered")
     return cases
 
@@ -378,7 +418,7 @@ def test_unit_column_start_matches_enumeration_oracle(monkeypatch):
         "right sign",
         "wrong sign",
         "two eligible",
-        "free negative part only",
+        "free column of the wrong sign only",
         "covered",
         "uncovered",
         "infeasible, rows covered",
@@ -386,6 +426,46 @@ def test_unit_column_start_matches_enumeration_oracle(monkeypatch):
         "optimal, every row covered",
     }
     assert min(statuses.values()) > 20
+
+
+def _random_lp_with_free_columns(rng: np.random.Generator) -> LinearProgram:
+    """Up to 10 rows and 24 columns of integer data, past the enumeration
+    caps, with every column free with probability 0.3 and each row given a
+    slack or surplus column half of the time.  The costs are A^T y plus an
+    integer in 0..2 on each bounded column, so every feasible one is bounded."""
+    m = int(rng.integers(2, 11))
+    n = int(rng.integers(m, 2 * m + 5))
+    A = np.hstack([rng.integers(-3, 4, size=(m, n)), np.diag(rng.choice([-1.0, 1.0], size=m))])
+    A = A[:, np.r_[:n, n + np.nonzero(rng.random(m) < 0.5)[0]]]
+    free = rng.random(A.shape[1]) < 0.3
+    return LinearProgram(
+        objective=A.T @ rng.integers(-2, 3, size=m) + rng.integers(0, 3, size=free.size) * ~free,
+        eq_matrix=A,
+        eq_rhs=rng.integers(-4, 5, size=m).astype(float),
+        free_mask=free,
+    )
+
+
+def test_free_columns_match_the_split_lp():
+    """solve() on LPs with free columns returns the status and objective of
+    solve() on the same LP with each free column split into a positive and
+    a negative part, and its Optimal verdicts carry a KKT certificate."""
+    rng = np.random.default_rng(20261022)
+    statuses = {status: 0 for status in LpStatus}
+    for k in range(600):
+        lp = (_random_lp_with_unit_columns if k % 2 else _random_lp_with_free_columns)(rng)
+        if not lp.free_mask.any():
+            continue
+        A, c, b = _standard_columns(lp)
+        sol, split = solve(lp), solve(LinearProgram(objective=c, eq_matrix=A, eq_rhs=b))
+        statuses[sol.status] += 1
+        assert sol.status is split.status
+        if sol.status is LpStatus.OPTIMAL:
+            shift = float(lp.objective @ np.where(lp.free_mask, 0.0, lp.var_lower))
+            v = split.objective_value + shift
+            assert abs(sol.objective_value - v) <= 1e-9 * (1.0 + abs(v))
+            assert_kkt(lp, sol)
+    assert min(statuses.values()) > 20, statuses
 
 
 def _relative(rng: np.random.Generator, lp: LinearProgram, change: str) -> LinearProgram:
@@ -440,7 +520,8 @@ def _spy_warm_paths(monkeypatch) -> dict[str, int]:
     """Count the path each warm start takes: the dual simplex on the true
     costs, the dual simplex on shifted costs, phase two alone, or the
     fallback to the cold path; and, whatever its path, whether it started
-    from the inverse its holder kept instead of inverting."""
+    from the inverse its holder kept instead of inverting.  Every dual
+    simplex run must start dual feasible for its costs."""
     import sddpkit.lp as lp_module
 
     paths = {"dual": 0, "shifted": 0, "primal": 0, "fallback": 0, "reused": 0}
@@ -450,6 +531,10 @@ def _spy_warm_paths(monkeypatch) -> dict[str, int]:
 
     def spy_dual(self, tol, cost):
         dual_costs.append(cost)
+        # The dual simplex starts from a basis that is dual feasible for its costs.
+        rc = cost - self._y(cost) @ self.A
+        rc[self.basis] = 0.0
+        assert not self._either_way(rc, lp_module._OPT_TOL).any()
         return real_dual(self, tol, cost)
 
     def spy_carried(held, B):
@@ -486,9 +571,11 @@ def test_warm_starts_match_the_cold_solve_across_lp_families(monkeypatch):
     with its surplus column, appends a column or changes its costs, step
     after step, warm-starting each step from the one before.  Stale starts
     (a basis with too many rows, a singular one, one naming an artificial
-    column, one from another LP) must give the cold answer too.  Spies on
-    the private paths show the dual simplex, phase two and the fallback to
-    the cold path are each taken.
+    column, one naming a negative index, one from another LP) must give
+    the cold answer too; one with a negative index, once the negative
+    part of a free column, falls back to the cold run.  Spies on the
+    private paths show the dual simplex, phase two and the fallback to the
+    cold path are each taken.
     """
     paths = _spy_warm_paths(monkeypatch)
     rng = np.random.default_rng(20261020)
@@ -505,7 +592,8 @@ def test_warm_starts_match_the_cold_solve_across_lp_families(monkeypatch):
                 lp = member
                 optimal += 1
         # Stale starts: too many rows; a column basic twice; a zero column
-        # (an exactly singular basis); an artificial column's index.
+        # (an exactly singular basis); an artificial column's index; a
+        # negative index.
         m, n = lp.n_rows, lp.n_vars
         with_zero = LinearProgram(
             objective=np.append(lp.objective, 1.0),
@@ -518,9 +606,14 @@ def test_warm_starts_match_the_cold_solve_across_lp_families(monkeypatch):
             (lp, np.arange(m + 1)),
             (lp, np.zeros(m, dtype=np.int64)),
             (with_zero, np.array([n])),
-            (lp, np.array([n + int(lp.free_mask.sum())])),
+            (lp, np.array([n])),
+            (lp, np.array([-1])),
         ):
+            fallbacks = paths["fallback"]
             _assert_warm_matches_cold(stale_lp, Basis(cols))
+            if cols.min() < 0:
+                # Both warm solves fall back to the cold run.
+                assert paths["fallback"] == fallbacks + 2
         # A start from an unrelated LP.
         held = Basis()
         solve(_random_lp_with_unit_columns(rng), held)

@@ -10,7 +10,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from _blocks import cut_rows, random_cut, weighted_pools
+from _blocks import cut_rows, lp_block, random_cut, weighted_pools
+from _highs import highs_value
 from sddpkit.approximations import CutLowerTerms, CutRows
 from sddpkit.kernel import ConditionalWeights
 from sddpkit.lp import LinearProgram, LpStatus, solve
@@ -101,7 +102,7 @@ def test_exact_zero_nominal_is_rejected():
     with pytest.raises(DegenerateWeightError):
         inner_max_primal(np.array([1.0, 2.0]), params)
     with pytest.raises(DegenerateWeightError):
-        DroLowerTerms(params, [cut_rows(()), cut_rows(())]).block(1)
+        lp_block(DroLowerTerms(params, [cut_rows(()), cut_rows(())]), 1)
 
 
 def test_sanitize_nominal_floors_and_renormalizes():
@@ -366,16 +367,19 @@ def test_fixed_decision_block_prices_the_inner_max_of_the_cut_values():
 
 def _assert_recorded_robust_rollout_lp_solves(name: str) -> None:
     """Rebuild the robust rollout stage LP recorded in ``data/<name>.json``
-    and check that it solves to the value HiGHS reports."""
+    and check that it solves to the value HiGHS reported, which a live
+    HiGHS solve must still give."""
     data = json.loads((Path(__file__).parent / "data" / f"{name}.json").read_text())
     datum = StageDatum(**data["datum"])
     pools = [
         cut_rows([(cut["gradient"], cut["offset"]) for cut in cuts]) for cuts in data["cuts"]
     ]
     params = AmbiguityParams(rho=data["rho"], nominal=ConditionalWeights(np.array(data["nominal"])))
-    sol = solve(assemble_stage_lp(datum, data["state"], extra_terms=DroLowerTerms(params, pools)))
+    lp = assemble_stage_lp(datum, data["state"], extra_terms=DroLowerTerms(params, pools))
+    sol = solve(lp)
     assert sol.status is LpStatus.OPTIMAL
     assert sol.objective_value == pytest.approx(data["reference_value"], abs=1e-9)
+    assert highs_value(lp) == pytest.approx(data["reference_value"], abs=1e-9)
 
 
 def test_recorded_robust_rollout_lp_solves():
@@ -384,30 +388,21 @@ def test_recorded_robust_rollout_lp_solves():
     _assert_recorded_robust_rollout_lp_solves("robust_rollout_lp")
 
 
-@pytest.mark.xfail(
-    strict=True,
-    raises=RuntimeError,
-    reason="the basis goes singular; ROADMAP item 14 takes this LP family out of the rollout",
-)
 def test_singular_robust_rollout_lp_solves():
     """An 84x132 rollout stage LP of an RDD policy (perfbench rdd_train seed
-    76, instance 7, test path 5).  The Harris ratio test takes a pivot
-    element of 1.3e-6 against a column maximum of 1 late in phase two, and
-    the basis goes singular at the exit refactor, so the path is lost.  Its
-    value is the one HiGHS reports."""
+    76, instance 7, test path 5).  While the simplex split the free gamma
+    column in two, the Harris ratio test took a pivot element of 1.3e-6
+    against a column maximum of 1 late in phase two, and the basis went
+    singular at the exit refactor, so the path was lost.  Its value is the
+    one HiGHS reports."""
     _assert_recorded_robust_rollout_lp_solves("singular_robust_rollout_lp")
 
 
-@pytest.mark.xfail(
-    strict=True,
-    raises=AssertionError,
-    reason="the simplex calls it Unbounded; ROADMAP item 14 takes this LP family out of the rollout",
-)
 def test_falsely_unbounded_robust_rollout_lp_solves():
     """An 84x132 rollout stage LP of an RDD policy (perfbench rdd_train seed
-    72, instance 6, test path 2) that the in-house simplex reports
-    Unbounded, so the path is lost.  HiGHS finds a finite optimum, the
-    recorded value."""
+    72, instance 6, test path 2) that the in-house simplex reported
+    Unbounded while it split the free gamma column in two, so the path was
+    lost.  HiGHS finds a finite optimum, the recorded value."""
     _assert_recorded_robust_rollout_lp_solves("unbounded_robust_rollout_lp")
 
 
