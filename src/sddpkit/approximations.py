@@ -10,9 +10,15 @@ realization, or the deterministic root) the toolkit maintains
   over-estimates it.
 
 Both are appended to stage LPs through the :class:`~sddpkit.stages.ExtraTerms`
-interface.  The infinite initializations of the textbook recursion are
-realized by large sentinel boxes (``LOWER_BOX``/``UPPER_BOX``); they stop
-binding as soon as a first cut or point arrives.
+interface.  An empty pool or store keeps the textbook recursion's infinite
+initialization (Philpott, de Matos & Kapelevich, "Distributionally robust
+SDDP", 2018): a block over an empty pool of positive weight leaves its
+epigraph variable free and unconstrained, so the stage LP is Unbounded
+(cost-to-go -inf), and an envelope block without points has no convex
+weights to sum to one, so the stage LP is Infeasible (+inf).  Training
+never solves such an LP: its first forward pass and first root solve
+append no block at all, and every later stage LP reads pools and points
+that the backward pass has already filled.
 
 Every backward pass at stage t adds one cut and one envelope point to
 every node of the stage, all at the same anchor, so both keep a stage's
@@ -43,13 +49,9 @@ __all__ = [
     "CutLowerTerms",
     "WeightedLowerTerms",
     "EnvelopeUpperTerms",
-    "LOWER_BOX",
-    "UPPER_BOX",
     "PENALTY_SAFETY",
 ]
 
-LOWER_BOX = -1e9
-UPPER_BOX = 1e9
 # Default envelope penalty per unit of the largest cut gradient seen.
 PENALTY_SAFETY = 10.0
 
@@ -246,15 +248,14 @@ def cut_x_rows(cuts: CutRows, x_dim: int) -> np.ndarray:
 class WeightedLowerTerms(ExtraTerms):
     """Epigraph variables for several conditioning nodes at once.
 
-    Adds one epigraph variable ell_i with objective weight ``weights[i]``
-    per node and, for row k of ``cuts``, the row
+    Adds one free epigraph variable ell_i with objective weight
+    ``weights[i]`` per node and, for row k of ``cuts``, the row
     ell_{node[k]} - surplus_k = cut_k(x).  The columns are every ell first,
     then one surplus per row, with the rows in the order given, so a block
-    that gains rows, of any node, grows only at its end.  An ell with a
-    row is free; one whose node has no row is bounded below by
-    ``LOWER_BOX`` instead, which keeps the sentinel out of the right-hand
-    side.  Policy evaluation uses this with the conditional weights; the
-    ordinary single-node block is the weight-1 special case.
+    that gains rows, of any node, grows only at its end.  A node with no
+    row leaves its ell unconstrained, so a positive weight on it makes the
+    LP Unbounded.  Policy evaluation uses this with the conditional
+    weights; the ordinary single-node block is the weight-1 special case.
     """
 
     weights: np.ndarray
@@ -273,8 +274,7 @@ class WeightedLowerTerms(ExtraTerms):
         out.rows[r, x_dim + n_nodes + r] = -1.0
         out.rhs[:] = self.cuts.offsets
         out.cost[:n_nodes] = self.weights
-        out.free[self.node] = True
-        out.lower[:n_nodes] = np.where(out.free[:n_nodes], 0.0, LOWER_BOX)
+        out.free[:n_nodes] = True
 
 
 def CutLowerTerms(cuts: CutRows) -> WeightedLowerTerms:
@@ -290,7 +290,7 @@ class EnvelopeUpperTerms(ExtraTerms):
     Columns y+ (d), y- (d), theta (k); rows
     y+ - y- + sum_j theta_j anchor_j - x = 0 and sum_j theta_j = 1.  A new
     point appends a column, so a stored basis keeps its columns.  With no
-    point yet, the block is one column bounded below by ``UPPER_BOX``.
+    point yet, the last row reads 0 = 1 and the LP is Infeasible.
     """
 
     anchors: np.ndarray
@@ -298,25 +298,21 @@ class EnvelopeUpperTerms(ExtraTerms):
     penalty_m: float
 
     def shape(self, x_dim: int) -> tuple[int, int]:
-        k = self.values.shape[0]
-        return (0, 1) if k == 0 else (x_dim + 1, 2 * x_dim + k)
+        return x_dim + 1, 2 * x_dim + self.values.shape[0]
 
     def write(self, x_dim: int, out: LpBlock) -> None:
-        if self.values.shape[0] == 0:
-            out.cost[0] = 1.0
-            out.lower[0] = UPPER_BOX
-            return
-        d = self.anchors.shape[1]
-        if d != x_dim:
+        d, k = x_dim, self.values.shape[0]
+        if k and self.anchors.shape[1] != d:
             raise DimensionMismatchError(
-                f"envelope anchors have dimension {d}, stage decision has {x_dim}"
+                f"envelope anchors have dimension {self.anchors.shape[1]}, stage decision has {d}"
             )
         i = np.arange(d)
         rows = out.rows
         rows[i, i] = -1.0
         rows[i, d + i] = 1.0
         rows[i, 2 * d + i] = -1.0
-        rows[:d, 3 * d :] = self.anchors.T
+        if k:
+            rows[:d, 3 * d :] = self.anchors.T
         rows[d, 3 * d :] = 1.0
         out.rhs[d] = 1.0
         out.cost[: 2 * d] = float(self.penalty_m)

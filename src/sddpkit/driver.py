@@ -301,10 +301,14 @@ class _Runner:
         raise RuntimeError(f"{where}: solver returned {sol.status.value}")
 
     def _lower_terms(self, t: int, i: int | None) -> CutLowerTerms | None:
-        """Cost-to-go epigraph of the stage-t subproblem under realization i."""
+        """Cost-to-go epigraph of the stage-t subproblem under realization i;
+        None at the last stage, and while the pool is empty (the first
+        forward pass and the first root solve), whose cost-to-go of -inf
+        would leave the LP unbounded."""
         if t >= self.T:
             return None
-        return CutLowerTerms(self.pools.cuts(t + 1, i))
+        cuts = self.pools.cuts(t + 1, i)
+        return CutLowerTerms(cuts) if len(cuts) else None
 
     def _weights(self, values: np.ndarray, t: int) -> np.ndarray:
         """Stage t's nominal weight rows, or for rho > 0 the worst case of the
@@ -317,11 +321,7 @@ class _Runner:
     # -- passes ---------------------------------------------------------
 
     def root_solve_lower(self, k: int):
-        lp = assemble_stage_lp(
-            self.traj.stage1,
-            self.x0,
-            extra_terms=CutLowerTerms(self.pools.cuts(2, None)),
-        )
+        lp = assemble_stage_lp(self.traj.stage1, self.x0, extra_terms=self._lower_terms(1, None))
         sol = self._solve_checked(lp, "lower", k, 1, None)
         self.root_decision = sol.primal[: self.traj.stage1.dim_out].copy()
         return sol
@@ -498,8 +498,10 @@ def evaluate_policy_out_of_sample(
     At each realized stage the conditional weights are recomputed against
     the training anchors; the expected (or robust) cost-to-go over the
     per-scenario cut pools then drives the stage decision.  A path whose
-    stage LP is infeasible, or on which the solver breaks down, is
-    reported as failed, not fatal.
+    stage LP is infeasible, or unbounded (an empty pool on which the
+    weights, or every weight vector of the ambiguity set, put positive
+    weight), or on which the solver breaks down, is reported as failed,
+    not fatal.
 
     The nominal stage LP is solved on a working set of cut rows rather
     than on every cut of every pool.  Each stage keeps one working set for

@@ -3,7 +3,7 @@
 Solves equality-form LPs
 
     min  c^T x
-    s.t. A x = b,   x >= l  (x_j free where flagged),
+    s.t. A x = b,   x >= 0  (x_j free where flagged),
 
 with a two-phase revised simplex method.  The entering column follows
 Bland's rule, and the leaving row Harris' two-pass ratio test (Harris,
@@ -42,10 +42,10 @@ returns Optimal, and always from a freshly inverted basis.  The pivot
 sequence, and hence the reported basis and duals, is a deterministic
 function of the input data and the start basis.
 
-A holder carries, next to the basis, the standard-form basis matrix B of
-the solve that ended there and its inverse, whenever that inverse is
-exactly ``np.linalg.inv(B)``.  A start whose basis matrix equals the
-carried B bit for bit takes a copy of the carried inverse instead of
+A holder carries, next to the basis, the basis matrix B of the solve
+that ended there and its inverse, whenever that inverse is exactly
+``np.linalg.inv(B)``.  A start whose basis matrix equals the carried B
+bit for bit takes a copy of the carried inverse instead of
 inverting again: LPs that keep their matrix between solves (the last
 stage's, and envelope LPs, which only gain columns) often end where they
 started.  The inverse is reused only for a bitwise-equal B, so a solve's
@@ -58,11 +58,11 @@ the LP, its free variables split in two, by brute force over column subsets.
 
 Conventions
 -----------
-* Variables have a finite lower bound, 0 by default, and no upper bound.
-  A model that needs x <= u writes it as a row with a slack column.
-  Free variables are flagged via ``free_mask`` and stay one column each,
-  which the simplex never chooses to leave once basic (Maros,
-  "Computational Techniques of the Simplex Method", 2003).
+* A variable is either nonnegative or free, with no other bound.  A model
+  that needs x >= l or x <= u writes it as a row with a surplus or slack
+  column.  Free variables are flagged via ``free_mask`` and stay one
+  column each, which the simplex never chooses to leave once basic
+  (Maros, "Computational Techniques of the Simplex Method", 2003).
 * Row duals follow the sensitivity convention for minimization: the dual
   of an equality row is the derivative of the optimal value with respect
   to that row's right-hand side.
@@ -141,16 +141,14 @@ class LinearProgram:
         Constraint matrix A.
     eq_rhs : (m,) array
         Right-hand side b.
-    var_lower : (n,) array or None
-        Elementwise lower bounds; None means 0.
     free_mask : (n,) bool array or None
-        True entries mark free variables (lower bounds ignored for those).
+        True entries mark free variables; every other one is nonnegative.
+        None means none is free.
     """
 
     objective: np.ndarray
     eq_matrix: np.ndarray
     eq_rhs: np.ndarray
-    var_lower: np.ndarray | None = None
     free_mask: np.ndarray | None = None
 
     def __post_init__(self) -> None:
@@ -168,12 +166,6 @@ class LinearProgram:
             raise LpInputError(
                 f"eq_rhs has {self.eq_rhs.shape[0]} entries, matrix has {m} rows"
             )
-        if self.var_lower is None:
-            self.var_lower = np.zeros(n)
-        else:
-            self.var_lower = np.asarray(self.var_lower, dtype=float).reshape(-1)
-            if self.var_lower.shape[0] != n:
-                raise LpInputError("var_lower length mismatch")
         if self.free_mask is None:
             self.free_mask = np.zeros(n, dtype=bool)
         else:
@@ -184,7 +176,6 @@ class LinearProgram:
             ("objective", self.objective),
             ("eq_matrix", self.eq_matrix),
             ("eq_rhs", self.eq_rhs),
-            ("var_lower", self.var_lower),
         ):
             if not np.isfinite(arr).all():
                 raise LpInputError(f"{name} contains non-finite entries")
@@ -222,8 +213,8 @@ class Basis:
     columns.  None until a solve with this holder ends Optimal, and again
     after one whose optimal basis kept an artificial column.
 
-    ``B`` and ``Binv`` are the standard-form basis matrix of the solve that
-    ended at ``cols`` and its inverse, kept only when that inverse is
+    ``B`` and ``Binv`` are the basis matrix of the solve that ended at
+    ``cols`` and its inverse, kept only when that inverse is
     exactly ``np.linalg.inv(B)``: freshly inverted, or an earlier kept
     copy, never a product-form update; otherwise both are None.  A start
     whose basis matrix equals ``B`` bit for bit begins from a copy of
@@ -244,37 +235,14 @@ class Basis:
 
 
 # ---------------------------------------------------------------------------
-# Standard-form conversion
-# ---------------------------------------------------------------------------
-
-
-class _StandardForm:
-    """Internal representation  min c^T z : A z = b, z >= 0 except where
-    ``free``, with x = z + lower.
-
-    Column j is the LP's variable j shifted by its lower bound, which for a
-    free one only moves its origin.  A, c, ``free`` and ``lower`` are the
-    LP's own arrays, never written, and so is b when no bound is nonzero.
-    """
-
-    __slots__ = ("A", "b", "c", "free", "const", "lower")
-
-    def __init__(self, lp: LinearProgram) -> None:
-        self.A, self.c, self.b = lp.eq_matrix, lp.objective, lp.eq_rhs
-        self.free, self.lower, self.const = lp.free_mask, lp.var_lower, 0.0
-        if self.lower.any():
-            self.b = lp.eq_rhs - self.A @ self.lower
-            self.const = float(self.c @ self.lower)
-
-
-# ---------------------------------------------------------------------------
 # Revised simplex
 # ---------------------------------------------------------------------------
 
 
 class _Simplex:
-    """Two-phase revised simplex on standard-form data: Bland's rule picks
-    the entering column, Harris' two-pass ratio test the leaving row.
+    """Two-phase revised simplex on an LP's own arrays, which it never
+    writes: Bland's rule picks the entering column, Harris' two-pass ratio
+    test the leaving row.
 
     A column flagged in ``free`` sits at 0 while nonbasic and enters on a
     reduced cost of either sign, moving the way that improves the
@@ -303,9 +271,9 @@ class _Simplex:
     """
 
     def __init__(
-        self, sf: _StandardForm, basis: np.ndarray | None = None, held: Basis | None = None
+        self, lp: LinearProgram, basis: np.ndarray | None = None, held: Basis | None = None
     ):
-        A, b, c, free = sf.A, sf.b, sf.c, sf.free
+        A, b, c, free = lp.eq_matrix, lp.eq_rhs, lp.objective, lp.free_mask
         self.m, self.n = A.shape
         self.max_pivots = _MAX_PIVOTS
         self.b = b
@@ -402,7 +370,7 @@ class _Simplex:
             out[self.free_cols] |= v[self.free_cols] > eps
         return out
 
-    def _iterate(self, cost: np.ndarray, allowed: np.ndarray | None = None) -> str:
+    def _iterate(self, cost: np.ndarray, allowed: np.ndarray | None = None) -> LpStatus:
         """Run primal simplex pivots to optimality for the given cost vector.
 
         The entering column is the lowest-index one with a negative reduced
@@ -414,7 +382,7 @@ class _Simplex:
         second takes, among the rows whose own ratio is within that bound,
         the largest pivot element, ties to the lowest basic column index.  A
         pivot element below ``_SMALL_PIVOT`` is only taken from a freshly
-        inverted basis.  Returns "optimal" or "unbounded".
+        inverted basis.  Returns Optimal or Unbounded.
         """
         while True:
             if self.pivots > self.max_pivots:
@@ -435,7 +403,7 @@ class _Simplex:
                     # basis; product-form updates drift on degenerate pivots.
                     self._refactor()
                     continue
-                return "optimal"
+                return LpStatus.OPTIMAL
             q = self.entering = int(cand[0])
             d = self.Binv @ self.A[:, q]
             # Basic values fall by t * fall as the entering column moves by t.
@@ -448,7 +416,7 @@ class _Simplex:
                 if self.since_refactor:
                     self._refactor()
                     continue
-                return "unbounded"
+                return LpStatus.UNBOUNDED
             rows = pos.nonzero()[0]
             xb, dp = np.maximum(self._xb()[rows], 0.0), fall[rows]
             bound = float(((xb + _FEAS_TOL * self.scale) / dp).min())
@@ -497,23 +465,23 @@ class _Simplex:
             q = int(cand[np.argmax(ratios <= rmin + 1e-12 * (1.0 + rmin))])
             self._pivot(q, r, self.Binv @ self.A[:, q])
 
-    def run(self) -> tuple[str, np.ndarray | None, np.ndarray | None]:
-        """Solve; returns (status, z, duals) with z in standard-form coordinates."""
+    def run(self) -> tuple[LpStatus, np.ndarray | None, np.ndarray | None]:
+        """Solve; returns (status, x, duals), the last two None unless Optimal."""
         if self.m == 0:
             if self._either_way(self.c_true, _OPT_TOL).any():
-                return "unbounded", None, None
-            return "optimal", np.zeros(self.n), np.zeros(0)
+                return LpStatus.UNBOUNDED, None, None
+            return LpStatus.OPTIMAL, np.zeros(self.n), np.zeros(0)
 
         n_art = self.A.shape[1] - self.n
         allowed = np.ones(self.A.shape[1], dtype=bool)
         if n_art:
             # A column that finds no leaving row is passed over (class docstring).
             cost = np.concatenate([np.zeros(self.n), np.ones(n_art)])
-            while self._iterate(cost, allowed) == "unbounded":
+            while self._iterate(cost, allowed) is LpStatus.UNBOUNDED:
                 allowed[self.entering] = False
         art_mask = self.basis >= self.art0
         if float(np.sum(np.maximum(self._xb()[art_mask], 0.0))) > _FEAS_TOL * self.scale:
-            return "infeasible", None, None
+            return LpStatus.INFEASIBLE, None, None
 
         # Drive remaining artificials out of the basis where possible; a row
         # that admits no structural pivot is redundant and its artificial
@@ -533,25 +501,25 @@ class _Simplex:
                     self._pivot(q, int(r), d)
                     in_basis[q] = True
 
-        status = self._iterate(self.c_true, np.arange(self.A.shape[1]) < self.art0)
-        if status == "unbounded":
-            return "unbounded", None, None
+        structural = np.arange(self.A.shape[1]) < self.art0
+        if self._iterate(self.c_true, structural) is LpStatus.UNBOUNDED:
+            return LpStatus.UNBOUNDED, None, None
         if self._bounded_min() < -1e-6 * self.scale:
             # A drifted intermediate pivot pushed a basic variable negative;
             # the vertex fails primal feasibility, so the verdict is void.
             raise RuntimeError("simplex lost primal feasibility; data is ill-conditioned")
-        return ("optimal", *self.vertex())
+        return (LpStatus.OPTIMAL, *self.vertex())
 
     def vertex(self) -> tuple[np.ndarray, np.ndarray]:
-        """The current basis' vertex in standard-form coordinates, bounded
-        basic values below zero clipped to zero, and its row duals."""
+        """The current basis' vertex, bounded basic values below zero clipped
+        to zero, and its row duals."""
         z = np.zeros(self.A.shape[1])
         xb = self._xb()
         z[self.basis] = np.where(self.bounded, np.maximum(xb, 0.0), xb)
         return z[: self.n], self._y(self.c_true)
 
 
-def _warm_basis(sf: _StandardForm, cols: np.ndarray) -> np.ndarray | None:
+def _warm_basis(lp: LinearProgram, cols: np.ndarray) -> np.ndarray | None:
     """A stored basis for this LP, or None if it does not fit.
 
     Stored rows keep their columns; each row past them takes its
@@ -560,7 +528,8 @@ def _warm_basis(sf: _StandardForm, cols: np.ndarray) -> np.ndarray | None:
     of the LP's columns 0..n-1; when a new row has no unit column; or when
     a column would be basic twice.
     """
-    m, n = sf.A.shape
+    A = lp.eq_matrix
+    m, n = A.shape
     k = cols.shape[0]
     if m == 0 or k > m:
         return None
@@ -569,7 +538,7 @@ def _warm_basis(sf: _StandardForm, cols: np.ndarray) -> np.ndarray | None:
         return None
     basis = cols.astype(np.int64)
     if k < m:
-        unit = ((sf.A != 0.0).sum(axis=0) == 1) & (np.abs(sf.A[k:]) == 1.0)
+        unit = ((A != 0.0).sum(axis=0) == 1) & (np.abs(A[k:]) == 1.0)
         if not unit.any(axis=1).all():
             return None
         basis = np.concatenate([basis, unit.argmax(axis=1)])
@@ -587,7 +556,7 @@ def _carried_inverse(held: Basis | None, B: np.ndarray) -> np.ndarray | None:
     return held.Binv.copy()
 
 
-def _warm_solve(sf: _StandardForm, start: Basis) -> _Simplex | None:
+def _warm_solve(lp: LinearProgram, start: Basis) -> _Simplex | None:
     """Solve from a stored basis; the simplex at an Optimal basis, or None.
 
     A dual feasible start runs the dual simplex, a primal feasible one
@@ -601,27 +570,28 @@ def _warm_solve(sf: _StandardForm, start: Basis) -> _Simplex | None:
     inverted basis.  None, for the cold path to take over, when the start
     does not fit, when the run raises or ends in anything but Optimal, or
     when the final vertex is not primal feasible to ``_FEAS_TOL`` or does
-    not solve A z = b to it.
+    not solve A x = b to it.
     """
-    basis = _warm_basis(sf, start.cols)
+    basis = _warm_basis(lp, start.cols)
     if basis is None:
         return None
+    c = lp.objective
     try:
-        sim = _Simplex(sf, basis, start)
+        sim = _Simplex(lp, basis, start)
         tol = _FEAS_TOL * sim.scale
         if sim._bounded_min() < -tol:
-            rc = sf.c - sim._y(sf.c) @ sf.A
+            rc = c - sim._y(c) @ lp.eq_matrix
             rc[basis] = 0.0
-            shift = np.where(sf.free, rc, np.minimum(rc, 0.0))
-            cost = sf.c - shift if float(np.abs(shift).max()) > _OPT_TOL else sf.c
+            shift = np.where(lp.free_mask, rc, np.minimum(rc, 0.0))
+            cost = c - shift if float(np.abs(shift).max()) > _OPT_TOL else c
             if not sim._dual(tol, cost):
                 return None
-        if sim._iterate(sf.c) != "optimal":
+        if sim._iterate(c) is not LpStatus.OPTIMAL:
             return None
     except RuntimeError:
         return None
     # An Optimal verdict comes from a freshly inverted basis, so sim.B is set.
-    if sim._bounded_min() < -tol or float(np.abs(sim.B @ sim._xb() - sf.b).max()) > tol:
+    if sim._bounded_min() < -tol or float(np.abs(sim.B @ sim._xb() - lp.eq_rhs).max()) > tol:
         return None
     return sim
 
@@ -646,25 +616,21 @@ def solve(lp: LinearProgram, start: Basis | None = None) -> LpSolution:
     does not fit, is singular, or does not lead to an Optimal verdict within
     the warm pivot cap is dropped for the cold run.
     """
-    sf = _StandardForm(lp)
-    sim = None if start is None or start.cols is None else _warm_solve(sf, start)
+    sim = None if start is None or start.cols is None else _warm_solve(lp, start)
     if sim is not None:
-        status = "optimal"
-        z, y = sim.vertex()
+        status = LpStatus.OPTIMAL
+        x, y = sim.vertex()
     else:
-        sim = _Simplex(sf)
-        status, z, y = sim.run()
-    if status == "infeasible":
-        return LpSolution(LpStatus.INFEASIBLE)
-    if status == "unbounded":
-        return LpSolution(LpStatus.UNBOUNDED)
-    assert z is not None and y is not None
+        sim = _Simplex(lp)
+        status, x, y = sim.run()
+    if status is not LpStatus.OPTIMAL:
+        return LpSolution(status)
     if start is not None:
         # An artificial column still basic leaves nothing to keep.
-        start.cols = None if sim.basis.max(initial=-1) >= sf.A.shape[1] else sim.basis
+        start.cols = None if sim.basis.max(initial=-1) >= lp.n_vars else sim.basis
         exact = start.cols is not None and sim.B is not None
         start.B, start.Binv = (sim.B, sim.Binv) if exact else (None, None)
-    return LpSolution(LpStatus.OPTIMAL, z + sf.lower, y, float(sf.c @ z) + sf.const)
+    return LpSolution(status, x, y, float(lp.objective @ x))
 
 
 # ---------------------------------------------------------------------------
@@ -676,11 +642,12 @@ _ENUM_MAX_ROWS = 8
 
 
 def enumerate_vertices(lp: LinearProgram) -> list[tuple[np.ndarray, float]]:
-    """Enumerate basic feasible solutions of the LP's standard form.
+    """Enumerate basic feasible solutions of the LP with its free variables
+    split.
 
     Intended as an independent oracle for small problems: it splits each
     free variable into a positive and a negative part, unlike the simplex,
-    and finds every vertex of that standard form by testing all full-rank
+    and finds every vertex of that split LP by testing all full-rank
     column subsets, so ``min`` over the returned objective values equals
     the LP optimum whenever one exists.  Each distinct primal point is
     reported exactly once, as ``(x, objective_value)`` in original
@@ -689,29 +656,29 @@ def enumerate_vertices(lp: LinearProgram) -> list[tuple[np.ndarray, float]]:
     Raises
     ------
     LpScaleError
-        If the standard form exceeds 12 columns or 8 rows.
+        If the split LP exceeds 12 columns or 8 rows.
     LpInputError
         Via :class:`LinearProgram` validation on malformed data.
     """
-    sf = _StandardForm(lp)
-    free = sf.free.nonzero()[0]
-    A = np.hstack([sf.A, -sf.A[:, free]])
+    b = lp.eq_rhs
+    free = lp.free_mask.nonzero()[0]
+    A = np.hstack([lp.eq_matrix, -lp.eq_matrix[:, free]])
     m, n = A.shape
     if n > _ENUM_MAX_VARS or m > _ENUM_MAX_ROWS:
         raise LpScaleError(
-            f"standard form is {m} rows x {n} columns; enumeration caps are "
+            f"split LP is {m} rows x {n} columns; enumeration caps are "
             f"{_ENUM_MAX_ROWS} rows x {_ENUM_MAX_VARS} columns"
         )
-    scale = max(1.0, float(np.abs(sf.b).max(initial=0.0)))
+    scale = max(1.0, float(np.abs(b).max(initial=0.0)))
 
     def point(z: np.ndarray) -> np.ndarray:
-        x = z[: lp.n_vars] + sf.lower
+        x = z[: lp.n_vars].copy()
         x[free] -= z[lp.n_vars :]
         return x
 
     # Reduce to an independent row subset (Gaussian elimination with partial
     # pivoting on [A | b]); an inconsistent dependent row means infeasible.
-    work = np.hstack([A, sf.b.reshape(-1, 1)])
+    work = np.hstack([A, b.reshape(-1, 1)])
     pivot_rows: list[int] = []
     row_order = list(range(m))
     lead = 0
@@ -736,7 +703,7 @@ def enumerate_vertices(lp: LinearProgram) -> list[tuple[np.ndarray, float]]:
             return []  # inconsistent system
 
     A_r = A[pivot_rows]
-    b_r = sf.b[pivot_rows]
+    b_r = b[pivot_rows]
     r = len(pivot_rows)
     out: list[tuple[np.ndarray, float]] = []
     seen: set[tuple[float, ...]] = set()

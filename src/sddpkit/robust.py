@@ -46,7 +46,10 @@ written down once as its LP dual
 
 over one cut row per value z_i.  ``DroLowerTerms`` appends this block to
 a stage LP with scenario i's cuts of the decision in place of z_i, so the
-robust stage problem stays one LP.  ``inner_max_primal`` solves the same
+robust stage problem stays one LP.  A scenario with no cuts yet, whose
+cost-to-go is still -inf, gets no cut row; the block is then unbounded
+below exactly when sqrt(w_hat_i) > rho, for only then does every weight
+vector of the set keep w_i > 0.  ``inner_max_primal`` solves the same
 block with constant cuts z_i; it is the LP reference for ``worst_case``,
 and the worst-case weights are the derivative of its value in z, i.e.
 sqrt(w_hat_i) times the duals of the cut rows.
@@ -68,7 +71,7 @@ from enum import Enum
 
 import numpy as np
 
-from .approximations import LOWER_BOX, CutRows, cut_x_rows, stack_cut_rows
+from .approximations import CutRows, cut_x_rows, stack_cut_rows
 from .kernel import ConditionalWeights
 from .lp import LinearProgram, LpStatus, solve
 from .scenarios import DimensionMismatchError
@@ -165,8 +168,12 @@ def _dual_block(
 
     Columns: gamma, beta, mu (N), zeta (N), psi (N), then one surplus per
     cut row.  Rows: node i's coupling row, then its cut rows, so cut row r
-    of node i lands at r + i + 1.  Every node needs at least one cut row.
-    A cut row of node i is scaled by sqrt(w_hat_i) except for its surplus,
+    of node i lands at r + i + 1.  A node with no cut row keeps only its
+    coupling row: zeta_i can then grow with psi_i at a net cost of
+    rho - sqrt(w_hat_i) per unit, so the block is unbounded below exactly
+    when sqrt(w_hat_i) > rho: then every weight vector in the set keeps
+    w_i >= sqrt(w_hat_i) (sqrt(w_hat_i) - rho) > 0 on a cost-to-go of
+    -inf.  A cut row of node i is scaled by sqrt(w_hat_i) except for its surplus,
     whose coefficient stays -1: with -sqrt(w_hat_i) there, a tiny weight
     would leave the row without a usable slack.
     """
@@ -195,9 +202,9 @@ def _dual_block(
     block_rhs = np.zeros(n + n_cut)
     block_rhs[cut_at] = rhs * scale
     cost = np.concatenate([[1.0, rho], s, -s, np.full(n, rho), np.zeros(n_cut)])
-    lower, free = np.zeros(cost.shape[0]), np.zeros(cost.shape[0], dtype=bool)
+    free = np.zeros(cost.shape[0], dtype=bool)
     free[0] = True
-    return LpBlock(cost=cost, rows=rows, rhs=block_rhs, lower=lower, free=free)
+    return LpBlock(cost=cost, rows=rows, rhs=block_rhs, free=free)
 
 
 # Rows of a batch are solved in chunks of at most this many kinks, so the
@@ -352,10 +359,11 @@ class DroLowerTerms(ExtraTerms):
 
         sqrt(w_hat_i) gamma + mu_i - zeta_i >= sqrt(w_hat_i) cut_i(x),
 
-    substituting the scenario's epigraph value directly; a scenario with
-    no cuts yet contributes the sentinel box instead.  The objective
+    substituting the scenario's epigraph value directly.  The objective
     gains gamma + rho*(beta + sum psi) + sum sqrt(w_hat)(mu - zeta), the
-    worst-case expectation of the per-scenario cost-to-go.
+    worst-case expectation of the per-scenario cost-to-go.  A scenario
+    with no cuts adds no cut row; its cost-to-go is -inf, so the LP is
+    Unbounded when sqrt(w_hat_i) > rho (see ``_dual_block``).
     """
 
     params: AmbiguityParams
@@ -363,9 +371,8 @@ class DroLowerTerms(ExtraTerms):
 
     def shape(self, x_dim: int) -> tuple[int, int]:
         n = len(self.params.nominal)
-        # One cut row per cut, or the sentinel's one row for a scenario
-        # without cuts, plus one coupling row per scenario.
-        n_cut = sum(max(len(rows), 1) for rows in self.node_cuts)
+        # One coupling row per scenario and one row per cut.
+        n_cut = sum(len(rows) for rows in self.node_cuts)
         return n + n_cut, 2 + 3 * n + n_cut
 
     def write(self, x_dim: int, out: LpBlock) -> None:
@@ -374,8 +381,7 @@ class DroLowerTerms(ExtraTerms):
             raise DimensionMismatchError(
                 f"{len(self.node_cuts)} cut pools for {n} nominal weights"
             )
-        sentinel = CutRows(np.zeros((1, x_dim)), np.full(1, LOWER_BOX))
-        node, cuts = stack_cut_rows([rows if len(rows) else sentinel for rows in self.node_cuts])
+        node, cuts = stack_cut_rows(self.node_cuts)
         block = _dual_block(self.params, node, cut_x_rows(cuts, x_dim), cuts.offsets)
         out.cost[:] = block.cost
         out.rows[:] = block.rows

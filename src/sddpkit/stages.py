@@ -62,14 +62,13 @@ class LpBlock:
     """Columns and rows that an extra term appends to a stage LP.
 
     ``rows`` has one column per stage decision followed by one per
-    appended column, and ``rhs`` one entry per row.  ``cost``, ``lower``
-    and ``free`` describe the appended columns, which have no upper bound.
+    appended column, and ``rhs`` one entry per row.  ``cost`` and ``free``
+    describe the appended columns, each nonnegative unless free.
     """
 
     cost: np.ndarray
     rows: np.ndarray
     rhs: np.ndarray
-    lower: np.ndarray
     free: np.ndarray
 
 
@@ -107,16 +106,13 @@ def assemble_stage_lp(
     A = np.zeros((m + n_rows, d + n_cols))
     c = np.zeros(d + n_cols)
     b = np.zeros(m + n_rows)
-    lower = np.zeros(d + n_cols)
     free = np.zeros(d + n_cols, dtype=bool)
     A[:m, :d] = datum.A
     c[:d] = datum.c
     np.subtract(datum.b, datum.B @ xbar, out=b[:m])
     if extra_terms is not None:
-        extra_terms.write(
-            d, LpBlock(cost=c[d:], rows=A[m:], rhs=b[m:], lower=lower[d:], free=free[d:])
-        )
-    return LinearProgram(objective=c, eq_matrix=A, eq_rhs=b, var_lower=lower, free_mask=free)
+        extra_terms.write(d, LpBlock(cost=c[d:], rows=A[m:], rhs=b[m:], free=free[d:]))
+    return LinearProgram(objective=c, eq_matrix=A, eq_rhs=b, free_mask=free)
 
 
 def state_gradient(datum: StageDatum, duals: np.ndarray) -> np.ndarray:

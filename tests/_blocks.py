@@ -41,7 +41,6 @@ def lp_block(terms: ExtraTerms, x_dim: int) -> LpBlock:
         cost=np.zeros(n_cols),
         rows=np.zeros((n_rows, x_dim + n_cols)),
         rhs=np.zeros(n_rows),
-        lower=np.zeros(n_cols),
         free=np.zeros(n_cols, dtype=bool),
     )
     terms.write(x_dim, out)
@@ -58,7 +57,6 @@ def block_value(terms: ExtraTerms, x) -> float:
             objective=block.cost,
             eq_matrix=block.rows[:, d:],
             eq_rhs=block.rhs - block.rows[:, :d] @ xv,
-            var_lower=block.lower,
             free_mask=block.free,
         )
     )

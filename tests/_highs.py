@@ -12,7 +12,7 @@ _STATUS = {0: LpStatus.OPTIMAL, 2: LpStatus.INFEASIBLE, 3: LpStatus.UNBOUNDED}
 
 def highs_solve(lp: LinearProgram) -> tuple[LpStatus, float | None]:
     """The LP's status as HiGHS finds it, and its optimal value when Optimal."""
-    bounds = [(None, None) if free else (lo, None) for lo, free in zip(lp.var_lower, lp.free_mask)]
+    bounds = [(None, None) if free else (0.0, None) for free in lp.free_mask]
     res = linprog(
         lp.objective,
         A_eq=lp.eq_matrix,

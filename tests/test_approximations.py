@@ -8,8 +8,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from _blocks import block_value, cut_rows, weighted_pools
+from _highs import highs_solve
 from sddpkit.approximations import (
-    LOWER_BOX,
     PENALTY_SAFETY,
     CutLowerTerms,
     CutPool,
@@ -27,10 +27,10 @@ from sddpkit.stages import assemble_stage_lp, state_gradient
 
 
 def _lower(pool, t, j, x):
-    """The pool's highest cut at x, or the sentinel box when it has none."""
+    """The pool's highest cut at x, or -inf when it has none."""
     rows = pool.cuts(t, j)
     if not len(rows):
-        return LOWER_BOX
+        return -math.inf
     return float(np.max(rows.offsets + rows.gradients @ np.asarray(x, dtype=float)))
 
 
@@ -70,9 +70,10 @@ def test_duplicate_cut_changes_nothing():
     np.testing.assert_allclose(after, before)
 
 
-def test_empty_pool_reports_sentinel():
+def test_empty_pool_reads_minus_infinity():
     pool = CutPool()
-    assert _lower(pool, 3, 1, [0.0]) == -1e9
+    assert len(pool.cuts(3, 1)) == 0
+    assert _lower(pool, 3, 1, [0.0]) == -math.inf
 
 
 def test_nodes_a_stage_never_had_read_empty():
@@ -248,12 +249,29 @@ def _one_var_stage():
     return StageDatum(c=[1.0], A=[[1.0]], B=[[1.0]], b=[2.0], feature=[0.0])
 
 
-def test_splice_lower_empty_pool_hits_sentinel():
-    datum = _one_var_stage()
-    lp = assemble_stage_lp(datum, [1.0], extra_terms=CutLowerTerms(cut_rows(())))
+def _check_against_highs(lp, status, value):
+    """``solve`` and HiGHS both give ``status`` and, when Optimal, ``value``."""
     sol = solve(lp)
-    assert sol.status is LpStatus.OPTIMAL
-    assert sol.objective_value == pytest.approx(1.0 - 1e9)
+    highs_status, highs_objective = highs_solve(lp)
+    assert sol.status is status and highs_status is status
+    if status is LpStatus.OPTIMAL:
+        assert sol.objective_value == pytest.approx(value, abs=1e-9)
+        assert highs_objective == pytest.approx(value, abs=1e-9)
+
+
+def test_empty_cut_pool_makes_the_stage_lp_unbounded():
+    """An empty pool's cost-to-go is -inf: with a positive weight on it the
+    stage LP is Unbounded, and with a zero weight its free epigraph
+    variable is inert."""
+    datum = _one_var_stage()
+    five = cut_rows([([0.0], 5.0)])
+    for terms, status in (
+        (CutLowerTerms(cut_rows(())), LpStatus.UNBOUNDED),
+        (weighted_pools([(0.4, five), (0.6, cut_rows(()))]), LpStatus.UNBOUNDED),
+        (weighted_pools([(1.0, five), (0.0, cut_rows(()))]), LpStatus.OPTIMAL),
+    ):
+        lp = assemble_stage_lp(datum, [1.0], extra_terms=terms)
+        _check_against_highs(lp, status, 1.0 + 5.0)
 
 
 def test_weighted_multi_node_splice():
@@ -293,11 +311,19 @@ def test_one_backward_pass_closes_gap_at_anchor():
     assert abs(hi.objective_value - lo.objective_value) <= 1e-8
 
 
-def test_envelope_upper_terms_empty_uses_upper_box():
+def test_empty_envelope_makes_the_stage_lp_infeasible():
+    """An envelope without points is +inf: its convexity row reads 0 = 1, so
+    the stage LP is Infeasible.  One point at x = 1 with value 3 makes it
+    Optimal at c.x + 3."""
     datum = _one_var_stage()
-    terms = EnvelopeUpperTerms(np.zeros((0, 0)), np.zeros(0), 10.0)
-    sol = solve(assemble_stage_lp(datum, [1.0], extra_terms=terms))
-    assert sol.objective_value == pytest.approx(1.0 + 1e9)
+    for anchors, values, status in (
+        (np.zeros((0, 0)), np.zeros(0), LpStatus.INFEASIBLE),
+        (np.array([[1.0]]), np.array([3.0]), LpStatus.OPTIMAL),
+    ):
+        terms = EnvelopeUpperTerms(anchors, values, 10.0)
+        lp = assemble_stage_lp(datum, [1.0], extra_terms=terms)
+        assert lp.n_rows == 1 + 2
+        _check_against_highs(lp, status, 1.0 + 3.0)
 
 
 # Entries with exact and signed zeros, as in portfolio cut gradients.
@@ -407,7 +433,7 @@ def test_lower_value_reads_the_arrays():
                 cuts[j][1] + float(np.dot(cuts[j][0], np.subtract(x, a))) for a, cuts in adds
             )
             assert _lower(pool, 3, j, x) == pytest.approx(expected, abs=1e-12)
-    assert _lower(pool, 3, 2, [0.0, 0.0]) == LOWER_BOX
+    assert _lower(pool, 3, 2, [0.0, 0.0]) == -math.inf
 
 
 def _per_node_reference(anchor, duals, lower_weights, lower_values, upper_weights, upper_values):

@@ -9,7 +9,7 @@ import pytest
 import sddpkit.driver
 import sddpkit.lp
 import sddpkit.robust
-from sddpkit.approximations import LOWER_BOX, CutPool, CutRows, EnvelopeStore
+from sddpkit.approximations import CutPool, CutRows, EnvelopeStore
 from sddpkit.driver import (
     Algorithm,
     GapMode,
@@ -464,15 +464,16 @@ def _full_pool_cost(policy, datum, t, x):
     cost = float(datum.c @ x)
     for i in range(train.n_paths):
         cuts = policy.pools.cuts(t + 1, i)
-        top = float(np.max(cuts.offsets + cuts.gradients @ x)) if len(cuts) else LOWER_BOX
+        top = float(np.max(cuts.offsets + cuts.gradients @ x)) if len(cuts) else -math.inf
         cost += float(w[i]) * top
     return cost
 
 
 def _check_rollout_against_full_pools(monkeypatch, policy, test_traj):
-    """Every path's objective matches the full-pool rollout, and every stage
-    decision the rollout takes is optimal for its full-pool stage LP.
-    Returns the row counts of the rollout's stage LPs that carry cuts."""
+    """Every path's objective matches the full-pool rollout, at least one of
+    them finite, and every stage decision the rollout takes is optimal for
+    its full-pool stage LP.  Returns the row counts of the rollout's stage
+    LPs that carry cuts."""
     import sddpkit.driver
 
     calls = []
@@ -494,6 +495,7 @@ def _check_rollout_against_full_pools(monkeypatch, policy, test_traj):
     oracle = _full_pool_rollout(policy, test_traj)
     assert np.array_equal(np.isnan(report.objectives), np.isnan(oracle))
     ok = ~np.isnan(oracle)
+    assert ok.any()
     assert np.all(np.abs(report.objectives[ok] - oracle[ok]) <= 1e-9 * (1.0 + np.abs(oracle[ok])))
 
     T = test_traj.horizon_T
@@ -617,32 +619,59 @@ def test_working_set_rollout_of_a_one_iteration_policy(monkeypatch):
     _check_rollout_against_full_pools(monkeypatch, policy, test_traj)
 
 
-def test_working_set_rollout_with_single_cut_and_empty_pools(monkeypatch):
-    """At stage 3 every node keeps only its newest cut; stage 4 has none
-    (the sentinel rows)."""
+def _trimmed_pools(trained: Policy, cuts: slice, nodes: dict[int, int]) -> CutPool:
+    """A pool with the trained cuts ``cuts`` of stages 3 and 4, for the
+    first ``nodes[t]`` nodes of stage t; the other nodes have none."""
+    pools = CutPool()
+    for t in (3, 4):
+        rows = [trained.pools.cuts(t, i) for i in range(nodes[t])]
+        for k in range(len(rows[0]))[cuts]:
+            pools.add(
+                t,
+                CutRows(
+                    np.array([r.gradients[k] for r in rows]), np.array([r.offsets[k] for r in rows])
+                ),
+            )
+    return pools
+
+
+def test_working_set_rollout_with_single_cuts(monkeypatch):
+    """At stages 3 and 4 every node keeps only its newest cut."""
     traj, template = make_toy(6, horizon_T=4, n_paths=4)
     trained, _, _ = run(traj, template, _config(max_iterations=10))
-    newest = [trained.pools.cuts(3, i) for i in range(traj.n_paths)]
-    pools = CutPool()
-    pools.add(
-        3,
-        CutRows(
-            np.array([rows.gradients[-1] for rows in newest]),
-            np.array([rows.offsets[-1] for rows in newest]),
-        ),
-    )
-    policy = Policy(
-        algorithm=Algorithm.DD,
-        trajectories=traj,
-        kernel=trained.kernel,
-        rho=0.0,
-        pools=pools,
-        store=trained.store,
-        root_decision=trained.root_decision,
-        root_lower_bound=trained.root_lower_bound,
-    )
+    pools = _trimmed_pools(trained, slice(-1, None), {3: 4, 4: 4})
+    policy = dataclasses.replace(trained, pools=pools)
     test_traj, _ = make_toy(7, horizon_T=4, n_paths=6)
     _check_rollout_against_full_pools(monkeypatch, policy, test_traj)
+
+
+@pytest.mark.parametrize("algorithm, rho", [(Algorithm.DD, None), (Algorithm.RDD, 0.5)])
+def test_an_empty_pool_of_positive_weight_fails_the_path(algorithm, rho):
+    """A node without cuts has cost-to-go -inf.  With the last stage-4
+    node's pool emptied, exactly the test paths whose stage-3 LP puts
+    weight on it fail: every path of positive nominal weight there in the
+    nominal rollout, every path with sqrt(w_hat) > rho in the robust one.
+    With every pool filled, no path fails."""
+    traj, template = make_toy(6, horizon_T=4, n_paths=4)
+    trained, _, _ = run(traj, template, _config(algorithm, rho, max_iterations=5))
+    test_traj, _ = make_toy(7, horizon_T=4, n_paths=12)
+    assert evaluate_policy_out_of_sample(trained, test_traj).n_failed == 0
+    policy = dataclasses.replace(trained, pools=_trimmed_pools(trained, slice(None), {3: 4, 4: 3}))
+    report = evaluate_policy_out_of_sample(policy, test_traj)
+    # Each test path's stage-3 weight on the emptied node.
+    w = np.array([
+        nw_weights(datum.feature, traj.features(3), trained.kernel).weights
+        for datum in test_traj.stage_data(3)
+    ])
+    if algorithm is Algorithm.DD:
+        fails = w[:, -1] > 0.0
+    else:
+        fails = np.array([math.sqrt(sanitize_nominal(row).weights[-1]) > rho for row in w])
+    assert fails.any()
+    # The robust paths' sqrt(w_hat) lie on either side of rho.
+    assert algorithm is Algorithm.DD or not fails.all()
+    assert np.array_equal(np.isnan(report.objectives), fails)
+    assert report.n_failed == fails.sum()
 
 
 def test_unbounded_working_set_falls_back_to_every_cut():
@@ -671,6 +700,29 @@ def test_unbounded_working_set_falls_back_to_every_cut():
     report = evaluate_policy_out_of_sample(policy, traj)
     assert report.n_failed == 0
     assert report.objectives[0] == pytest.approx(0.1 * 2.5 + 1.0, abs=1e-12)
+
+
+def test_first_forward_pass_solves_the_stage_lps_without_a_block(monkeypatch):
+    """Before the first backward pass every pool is empty, so the first root
+    solve and the first forward pass append no block: their decisions are
+    bit for bit those of the bare stage LPs, solved cold."""
+    passes = []
+    forward_pass = sddpkit.driver._Runner.forward_pass
+
+    def recording(self, k, m):
+        passes.append(forward_pass(self, k, m))
+        return passes[-1]
+
+    monkeypatch.setattr(sddpkit.driver._Runner, "forward_pass", recording)
+    traj, template = make_toy(2, horizon_T=4, n_paths=3)
+    run(traj, template, _config(max_iterations=1))
+    scenario, states = passes[0]
+    root = solve(assemble_stage_lp(traj.stage1, template.initial_state)).primal
+    expected = [root[: traj.stage1.dim_out]]
+    for t, i in zip(range(2, traj.horizon_T), scenario.indices):
+        datum = traj.stage_data(t)[i]
+        expected.append(solve(assemble_stage_lp(datum, expected[-1])).primal[: datum.dim_out])
+    assert [x.tobytes() for x in states] == [x.tobytes() for x in expected]
 
 
 def test_iteration_counters_and_forward_scenario_shape():

@@ -125,19 +125,6 @@ def test_free_variable_attains_negative_value():
     np.testing.assert_allclose(sol.duals, [1.0], atol=1e-12)
 
 
-def test_nonzero_lower_bound_shift():
-    lp = LinearProgram(
-        objective=[1.0, 1.0],
-        eq_matrix=[[1.0, 1.0]],
-        eq_rhs=[4.0],
-        var_lower=[1.5, 0.0],
-    )
-    sol = solve(lp)
-    assert sol.status is LpStatus.OPTIMAL
-    assert sol.objective_value == pytest.approx(4.0, abs=1e-12)
-    assert sol.primal[0] >= 1.5 - 1e-12
-
-
 def test_redundant_row_keeps_strong_duality():
     """A duplicated constraint must not corrupt the duals."""
     lp = LinearProgram(
@@ -273,12 +260,14 @@ def test_phase_one_passes_over_a_column_without_a_leaving_row(monkeypatch):
     def spy_iterate(self, cost, allowed=None):
         nonlocal passed_over
         status = real_iterate(self, cost, allowed)
-        passed_over += status == "unbounded" and cost is not self.c_true
+        passed_over += status is LpStatus.UNBOUNDED and cost is not self.c_true
         return status
 
     monkeypatch.setattr(lp_module._Simplex, "_iterate", spy_iterate)
     data = json.loads((Path(__file__).parent / "data" / "phase_one_passover_lp.json").read_text())
     reference = data.pop("reference_value")
+    # Recorded when LPs carried lower bounds; every one of them is zero.
+    assert not any(data.pop("var_lower"))
     lp = LinearProgram(**data)
     sol = solve(lp)
     assert passed_over >= 1
@@ -292,9 +281,10 @@ def _random_lp_with_unit_columns(rng: np.random.Generator) -> LinearProgram:
     """Dense integer columns mixed with +-e_i columns, in shuffled order.
 
     Rows get up to two unit columns of either sign, rhs entries are often
-    zero, some variables are free and some have a nonzero lower bound,
-    which shifts the rhs.  The LP has at most 12 columns once each free
-    column is split in two, the most :func:`enumerate_vertices` takes.
+    zero before a shift by A l for a sparse integer l on the bounded
+    columns, and some variables are free.  The LP has at most 12 columns
+    once each free column is split in two, the most
+    :func:`enumerate_vertices` takes.
     """
     m = int(rng.integers(1, 5))
     dense = rng.integers(-3, 4, size=(m, int(rng.integers(1, 4)))).astype(float)
@@ -306,31 +296,27 @@ def _random_lp_with_unit_columns(rng: np.random.Generator) -> LinearProgram:
     A = np.column_stack([dense, *units])[:, rng.permutation(dense.shape[1] + len(units))]
     n = A.shape[1]
     free = rng.random(n) < 0.25
-    free[np.nonzero(free)[0][12 - n :]] = False  # at most 12 standard-form columns
-    lower = np.where(free | (rng.random(n) < 0.7), 0.0, rng.integers(-1, 2, size=n))
-    return LinearProgram(
-        objective=rng.integers(-3, 4, size=n).astype(float),
-        eq_matrix=A,
-        eq_rhs=rng.integers(-2, 3, size=m).astype(float) * (rng.random(m) < 0.7),
-        var_lower=lower,
-        free_mask=free,
-    )
+    free[np.nonzero(free)[0][12 - n :]] = False  # at most 12 columns once split
+    shift = np.where(free | (rng.random(n) < 0.7), 0.0, rng.integers(-1, 2, size=n))
+    c = rng.integers(-3, 4, size=n).astype(float)
+    b = rng.integers(-2, 3, size=m).astype(float) * (rng.random(m) < 0.7)
+    return LinearProgram(objective=c, eq_matrix=A, eq_rhs=b - A @ shift, free_mask=free)
 
 
-def _standard_columns(lp: LinearProgram) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The LP's columns with each free variable's negative part appended, the
-    matching costs, and the rhs shifted by the lower bounds."""
+def _split_columns(lp: LinearProgram) -> tuple[np.ndarray, np.ndarray]:
+    """The LP's columns with each free variable's negative part appended,
+    and the matching costs."""
     free = lp.free_mask
     A = np.hstack([lp.eq_matrix, -lp.eq_matrix[:, free]])
     c = np.concatenate([lp.objective, -lp.objective[free]])
-    b = lp.eq_rhs - lp.eq_matrix @ np.where(free, 0.0, lp.var_lower)
-    return A, c, b
+    return A, c
 
 
 def _has_descent_ray(lp: LinearProgram) -> bool:
-    """Whether some d >= 0 with A d = 0 and sum(d) = 1 has c.d < 0 (standard
-    form), decided by enumerating the vertices of that normalized cone."""
-    A, c, _ = _standard_columns(lp)
+    """Whether some d >= 0 with A d = 0 and sum(d) = 1 has c.d < 0 (free
+    columns split), decided by enumerating the vertices of that normalized
+    cone."""
+    A, c = _split_columns(lp)
     cone = LinearProgram(
         objective=c,
         eq_matrix=np.vstack([A, np.ones(A.shape[1])]),
@@ -341,7 +327,7 @@ def _has_descent_ray(lp: LinearProgram) -> bool:
 
 def _unit_start_cases(lp: LinearProgram) -> set[str]:
     """Which starting-basis situations the LP's rows present, read off its data."""
-    A, free, b = lp.eq_matrix, lp.free_mask, _standard_columns(lp)[2]
+    A, free, b = lp.eq_matrix, lp.free_mask, lp.eq_rhs
     single = np.count_nonzero(A, axis=0) == 1
     cases = set()
     for i in range(lp.n_rows):
@@ -456,13 +442,12 @@ def test_free_columns_match_the_split_lp():
         lp = (_random_lp_with_unit_columns if k % 2 else _random_lp_with_free_columns)(rng)
         if not lp.free_mask.any():
             continue
-        A, c, b = _standard_columns(lp)
-        sol, split = solve(lp), solve(LinearProgram(objective=c, eq_matrix=A, eq_rhs=b))
+        A, c = _split_columns(lp)
+        sol, split = solve(lp), solve(LinearProgram(objective=c, eq_matrix=A, eq_rhs=lp.eq_rhs))
         statuses[sol.status] += 1
         assert sol.status is split.status
         if sol.status is LpStatus.OPTIMAL:
-            shift = float(lp.objective @ np.where(lp.free_mask, 0.0, lp.var_lower))
-            v = split.objective_value + shift
+            v = split.objective_value
             assert abs(sol.objective_value - v) <= 1e-9 * (1.0 + abs(v))
             assert_kkt(lp, sol)
     assert min(statuses.values()) > 20, statuses
@@ -471,22 +456,21 @@ def test_free_columns_match_the_split_lp():
 def _relative(rng: np.random.Generator, lp: LinearProgram, change: str) -> LinearProgram:
     """A member of the LP's family: new rhs, one more row with its surplus
     column, one more column, or new costs."""
-    A, b, c = lp.eq_matrix, lp.eq_rhs, lp.objective
-    lower, free = lp.var_lower, lp.free_mask
+    A, b, c, free = lp.eq_matrix, lp.eq_rhs, lp.objective, lp.free_mask
     m, n = A.shape
     if change == "rhs":
         b = b + rng.integers(-2, 3, size=m)
     elif change == "row":
         A = np.block([[A, np.zeros((m, 1))], [rng.integers(-3, 4, size=(1, n)), -np.ones((1, 1))]])
         b, c = np.append(b, rng.integers(-3, 4)), np.append(c, 0.0)
-        lower, free = np.append(lower, 0.0), np.append(free, False)
+        free = np.append(free, False)
     elif change == "column":
         A = np.hstack([A, rng.integers(-3, 4, size=(m, 1))])
         c = np.append(c, rng.integers(-3, 4))
-        lower, free = np.append(lower, 0.0), np.append(free, rng.random() < 0.25)
+        free = np.append(free, rng.random() < 0.25)
     else:
         c = c + rng.integers(-2, 3, size=n)
-    return LinearProgram(objective=c, eq_matrix=A, eq_rhs=b, var_lower=lower, free_mask=free)
+    return LinearProgram(objective=c, eq_matrix=A, eq_rhs=b, free_mask=free)
 
 
 def _assert_same_bytes(a, b) -> None:
@@ -542,14 +526,14 @@ def _spy_warm_paths(monkeypatch) -> dict[str, int]:
         reused.append(Binv is not None)
         return Binv
 
-    def spy_warm(sf, start):
+    def spy_warm(lp, start):
         dual_costs.clear()
         reused.clear()
-        sim = real_warm(sf, start)
+        sim = real_warm(lp, start)
         paths["reused"] += any(reused)
         if sim is None:
             paths["fallback"] += 1
-        elif any(not np.array_equal(cost, sf.c) for cost in dual_costs):
+        elif any(not np.array_equal(cost, lp.objective) for cost in dual_costs):
             paths["shifted"] += 1
         elif dual_costs:
             paths["dual"] += 1
@@ -599,7 +583,6 @@ def test_warm_starts_match_the_cold_solve_across_lp_families(monkeypatch):
             objective=np.append(lp.objective, 1.0),
             eq_matrix=np.hstack([lp.eq_matrix, np.zeros((m, 1))]),
             eq_rhs=lp.eq_rhs,
-            var_lower=np.append(lp.var_lower, 0.0),
             free_mask=np.append(lp.free_mask, False),
         )
         for stale_lp, cols in (
@@ -648,6 +631,9 @@ def _stage_lp_chain(rng: np.random.Generator, family: str):
                 g, value = rng.normal(size=d), float(rng.normal())
                 cuts.append((g, value - float(g @ rng.uniform(size=d))))
             weights = rng.dirichlet(np.ones(n_nodes)) * (rng.random(n_nodes) < 0.8)
+            # A node's weight is zero until it has a cut, as a positive
+            # weight on an empty pool makes the LP unbounded.
+            weights *= np.isin(np.arange(n_nodes), node)
             terms = WeightedLowerTerms(weights, node, cut_rows(cuts))
         else:
             anchors.append(rng.uniform(size=d))

@@ -11,7 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from _blocks import cut_rows, lp_block, random_cut, weighted_pools
-from _highs import highs_value
+from _highs import highs_solve, highs_value
 from sddpkit.approximations import CutLowerTerms, CutRows
 from sddpkit.kernel import ConditionalWeights
 from sddpkit.lp import LinearProgram, LpStatus, solve
@@ -365,17 +365,22 @@ def test_fixed_decision_block_prices_the_inner_max_of_the_cut_values():
         assert abs(sol.objective_value - expected) <= 1e-8 * (1.0 + abs(expected))
 
 
-def _assert_recorded_robust_rollout_lp_solves(name: str) -> None:
-    """Rebuild the robust rollout stage LP recorded in ``data/<name>.json``
-    and check that it solves to the value HiGHS reported, which a live
-    HiGHS solve must still give."""
+def _recorded_robust_lp(name: str) -> tuple[dict, LinearProgram]:
+    """The record in ``data/<name>.json`` and the robust stage LP it rebuilds."""
     data = json.loads((Path(__file__).parent / "data" / f"{name}.json").read_text())
     datum = StageDatum(**data["datum"])
     pools = [
         cut_rows([(cut["gradient"], cut["offset"]) for cut in cuts]) for cuts in data["cuts"]
     ]
     params = AmbiguityParams(rho=data["rho"], nominal=ConditionalWeights(np.array(data["nominal"])))
-    lp = assemble_stage_lp(datum, data["state"], extra_terms=DroLowerTerms(params, pools))
+    return data, assemble_stage_lp(datum, data["state"], extra_terms=DroLowerTerms(params, pools))
+
+
+def _assert_recorded_robust_rollout_lp_solves(name: str) -> None:
+    """Rebuild the robust rollout stage LP recorded in ``data/<name>.json``
+    and check that it solves to the value HiGHS reported, which a live
+    HiGHS solve must still give."""
+    data, lp = _recorded_robust_lp(name)
     sol = solve(lp)
     assert sol.status is LpStatus.OPTIMAL
     assert sol.objective_value == pytest.approx(data["reference_value"], abs=1e-9)
@@ -404,6 +409,34 @@ def test_falsely_unbounded_robust_rollout_lp_solves():
     Unbounded while it split the free gamma column in two, so the path was
     lost.  HiGHS finds a finite optimum, the recorded value."""
     _assert_recorded_robust_rollout_lp_solves("unbounded_robust_rollout_lp")
+
+
+@pytest.mark.xfail(strict=True, reason="the simplex stops 2.5e-5 short of the HiGHS optimum")
+def test_tiny_weight_robust_lp_solves_to_the_highs_value():
+    """A 22x36 robust stage LP over six scenarios, four of nominal weight
+    4.07e-19, with rho = 1e4 (draw 96 of the generator of
+    ``test_fixed_decision_block_prices_the_inner_max_of_the_cut_values``
+    at seed 38).  The in-house simplex returns 2.3018475864750836, where
+    HiGHS finds the recorded 2.3018727029193875."""
+    _, lp = _recorded_robust_lp("tiny_weight_robust_lp")
+    sol = solve(lp)
+    assert sol.status is LpStatus.OPTIMAL
+    assert abs(sol.objective_value - highs_value(lp)) <= 1e-5
+
+
+def test_tiny_weight_robust_lp_value_is_the_primal_inner_max():
+    """On that LP, HiGHS gives the recorded value, and so, to 1e-5, does
+    c.x plus the primal inner max of the scenarios' cut maxima at the
+    pinned decision x."""
+    data, lp = _recorded_robust_lp("tiny_weight_robust_lp")
+    datum = StageDatum(**data["datum"])
+    x = datum.b - datum.B @ np.array(data["state"])  # A is the identity
+    z = np.array([max(cut["offset"] + float(np.dot(cut["gradient"], x)) for cut in cuts)
+                  for cuts in data["cuts"]])
+    expected = float(datum.c @ x) + _primal_lp(z, np.array(data["nominal"]), data["rho"])[0]
+    value = highs_value(lp)
+    assert value == pytest.approx(data["reference_value"], abs=1e-9)
+    assert abs(value - expected) <= 1e-5
 
 
 def _stage_with_pools(rng, n_scen):
@@ -474,13 +507,31 @@ def test_huge_radius_approaches_max_scenario():
     assert robust == pytest.approx(union, abs=1e-7)
 
 
-def test_empty_pool_scenario_uses_sentinel():
+def test_empty_pool_scenario_is_unbounded_exactly_when_its_weight_root_exceeds_rho():
+    """A scenario without cuts has cost-to-go -inf.  The worst case keeps
+    its weight at least sqrt(w_hat_i) (sqrt(w_hat_i) - rho), so the LP is
+    Unbounded when sqrt(w_hat_i) > rho, as HiGHS finds too.  Otherwise the
+    worst case drops the scenario, and the value is that of HiGHS and of
+    the primal inner max with a value far below the others in its place."""
     datum = StageDatum(c=[1.0], A=[[1.0]], B=[[1.0]], b=[2.0], feature=[0.0])
-    params = AmbiguityParams(rho=0.0, nominal=ConditionalWeights.uniform(2))
-    terms = DroLowerTerms(params, [cut_rows(()), cut_rows(())])
-    lp = assemble_stage_lp(datum, [1.0], extra_terms=terms)
-    sol = solve(lp)
-    assert sol.objective_value == pytest.approx(1.0 - 1e9)
+    w_hat = np.array([0.2, 0.3, 0.5])  # sqrt: 0.447, 0.548, 0.707
+    cuts = [([0.5], 1.0), ([-1.0], 2.0), ([0.0], 0.5)]
+    for empty in range(3):
+        pools = [cut_rows([] if i == empty else [cuts[i]]) for i in range(3)]
+        for rho in (0.05, 0.3, 0.6, 2.0):
+            params = AmbiguityParams(rho=rho, nominal=ConditionalWeights(w_hat))
+            lp = assemble_stage_lp(datum, [1.0], extra_terms=DroLowerTerms(params, pools))
+            sol = solve(lp)
+            status, value = highs_solve(lp)
+            assert sol.status is status
+            if math.sqrt(w_hat[empty]) > rho:
+                assert status is LpStatus.UNBOUNDED
+                continue
+            assert status is LpStatus.OPTIMAL
+            assert sol.objective_value == pytest.approx(value, abs=1e-9)
+            # The LP pins x = 1, where cut (g, o) is worth g + o.
+            z = np.array([-1e6 if i == empty else g[0] + o for i, (g, o) in enumerate(cuts)])
+            assert value == pytest.approx(1.0 + _primal_lp(z, w_hat, rho)[0], abs=1e-9)
 
 
 def _variance(z, weights):

@@ -5,7 +5,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from sddpkit.approximations import LOWER_BOX, UPPER_BOX
 from sddpkit.lp import LinearProgram, LpStatus, solve
 from sddpkit.scenarios import DimensionMismatchError, StageDatum
 from sddpkit.stages import (
@@ -68,46 +67,35 @@ class _RowByRow:
     def __init__(self, datum, xbar):
         self.d = datum.dim_out
         self.costs = [float(v) for v in datum.c]
-        self.lowers = [0.0] * self.d
         self.frees = [False] * self.d
         rhs = datum.b - datum.B @ np.asarray(xbar, dtype=float)
         self.rows = [({j: float(datum.A[r, j]) for j in range(self.d)}, float(rhs[r]))
                      for r in range(datum.n_rows)]
 
-    def var(self, cost=0.0, lower=0.0, free=False):
+    def var(self, cost=0.0, free=False):
         self.costs.append(float(cost))
-        self.lowers.append(float(lower))
         self.frees.append(free)
         return len(self.costs) - 1
 
     def cut_row(self, head, cut, scale=1.0):
         """Row head - surplus >= cut(x), the cut's coefficients and rhs times scale."""
         coeffs = dict(head)
-        if cut is None:
-            rhs = LOWER_BOX * scale
-        else:
-            gradient, offset = cut
-            rhs = offset * scale
-            for j, g in enumerate(gradient):
-                if g != 0.0:
-                    coeffs[j] = -float(g) * scale
+        gradient, offset = cut
+        for j, g in enumerate(gradient):
+            if g != 0.0:
+                coeffs[j] = -float(g) * scale
         coeffs[self.var()] = -1.0
-        self.rows.append((coeffs, float(rhs)))
+        self.rows.append((coeffs, float(offset * scale)))
 
     def weighted(self, weights, pools):
-        """Every ell first, free if its node has cuts and on the sentinel box
-        if not; then the cut rows, node after node."""
-        ells = [self.var(cost=w, lower=0.0 if c else LOWER_BOX, free=bool(c))
-                for w, c in zip(weights, pools)]
+        """Every ell first, all free; then the cut rows, node after node."""
+        ells = [self.var(cost=w, free=True) for w in weights]
         for ell, cuts in zip(ells, pools):
             for cut in cuts:
                 self.cut_row({ell: 1.0}, cut)
 
     def envelope(self, terms):
         anchors, values = np.atleast_2d(terms.anchors), np.asarray(terms.values)
-        if values.size == 0:
-            self.var(cost=1.0, lower=UPPER_BOX)
-            return
         k = values.size
         y_pos = [self.var(cost=terms.penalty_m) for _ in range(self.d)]
         y_neg = [self.var(cost=terms.penalty_m) for _ in range(self.d)]
@@ -129,7 +117,7 @@ class _RowByRow:
             couple = {mu[i]: 1.0, zeta[i]: 1.0, psi[i]: -1.0, beta: -1.0 / np.sqrt(n)}
             self.rows.append((couple, 0.0))
             head = {gamma: s[i], mu[i]: 1.0, zeta[i]: -1.0}
-            for cut in pools[i] or (None,):
+            for cut in pools[i]:
                 self.cut_row(head, cut, s[i])
 
     def arrays(self):
@@ -138,7 +126,7 @@ class _RowByRow:
             for j, v in coeffs.items():
                 A[r, j] = v
         return (np.array(self.costs), A, np.array([b for _, b in self.rows]),
-                np.array(self.lowers), np.array(self.frees, dtype=bool))
+                np.array(self.frees, dtype=bool))
 
 
 def test_block_assembly_matches_row_by_row_reference():
@@ -182,7 +170,7 @@ def test_block_assembly_matches_row_by_row_reference():
             if method is not None:
                 getattr(ref, method)(*args)
             lp = assemble_stage_lp(datum, xbar, extra_terms=terms)
-            got = (lp.objective, lp.eq_matrix, lp.eq_rhs, lp.var_lower, lp.free_mask)
+            got = (lp.objective, lp.eq_matrix, lp.eq_rhs, lp.free_mask)
             for a, b in zip(got, ref.arrays()):
                 assert a.shape == b.shape and a.tobytes() == b.tobytes()
 
