@@ -60,7 +60,7 @@ PENALTY_SAFETY = 10.0
 class CutRows:
     """A node's cuts as arrays: row k of ``gradients`` is cut k's gradient
     and ``offsets[k]`` its value at the origin, so the cuts' values at x
-    are ``offsets + gradients @ x``."""
+    are ``offsets + gradients @ x``.  ``CutPool.stage`` adds a node axis."""
 
     gradients: np.ndarray
     offsets: np.ndarray
@@ -105,11 +105,13 @@ class CutPool:
 
     def cuts(self, t: int, node_j: int | None) -> CutRows:
         """The node's cuts; a later ``add`` leaves the returned arrays as they are."""
-        if t not in self._stages:
-            return _NO_CUTS
-        gradients, offsets = self._stages[t]
-        row = _node_row(t, node_j, offsets.shape[0])
-        return _NO_CUTS if row is None else CutRows(gradients[row], offsets[row])
+        stage = self.stage(t)
+        row = _node_row(t, node_j, stage.offsets.shape[0])
+        return _NO_CUTS if row is None else CutRows(stage.gradients[row], stage.offsets[row])
+
+    def stage(self, t: int) -> CutRows:
+        """Every node's cuts: gradients (nodes, k, d), offsets (nodes, k); ``add`` keeps them."""
+        return CutRows(*self._stages.get(t, (np.zeros((0, 0, 0)), np.zeros((0, 0)))))
 
     def n_cuts(self) -> int:
         return sum(offsets.size for _, offsets in self._stages.values())

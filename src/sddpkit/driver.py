@@ -68,7 +68,6 @@ from .approximations import (
     EnvelopeUpperTerms,
     WeightedLowerTerms,
     aggregate_backward,
-    stack_cut_rows,
 )
 from .kernel import ConditionalWeights, KernelConfig, nw_weights
 from .lp import Basis, LinearProgram, LpScaleError, LpStatus, solve
@@ -478,16 +477,26 @@ def run(
 # ---------------------------------------------------------------------------
 
 
-# A cut outside the working set is violated when it exceeds its node's
-# working maximum at the decision by more than this, relative to 1 + |max|.
+# A node's highest cut outside the working set joins the set when it exceeds
+# the node's working maximum by more than this, relative to 1 + |its value|.
 SEPARATION_TOL = 1e-12
 
 
-def _node_max(values: np.ndarray, node: np.ndarray, n_nodes: int) -> np.ndarray:
-    """Largest value per node; -inf for a node without values."""
-    top = np.full(n_nodes, -np.inf)
-    np.maximum.at(top, node, values)
-    return top
+def _separated(values: np.ndarray, active: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """Flat indices, in node order, of the cuts that join a working set.
+    Per row (node) of ``values``, the highest cut outside ``active``, the
+    lowest index among ties, joins if the node has positive weight ``w``
+    and the cut lies above the node's working maximum (-inf without a row)
+    by more than ``SEPARATION_TOL``."""
+    if not values.size:
+        return np.zeros(0, dtype=np.int64)
+    n, k = values.shape
+    top = np.where(active, values, -np.inf).max(axis=1)
+    left = np.where(active, -np.inf, values)
+    best = left.argmax(axis=1)
+    high = left.max(axis=1)
+    nodes = np.flatnonzero((w[:n] > 0) & (high - top > SEPARATION_TOL * (1.0 + np.abs(high))))
+    return nodes * k + best[nodes]
 
 
 def evaluate_policy_out_of_sample(
@@ -506,16 +515,16 @@ def evaluate_policy_out_of_sample(
     The nominal stage LP is solved on a working set of cut rows rather
     than on every cut of every pool.  Each stage keeps one working set for
     the whole call, shared by every test path: a list of cuts in the order
-    they joined, whose rows the stage LP carries in that order.  A path
-    first appends each node's highest cut at its incoming state, unless
-    it is already in.  After each solve, every cut is evaluated at the
-    decision x (one matvec over the stacked pools), and every cut of a
-    node with positive weight that lies above the node's working maximum
-    by more than ``SEPARATION_TOL`` is appended.  Each round adds a row
-    that was not in the set, so the loop ends; when it does, no left-out
-    cut binds at x, so x is optimal for the full LP and the two optima
-    agree.  A working LP that comes back unbounded is re-solved with every
-    cut appended.
+    they joined, whose rows the stage LP carries in that order.  At a
+    path's incoming state, and at the decision x after each solve, the
+    stage's cuts are evaluated (one matvec over its (nodes, k) arrays), and
+    each node of positive weight appends its highest left-out cut if that
+    lies above the node's working maximum by more than ``SEPARATION_TOL``:
+    one most violated cut per node and round (Mutapcic & Boyd, 2009).
+    Each round adds a row that was not in the set, so the loop ends; when
+    it does, no left-out cut binds at x, so x is optimal for the full LP
+    and the two optima agree.  A working LP that comes back unbounded is
+    re-solved with every cut appended.
 
     The robust stage LP carries every cut of every pool in its dual block,
     so within one call its rows and columns stay fixed; only the nominal
@@ -535,21 +544,18 @@ def evaluate_policy_out_of_sample(
     n_train = train.n_paths
     robust = policy.algorithm is Algorithm.RDD
     pools = {t: [policy.pools.cuts(t + 1, i) for i in range(n_train)] for t in range(2, T)}
-    # Stage t's cuts, every pool stacked: node and rows.
-    stacked = {t: stack_cut_rows(pools[t]) for t in pools}
-    # Stage t's working set: the stacked indices in the order they joined,
-    # and which cuts are in.
+    # Stage t's cuts, one row per node; its working set: their flat indices
+    # in the order they joined, and which cuts are in.
+    cuts = {t: policy.pools.stage(t + 1) for t in pools}
     order = {t: np.zeros(0, dtype=np.int64) for t in pools}
-    active = {t: np.zeros(len(stacked[t][1]), dtype=bool) for t in pools}
+    active = {t: np.zeros(c.offsets.shape, dtype=bool) for t, c in cuts.items()}
     bases = {t: Basis() for t in range(2, T + 1)}
     anchors = {t: train.features(t) for t in pools}
-    x1 = policy.root_decision
-    stage1_cost = float(train.stage1.c @ x1)
+    stage1_cost = float(train.stage1.c @ policy.root_decision)
     objectives: list[float] = []
     for path in range(test_traj.n_paths):
-        x_prev = x1
+        x_prev = policy.root_decision
         total = stage1_cost
-        failed = False
         for t in range(2, T + 1):
             datum = test_traj.stage_data(t)[path]
             extra = None
@@ -562,17 +568,15 @@ def evaluate_policy_out_of_sample(
                     )
                 else:
                     working = True
-                    node, cuts = stacked[t]
                     start = x_prev if x_prev.shape[0] == datum.dim_out else np.zeros(datum.dim_out)
-                    values = cuts.values(start)
-                    joins = ~active[t] & (values == _node_max(values, node, n_train)[node])
+                    joins = _separated(cuts[t].values(start), active[t], w)
             while True:
                 if working:
-                    order[t] = np.concatenate([order[t], np.flatnonzero(joins)])
-                    active[t] |= joins
-                    on = order[t]
+                    order[t] = np.concatenate([order[t], joins])
+                    active[t].flat[joins] = True
+                    on = np.divmod(order[t], active[t].shape[1])
                     extra = WeightedLowerTerms(
-                        w, node[on], CutRows(cuts.gradients[on], cuts.offsets[on])
+                        w, on[0], CutRows(cuts[t].gradients[on], cuts[t].offsets[on])
                     )
                 lp = assemble_stage_lp(datum, x_prev, extra_terms=extra)
                 try:
@@ -582,26 +586,19 @@ def evaluate_policy_out_of_sample(
                 if not working or sol is None:
                     break
                 if sol.status is LpStatus.UNBOUNDED and not active[t].all():
-                    joins = ~active[t]
+                    joins = np.flatnonzero(~active[t])
                     continue
                 if sol.status is not LpStatus.OPTIMAL:
                     break
-                values = cuts.values(sol.primal[: datum.dim_out])
-                top = _node_max(values[active[t]], node[active[t]], n_train)[node]
-                joins = (
-                    ~active[t]
-                    & (w[node] > 0)
-                    & (values > top + SEPARATION_TOL * (1.0 + np.abs(top)))
-                )
-                if not joins.any():
+                joins = _separated(cuts[t].values(sol.primal[: datum.dim_out]), active[t], w)
+                if not joins.size:
                     break
             if sol is None or sol.status is not LpStatus.OPTIMAL:
-                failed = True
+                total = math.nan
                 break
-            x_t = sol.primal[: datum.dim_out]
-            total += float(datum.c @ x_t)
-            x_prev = x_t
-        objectives.append(math.nan if failed else total)
+            x_prev = sol.primal[: datum.dim_out]
+            total += float(datum.c @ x_prev)
+        objectives.append(total)
     return _summarize(objectives, test_traj.n_paths)
 
 

@@ -472,10 +472,10 @@ def _full_pool_cost(policy, datum, t, x):
 def _check_rollout_against_full_pools(monkeypatch, policy, test_traj):
     """Every path's objective matches the full-pool rollout, at least one of
     them finite, and every stage decision the rollout takes is optimal for
-    its full-pool stage LP.  Returns the row counts of the rollout's stage
-    LPs that carry cuts."""
-    import sddpkit.driver
-
+    its full-pool stage LP.  Each round of a working set adds at most one
+    cut row per node, unless the LP before it was Unbounded, and no LP
+    carries two equal rows of one node.  Returns the row counts of the
+    rollout's stage LPs that carry cuts."""
     calls = []
     assemble, solve_lp = sddpkit.driver.assemble_stage_lp, sddpkit.driver.solve
 
@@ -511,6 +511,17 @@ def _check_rollout_against_full_pools(monkeypatch, policy, test_traj):
         full = solve(assemble_stage_lp(datum, x_prev, _full_pool_terms(policy, datum, t)))
         target = full.objective_value
         assert abs(_full_pool_cost(policy, datum, t, x) - target) <= 1e-9 * (1.0 + abs(target))
+
+    n_nodes = policy.trajectories.n_paths
+    # Two LPs in a row of one datum are two rounds of one working set.
+    for (datum, _, lp, _), (before, _, lp_before, sol_before) in zip(calls[1:], calls):
+        if datum is before and sol_before.status is not LpStatus.UNBOUNDED:
+            assert 0 < lp.n_rows - lp_before.n_rows <= n_nodes
+    for datum, _, lp, _ in calls:
+        m, d = datum.A.shape
+        # A cut row's node shows in its epigraph columns, the cut in x and the rhs.
+        rows = np.column_stack([lp.eq_matrix[m:, : d + n_nodes], lp.eq_rhs[m:]])
+        assert len(np.unique(rows, axis=0)) == len(rows)
     return [lp.n_rows for datum, _, lp, _ in calls if stage_of[id(datum)] < T]
 
 
@@ -619,19 +630,20 @@ def test_working_set_rollout_of_a_one_iteration_policy(monkeypatch):
     _check_rollout_against_full_pools(monkeypatch, policy, test_traj)
 
 
-def _trimmed_pools(trained: Policy, cuts: slice, nodes: dict[int, int]) -> CutPool:
-    """A pool with the trained cuts ``cuts`` of stages 3 and 4, for the
-    first ``nodes[t]`` nodes of stage t; the other nodes have none."""
+def _trimmed_pools(
+    trained: Policy, cuts: slice, nodes: dict[int, int], copies: int = 1
+) -> CutPool:
+    """A pool with the trained cuts ``cuts`` of stages 3 and 4, each added
+    ``copies`` times in a row, for the first ``nodes[t]`` nodes of stage t;
+    the other nodes have none."""
     pools = CutPool()
     for t in (3, 4):
-        rows = [trained.pools.cuts(t, i) for i in range(nodes[t])]
-        for k in range(len(rows[0]))[cuts]:
-            pools.add(
-                t,
-                CutRows(
-                    np.array([r.gradients[k] for r in rows]), np.array([r.offsets[k] for r in rows])
-                ),
-            )
+        stage = trained.pools.stage(t)
+        for k in range(stage.offsets.shape[1])[cuts]:
+            for _ in range(copies):
+                pools.add(
+                    t, CutRows(stage.gradients[: nodes[t], k], stage.offsets[: nodes[t], k])
+                )
     return pools
 
 
@@ -640,6 +652,17 @@ def test_working_set_rollout_with_single_cuts(monkeypatch):
     traj, template = make_toy(6, horizon_T=4, n_paths=4)
     trained, _, _ = run(traj, template, _config(max_iterations=10))
     pools = _trimmed_pools(trained, slice(-1, None), {3: 4, 4: 4})
+    policy = dataclasses.replace(trained, pools=pools)
+    test_traj, _ = make_toy(7, horizon_T=4, n_paths=6)
+    _check_rollout_against_full_pools(monkeypatch, policy, test_traj)
+
+
+def test_working_set_rollout_with_duplicate_cuts(monkeypatch):
+    """At stages 3 and 4 every trained cut is in its pool twice in a row,
+    so every node's maximum is a tie; no working LP takes both copies."""
+    traj, template = make_toy(6, horizon_T=4, n_paths=4)
+    trained, _, _ = run(traj, template, _config(max_iterations=10))
+    pools = _trimmed_pools(trained, slice(None), {3: 4, 4: 4}, copies=2)
     policy = dataclasses.replace(trained, pools=pools)
     test_traj, _ = make_toy(7, horizon_T=4, n_paths=6)
     _check_rollout_against_full_pools(monkeypatch, policy, test_traj)

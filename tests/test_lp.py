@@ -23,7 +23,7 @@ from sddpkit.stages import (
 )
 
 from _blocks import cut_rows
-from _highs import highs_value
+from _highs import highs_solve, highs_value
 from _kkt import assert_kkt
 from _toys import STATE_DIM, toy_builder
 
@@ -451,6 +451,50 @@ def test_free_columns_match_the_split_lp():
             assert abs(sol.objective_value - v) <= 1e-9 * (1.0 + abs(v))
             assert_kkt(lp, sol)
     assert min(statuses.values()) > 20, statuses
+
+
+def _random_lp_past_the_caps(seed: int) -> LinearProgram:
+    """6 to 12 rows and 13 to 30 columns, past :func:`enumerate_vertices`'
+    8x12 cap: dense integer data, columns of integer data scaled by 1e-2
+    to 1e2, or sparse integer data, by ``seed % 3``, plus a slack or
+    surplus column on about half of the rows.  Every column is free with
+    probability 0.25.  The costs are A^T y plus an integer in 0..2 on each
+    bounded column, or, three times in ten, any integers; the rhs is
+    zero in about a third of the rows of every third LP."""
+    rng = np.random.default_rng(seed)
+    m = int(rng.integers(6, 13))
+    n = int(rng.integers(13, 31 - m))
+    dense = rng.integers(-3, 4, size=(m, n)).astype(float)
+    if seed % 3 == 1:
+        dense *= 10.0 ** rng.integers(-2, 3, size=n)
+    elif seed % 3 == 2:
+        dense *= rng.random((m, n)) < 0.3
+    A = np.hstack([dense, np.diag(rng.choice([-1.0, 1.0], size=m))])
+    A = A[:, rng.permutation(np.r_[:n, n + np.flatnonzero(rng.random(m) < 0.5)])]
+    free = rng.random(A.shape[1]) < 0.25
+    if rng.random() < 0.3:
+        c = rng.integers(-3, 4, size=free.size).astype(float)
+    else:
+        c = A.T @ rng.integers(-2, 3, size=m) + rng.integers(0, 3, size=free.size) * ~free
+    b = rng.integers(-4, 5, size=m) * (rng.random(m) < (0.65 if seed % 3 == 0 else 1.0))
+    return LinearProgram(objective=c, eq_matrix=A, eq_rhs=b.astype(float), free_mask=free)
+
+
+def test_lps_past_the_enumeration_caps_match_highs():
+    """solve() returns HiGHS' status on LPs too large for vertex
+    enumeration, and on Optimal ones its objective to 1e-9 (1 + |v|) and
+    a KKT certificate."""
+    statuses = {status: 0 for status in LpStatus}
+    for seed in range(600):
+        lp = _random_lp_past_the_caps(seed)
+        sol = solve(lp)
+        status, value = highs_solve(lp)
+        assert sol.status is status, seed
+        statuses[status] += 1
+        if status is LpStatus.OPTIMAL:
+            assert abs(sol.objective_value - value) <= 1e-9 * (1.0 + abs(value)), seed
+            assert_kkt(lp, sol)
+    assert min(statuses.values()) > 50, statuses
 
 
 def _relative(rng: np.random.Generator, lp: LinearProgram, change: str) -> LinearProgram:
