@@ -34,8 +34,6 @@ one matvec.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
-
 import numpy as np
 
 from .scenarios import DimensionMismatchError
@@ -217,20 +215,6 @@ class EnvelopeStore:
 # ---------------------------------------------------------------------------
 # Blocks appended to stage LPs
 # ---------------------------------------------------------------------------
-
-
-def stack_cut_rows(node_cuts: Sequence[CutRows]) -> tuple[np.ndarray, CutRows]:
-    """Every node's cuts, node after node: each row's node index and the rows."""
-    node = np.repeat(np.arange(len(node_cuts)), [len(rows) for rows in node_cuts])
-    filled = [rows for rows in node_cuts if len(rows)]
-    if not filled:
-        return node, _NO_CUTS
-    if len({rows.gradients.shape[1] for rows in filled}) > 1:
-        raise DimensionMismatchError("cut pools have gradients of different dimensions")
-    return node, CutRows(
-        np.concatenate([rows.gradients for rows in filled]),
-        np.concatenate([rows.offsets for rows in filled]),
-    )
 
 
 def cut_x_rows(cuts: CutRows, x_dim: int) -> np.ndarray:

@@ -63,7 +63,7 @@ from .driver import (
     generalization_bound,
     run,
 )
-from .kernel import BandwidthRule, ConditionalWeights, KernelConfig
+from .kernel import BandwidthRule, KernelConfig
 from .robust import AmbiguityParams, RhoRule
 from .scenarios import (
     SyntheticSpec,
@@ -135,19 +135,18 @@ def _kernel_from(cfg: dict) -> KernelConfig:
 
 def _ambiguity_from(cfg: dict | None, rho_flag: float | None) -> AmbiguityParams | None:
     if rho_flag is not None:
-        return AmbiguityParams(rho=rho_flag, nominal=ConditionalWeights.uniform(1))
+        return AmbiguityParams(rho=rho_flag)
     if cfg is None:
         return None
     if cfg.get("rule") == "rate_scaled":
         return AmbiguityParams(
             rho=0.0,
-            nominal=ConditionalWeights.uniform(1),
             rho_rule=RhoRule.RATE_SCALED,
             c_coefficient=float(cfg.get("c_coefficient", 1.0)),
         )
     if "rho" not in cfg:
         raise CliError("ambiguity needs either a manual \"rho\" or \"rule\": \"rate_scaled\"")
-    return AmbiguityParams(rho=float(cfg["rho"]), nominal=ConditionalWeights.uniform(1))
+    return AmbiguityParams(rho=float(cfg["rho"]))
 
 
 def _solve_config(cfg: dict, args: argparse.Namespace) -> SolveConfig:

@@ -21,8 +21,8 @@ worst-case weights of its ambiguity set, both for cut aggregation (any
 fixed member of the set yields a valid under-estimator; the maximizer
 makes it tight at the anchor) and for envelope values (the worst-case
 combination of per-realization upper values dominates the robust
-cost-to-go).  Out-of-sample policies embed the full dual block instead,
-since test covariates are not anchors.
+cost-to-go).  Out-of-sample policies embed the set's dual block over every
+cut instead, since test covariates are not anchors.
 
 The reported upper bound is the running minimum over iterations: each
 root envelope solve is individually valid, while the penalty scale that
@@ -69,7 +69,7 @@ from .approximations import (
     WeightedLowerTerms,
     aggregate_backward,
 )
-from .kernel import ConditionalWeights, KernelConfig, nw_weights
+from .kernel import KernelConfig, nw_weights
 from .lp import Basis, LinearProgram, LpScaleError, LpStatus, solve
 from .robust import (
     AmbiguityParams,
@@ -125,10 +125,11 @@ class GapMode(Enum):
 class SolveConfig:
     """Knobs of one solver run.
 
-    ``ambiguity`` is only consulted when ``algorithm`` is RDD; its nominal
-    field is a placeholder that gets replaced per conditioning node, and
-    with a RateScaled rule the radius is re-derived from the coefficient
-    at run start using the training N and the effective bandwidth.
+    ``ambiguity`` is only consulted when ``algorithm`` is RDD, for its
+    radius: with a RateScaled rule the radius is re-derived from the
+    coefficient at run start using the training N and the effective
+    bandwidth.  Each conditioning node's nominal weights are its kernel
+    weights; the run never reads ``ambiguity.nominal``.
     """
 
     algorithm: Algorithm = Algorithm.DD
@@ -275,11 +276,7 @@ class _Runner:
             else:
                 self.rho = amb.rho
         # The rows of P[t] as the inner max takes them; P is fixed for the run.
-        self.sanitized = {
-            t: np.vstack([sanitize_nominal(row).weights for row in rows])
-            for t, rows in self.P.items()
-            if self.rho != 0.0
-        }
+        self.sanitized = {t: sanitize_nominal(P) for t, P in self.P.items() if self.rho != 0.0}
         self.root_decision: np.ndarray | None = None
         self.best_upper = math.inf
         # Last optimal basis per LP family: ("lower" or "upper", t, i).  When
@@ -512,28 +509,29 @@ def evaluate_policy_out_of_sample(
     weight), or on which the solver breaks down, is reported as failed,
     not fatal.
 
-    The nominal stage LP is solved on a working set of cut rows rather
-    than on every cut of every pool.  Each stage keeps one working set for
-    the whole call, shared by every test path: a list of cuts in the order
-    they joined, whose rows the stage LP carries in that order.  At a
-    path's incoming state, and at the decision x after each solve, the
-    stage's cuts are evaluated (one matvec over its (nodes, k) arrays), and
-    each node of positive weight appends its highest left-out cut if that
-    lies above the node's working maximum by more than ``SEPARATION_TOL``:
-    one most violated cut per node and round (Mutapcic & Boyd, 2009).
-    Each round adds a row that was not in the set, so the loop ends; when
-    it does, no left-out cut binds at x, so x is optimal for the full LP
-    and the two optima agree.  A working LP that comes back unbounded is
-    re-solved with every cut appended.
+    Every stage LP, nominal or robust, is solved on a working set of cut
+    rows.  Each stage keeps one working set for the whole call, shared by
+    every test path: a list of cuts in the order they joined, whose rows
+    the stage LP carries in that order, in ``WeightedLowerTerms`` under
+    the nominal weights or in ``DroLowerTerms`` under the sanitized ones.
+    At a path's incoming state, and at the decision x after each solve,
+    the stage's cuts are evaluated (one matvec over its (nodes, k)
+    arrays), and each node of positive weight appends its highest left-out
+    cut if that lies above the node's working maximum by more than
+    ``SEPARATION_TOL``: one most violated cut per node and round (Mutapcic
+    & Boyd, 2009).  Each round adds a row that was not in the set, so the
+    loop ends; when it does, no left-out cut binds at x, so x is optimal
+    for the full LP and the two optima agree.  A working LP that comes
+    back unbounded is re-solved with every cut appended.  The robust
+    stage's set starts full: every cut joins, node after node, at the
+    first visit, so no cut is left out and each robust stage LP is solved
+    once.
 
-    The robust stage LP carries every cut of every pool in its dual block,
-    so within one call its rows and columns stay fixed; only the nominal
-    weights, the costs and the rhs change.  Each stage keeps one
-    ``lp.Basis`` for the call, and every stage LP, over all paths and
-    rounds, starts from the last optimal basis of its stage: working rows
-    only grow at the end, and the robust and last-stage LPs keep their
-    shape.  A start that breaks down falls back to the cold run inside
-    ``lp.solve``.
+    Each stage keeps one ``lp.Basis`` for the call, and every stage LP,
+    over all paths and rounds, starts from the last optimal basis of its
+    stage: working rows only grow at the end, and the robust and
+    last-stage LPs keep their shape.  A start that breaks down falls back
+    to the cold run inside ``lp.solve``.
     """
     train = policy.trajectories
     if test_traj.horizon_T != train.horizon_T:
@@ -541,16 +539,14 @@ def evaluate_policy_out_of_sample(
             f"test horizon T={test_traj.horizon_T}, training T={train.horizon_T}"
         )
     T = train.horizon_T
-    n_train = train.n_paths
     robust = policy.algorithm is Algorithm.RDD
-    pools = {t: [policy.pools.cuts(t + 1, i) for i in range(n_train)] for t in range(2, T)}
     # Stage t's cuts, one row per node; its working set: their flat indices
     # in the order they joined, and which cuts are in.
-    cuts = {t: policy.pools.stage(t + 1) for t in pools}
-    order = {t: np.zeros(0, dtype=np.int64) for t in pools}
+    cuts = {t: policy.pools.stage(t + 1) for t in range(2, T)}
+    order = {t: np.zeros(0, dtype=np.int64) for t in cuts}
     active = {t: np.zeros(c.offsets.shape, dtype=bool) for t, c in cuts.items()}
     bases = {t: Basis() for t in range(2, T + 1)}
-    anchors = {t: train.features(t) for t in pools}
+    anchors = {t: train.features(t) for t in cuts}
     stage1_cost = float(train.stage1.c @ policy.root_decision)
     objectives: list[float] = []
     for path in range(test_traj.n_paths):
@@ -559,31 +555,30 @@ def evaluate_policy_out_of_sample(
         for t in range(2, T + 1):
             datum = test_traj.stage_data(t)[path]
             extra = None
-            working = False
             if t < T:
                 w = nw_weights(datum.feature, anchors[t], policy.kernel).weights
                 if robust:
-                    extra = DroLowerTerms(
-                        AmbiguityParams(rho=policy.rho, nominal=sanitize_nominal(w)), pools[t]
-                    )
+                    nominal = sanitize_nominal(w)
+                    joins = np.flatnonzero(~active[t])
                 else:
-                    working = True
                     start = x_prev if x_prev.shape[0] == datum.dim_out else np.zeros(datum.dim_out)
                     joins = _separated(cuts[t].values(start), active[t], w)
             while True:
-                if working:
+                if t < T:
                     order[t] = np.concatenate([order[t], joins])
                     active[t].flat[joins] = True
                     on = np.divmod(order[t], active[t].shape[1])
-                    extra = WeightedLowerTerms(
-                        w, on[0], CutRows(cuts[t].gradients[on], cuts[t].offsets[on])
-                    )
+                    rows = CutRows(cuts[t].gradients[on], cuts[t].offsets[on])
+                    if robust:
+                        extra = DroLowerTerms(nominal, policy.rho, on[0], rows)
+                    else:
+                        extra = WeightedLowerTerms(w, on[0], rows)
                 lp = assemble_stage_lp(datum, x_prev, extra_terms=extra)
                 try:
                     sol = solve(lp, start=bases[t])
                 except RuntimeError:  # the simplex gave up on degenerate data
                     sol = None
-                if not working or sol is None:
+                if t == T or sol is None:
                     break
                 if sol.status is LpStatus.UNBOUNDED and not active[t].all():
                     joins = np.flatnonzero(~active[t])
@@ -796,7 +791,6 @@ def cross_validate_rho(
             train_idx = np.concatenate([folds[g] for g in range(n_folds) if g != f])
             train = _subset(traj, train_idx)
             test = _subset(traj, test_idx)
-            nominal_stub = ConditionalWeights.uniform(1)
             cfg = replace(
                 config,
                 algorithm=Algorithm.RDD,
@@ -805,7 +799,6 @@ def cross_validate_rho(
                     train.n_paths,
                     config.kernel.effective_h(train.n_paths, traj.feature_dim),
                     traj.feature_dim,
-                    nominal_stub,
                 ),
             )
             policy, _, _ = run(train, instance, cfg)

@@ -40,7 +40,7 @@ def auto_bandwidth(n_samples: int, p: int, c_h: float) -> float:
         raise ValueError("n_samples must be at least 1")
     if p < 1:
         raise ValueError("dimension p must be at least 1")
-    if c_h <= 0:
+    if not c_h > 0:
         raise ValueError("c_h must be positive")
     return float(c_h * n_samples ** (-1.0 / (p + 4)))
 
@@ -61,7 +61,7 @@ class KernelConfig:
     def __post_init__(self) -> None:
         if not self.bandwidth_h > 0:
             raise ValueError("bandwidth_h must be positive")
-        if self.c_h <= 0:
+        if not self.c_h > 0:
             raise ValueError("c_h must be positive")
 
     def effective_h(self, n_samples: int, p: int) -> float:
@@ -81,9 +81,10 @@ class ConditionalWeights:
         object.__setattr__(self, "weights", w)
         if w.size == 0:
             raise ValueError("weights must be non-empty")
-        if np.min(w) < 0:
+        # Phrased so that NaN fails them too.
+        if not np.min(w) >= 0:
             raise ValueError("weights must be nonnegative")
-        if abs(float(w.sum()) - 1.0) > 1e-12:
+        if not abs(float(w.sum()) - 1.0) <= 1e-12:
             raise ValueError("weights must sum to 1 within 1e-12")
 
     @classmethod

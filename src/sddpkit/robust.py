@@ -46,13 +46,16 @@ written down once as its LP dual
 
 over one cut row per value z_i.  ``DroLowerTerms`` appends this block to
 a stage LP with scenario i's cuts of the decision in place of z_i, so the
-robust stage problem stays one LP.  A scenario with no cuts yet, whose
-cost-to-go is still -inf, gets no cut row; the block is then unbounded
-below exactly when sqrt(w_hat_i) > rho, for only then does every weight
-vector of the set keep w_i > 0.  ``inner_max_primal`` solves the same
-block with constant cuts z_i; it is the LP reference for ``worst_case``,
-and the worst-case weights are the derivative of its value in z, i.e.
-sqrt(w_hat_i) times the duals of the cut rows.
+robust stage problem stays one LP; like ``WeightedLowerTerms`` it takes
+the cut rows as arrays with each row's node index.  A scenario with no
+cuts yet, whose cost-to-go is still -inf, gets no cut row; the block is
+then unbounded below exactly when sqrt(w_hat_i) > rho, for only then does
+every weight vector of the set keep w_i > 0.  ``inner_max_primal`` solves
+the same block with no decision columns and one constant cut z_i per
+scenario; it is the LP reference for ``worst_case``, and the worst-case
+weights are the derivative of its value in z, i.e. sqrt(w_hat_i) times
+the duals of the cut rows.  All three take the nominal weights as an
+array and the radius as a float.
 
 Each cut row is the textbook row  gamma + (mu_i - zeta_i)/sqrt(w_hat_i) >=
 z_i  multiplied through by sqrt(w_hat_i).  Unscaled, a nominal weight
@@ -71,7 +74,7 @@ from enum import Enum
 
 import numpy as np
 
-from .approximations import CutRows, cut_x_rows, stack_cut_rows
+from .approximations import CutRows, cut_x_rows
 from .kernel import ConditionalWeights
 from .lp import LinearProgram, LpStatus, solve
 from .scenarios import DimensionMismatchError
@@ -100,8 +103,8 @@ class RhoRule(Enum):
 
 def rate_scaled_rho(c: float, n_samples: int, h: float, p: int) -> float:
     """Radius c / sqrt(N * h^p), shrinking with the effective sample size."""
-    if c < 0:
-        raise ValueError("coefficient must be nonnegative")
+    if not 0.0 <= c < math.inf:
+        raise ValueError("coefficient must be finite and nonnegative")
     return float(c / math.sqrt(n_samples * h**p))
 
 
@@ -109,30 +112,38 @@ def rate_scaled_rho(c: float, n_samples: int, h: float, p: int) -> float:
 NOMINAL_FLOOR = 1e-300
 
 
-def sanitize_nominal(weights: ConditionalWeights | np.ndarray) -> ConditionalWeights:
-    """Floor entries that underflowed to zero and renormalize.
+def sanitize_nominal(weights: np.ndarray) -> np.ndarray:
+    """Floor entries that underflowed to zero and renormalize, each row of
+    an (..., N) array on its own.
 
     Kernel weights are positive in exact arithmetic but can underflow for
     far anchors; flooring keeps 1/sqrt(w_hat) defined without moving any
     weight at working precision.
     """
-    w = weights.weights if isinstance(weights, ConditionalWeights) else np.asarray(weights, float)
-    w = np.maximum(w, NOMINAL_FLOOR)
-    return ConditionalWeights(w / w.sum())
+    w = np.maximum(np.asarray(weights, dtype=float), NOMINAL_FLOOR)
+    return w / w.sum(axis=-1, keepdims=True)
 
 
 @dataclass(frozen=True)
 class AmbiguityParams:
-    """Radius and nominal distribution of the ambiguity set."""
+    """Radius of the ambiguity set, and the rule it came from.
+
+    With ``RhoRule.RATE_SCALED`` a run re-derives the radius from
+    ``c_coefficient`` (see ``rate_scaled_rho``).  The nominal weights of
+    each set are the kernel weights of its conditioning node, so nothing
+    reads ``nominal``; it stays optional for callers that still pass it.
+    """
 
     rho: float
-    nominal: ConditionalWeights
+    nominal: ConditionalWeights | None = None
     rho_rule: RhoRule = RhoRule.MANUAL
     c_coefficient: float = 1.0
 
     def __post_init__(self) -> None:
-        if self.rho < 0:
-            raise ValueError("rho must be nonnegative")
+        if not 0.0 <= self.rho < math.inf:
+            raise ValueError("rho must be finite and nonnegative")
+        if not 0.0 <= self.c_coefficient < math.inf:
+            raise ValueError("c_coefficient must be finite and nonnegative")
 
     @classmethod
     def rate_scaled(
@@ -141,7 +152,7 @@ class AmbiguityParams:
         n_samples: int,
         h: float,
         p: int,
-        nominal: ConditionalWeights,
+        nominal: ConditionalWeights | None = None,
     ) -> "AmbiguityParams":
         return cls(
             rho=rate_scaled_rho(c, n_samples, h, p),
@@ -151,60 +162,16 @@ class AmbiguityParams:
         )
 
 
-def _checked_nominal(params: AmbiguityParams) -> np.ndarray:
-    w = params.nominal.weights
-    if np.min(w) == 0.0:
+def _checked_nominal(w_hat: np.ndarray) -> np.ndarray:
+    """``w_hat`` as floats, once every entry is finite and positive."""
+    w = np.asarray(w_hat, dtype=float)
+    if not np.all(np.isfinite(w)) or np.any(w < 0.0):
+        raise ValueError("nominal weights must be finite and nonnegative")
+    if np.any(w == 0.0):
         raise DegenerateWeightError(
             "nominal weights contain an exact zero; sanitize_nominal first"
         )
     return w
-
-
-def _dual_block(
-    params: AmbiguityParams, node: np.ndarray, x_rows: np.ndarray, rhs: np.ndarray
-) -> LpBlock:
-    """The dual block over cut rows, each given as its node index (sorted),
-    its coefficients on the decision columns and its right-hand side.
-
-    Columns: gamma, beta, mu (N), zeta (N), psi (N), then one surplus per
-    cut row.  Rows: node i's coupling row, then its cut rows, so cut row r
-    of node i lands at r + i + 1.  A node with no cut row keeps only its
-    coupling row: zeta_i can then grow with psi_i at a net cost of
-    rho - sqrt(w_hat_i) per unit, so the block is unbounded below exactly
-    when sqrt(w_hat_i) > rho: then every weight vector in the set keeps
-    w_i >= sqrt(w_hat_i) (sqrt(w_hat_i) - rho) > 0 on a cost-to-go of
-    -inf.  A cut row of node i is scaled by sqrt(w_hat_i) except for its surplus,
-    whose coefficient stays -1: with -sqrt(w_hat_i) there, a tiny weight
-    would leave the row without a usable slack.
-    """
-    w_hat = _checked_nominal(params)
-    n = w_hat.shape[0]
-    s = np.sqrt(w_hat)
-    rho = float(params.rho)
-    x_dim = x_rows.shape[1]
-    n_cut = node.shape[0]
-    i = np.arange(n)
-    r = np.arange(n_cut)
-    couple = np.searchsorted(node, i) + i
-    cut_at = r + node + 1
-    scale = s[node]
-    mu, zeta, psi, surplus = x_dim + 2, x_dim + 2 + n, x_dim + 2 + 2 * n, x_dim + 2 + 3 * n
-    rows = np.zeros((n + n_cut, surplus + n_cut))
-    rows[couple, mu + i] = 1.0
-    rows[couple, zeta + i] = 1.0
-    rows[couple, psi + i] = -1.0
-    rows[couple, x_dim + 1] = -1.0 / math.sqrt(n)
-    rows[cut_at, :x_dim] = x_rows * scale[:, None]
-    rows[cut_at, x_dim] = scale
-    rows[cut_at, mu + node] = 1.0
-    rows[cut_at, zeta + node] = -1.0
-    rows[cut_at, surplus + r] = -1.0
-    block_rhs = np.zeros(n + n_cut)
-    block_rhs[cut_at] = rhs * scale
-    cost = np.concatenate([[1.0, rho], s, -s, np.full(n, rho), np.zeros(n_cut)])
-    free = np.zeros(cost.shape[0], dtype=bool)
-    free[0] = True
-    return LpBlock(cost=cost, rows=rows, rhs=block_rhs, free=free)
 
 
 # Rows of a batch are solved in chunks of at most this many kinks, so the
@@ -294,12 +261,7 @@ def worst_case(
         raise ValueError("z must be finite")
     if not 0.0 <= rho < math.inf:
         raise ValueError("rho must be finite and nonnegative")
-    if not np.all(np.isfinite(w_hat)) or np.any(w_hat < 0.0):
-        raise ValueError("nominal weights must be finite and nonnegative")
-    if np.any(w_hat == 0.0):
-        raise DegenerateWeightError(
-            "nominal weights contain an exact zero; sanitize_nominal first"
-        )
+    _checked_nominal(w_hat)
     # As in inner_max_primal: the maximizers of z and of (z - max z) / spread
     # are the same, and the kinks of the mapped values stay finite.
     top = float(zv.max())
@@ -312,13 +274,14 @@ def worst_case(
 
 
 def inner_max_primal(
-    z: np.ndarray, params: AmbiguityParams
+    z: np.ndarray, nominal: np.ndarray, rho: float
 ) -> tuple[float, np.ndarray]:
-    """Worst-case expectation max { w^T z : w in the ambiguity set }.
+    """Worst-case expectation max { w^T z : w in the set around ``nominal`` }.
 
-    Solves the dual block with one constant cut per scenario.  Returns the
-    optimal value and one maximizing weight vector, the value's derivative
-    in z: sqrt(w_hat_i) times the dual of scenario i's cut row.
+    Solves ``DroLowerTerms`` with no decision columns and one constant cut
+    per scenario.  Returns the optimal value and one maximizing weight
+    vector, the value's derivative in z: sqrt(w_hat_i) times the dual of
+    scenario i's cut row.
 
     Since e^T w = 1, the maximizers of z and of (z - max z) / spread are
     the same, so the block is solved on values in [-1, 0].  Values that
@@ -326,23 +289,23 @@ def inner_max_primal(
     into a near-singular basis.
     """
     zv = np.asarray(z, dtype=float).reshape(-1)
-    w_hat = _checked_nominal(params)
+    w_hat = _checked_nominal(nominal)
     n = w_hat.shape[0]
     if zv.shape[0] != n:
         raise DimensionMismatchError(f"z has {zv.shape[0]} entries, nominal has {n}")
     if not np.all(np.isfinite(zv)):
         raise ValueError("z must be finite")
+    if not 0.0 <= rho < math.inf:
+        raise ValueError("rho must be finite and nonnegative")
     top = float(zv.max())
     spread = top - float(zv.min()) or 1.0
-    block = _dual_block(params, np.arange(n), np.zeros((n, 0)), (zv - top) / spread)
-    sol = solve(
-        LinearProgram(
-            objective=block.cost,
-            eq_matrix=block.rows,
-            eq_rhs=block.rhs,
-            free_mask=block.free,
-        )
+    terms = DroLowerTerms(w_hat, rho, np.arange(n), CutRows(np.zeros((n, 0)), (zv - top) / spread))
+    n_rows, n_cols = terms.shape(0)
+    block = LpBlock(
+        np.zeros(n_cols), np.zeros((n_rows, n_cols)), np.zeros(n_rows), np.zeros(n_cols, bool)
     )
+    terms.write(0, block)
+    sol = solve(LinearProgram(block.cost, block.rows, block.rhs, block.free))
     if sol.status is not LpStatus.OPTIMAL:
         raise RuntimeError(f"inner maximization came back {sol.status.value}")
     # One cut row per scenario: scenario i's sits at row 2i + 1.
@@ -352,38 +315,57 @@ def inner_max_primal(
 
 @dataclass
 class DroLowerTerms(ExtraTerms):
-    """Single-level robust epigraph block for a stage LP.
+    """Single-level robust epigraph block for a stage LP: the set's LP dual
+    over the cuts of every conditioning scenario, row k of ``cuts`` being a
+    cut of scenario ``node[k]`` (``node`` sorted).  Each cut's row reads
 
-    Adds the dual block over the cuts of every conditioning scenario i:
-    each cut's row reads, after scaling by sqrt(w_hat_i),
-
-        sqrt(w_hat_i) gamma + mu_i - zeta_i >= sqrt(w_hat_i) cut_i(x),
+        sqrt(w_hat_i) gamma + mu_i - zeta_i - surplus_k = sqrt(w_hat_i) cut_k(x),
 
     substituting the scenario's epigraph value directly.  The objective
     gains gamma + rho*(beta + sum psi) + sum sqrt(w_hat)(mu - zeta), the
-    worst-case expectation of the per-scenario cost-to-go.  A scenario
-    with no cuts adds no cut row; its cost-to-go is -inf, so the LP is
-    Unbounded when sqrt(w_hat_i) > rho (see ``_dual_block``).
+    worst-case expectation of the per-scenario cost-to-go.
+
+    Columns: gamma (free), beta, mu (N), zeta (N), psi (N), then one
+    surplus per cut row.  Rows: scenario i's coupling row
+    mu_i + zeta_i - psi_i - beta / sqrt(N) = 0, then its cut rows, so cut
+    row k lands at k + node[k] + 1.  A scenario with no cut row keeps only
+    its coupling row: zeta_i can then grow with psi_i at a net cost of
+    rho - sqrt(w_hat_i) per unit, so the LP is Unbounded exactly when
+    sqrt(w_hat_i) > rho, since then every weight vector in the set keeps
+    w_i >= sqrt(w_hat_i) (sqrt(w_hat_i) - rho) > 0 on a cost-to-go of
+    -inf.  The surplus keeps its coefficient -1: with -sqrt(w_hat_i)
+    there, a tiny weight would leave the row without a usable slack.
     """
 
-    params: AmbiguityParams
-    node_cuts: list[CutRows]
+    nominal: np.ndarray
+    rho: float
+    node: np.ndarray
+    cuts: CutRows
 
     def shape(self, x_dim: int) -> tuple[int, int]:
-        n = len(self.params.nominal)
-        # One coupling row per scenario and one row per cut.
-        n_cut = sum(len(rows) for rows in self.node_cuts)
+        n, n_cut = self.nominal.shape[0], len(self.cuts)
         return n + n_cut, 2 + 3 * n + n_cut
 
     def write(self, x_dim: int, out: LpBlock) -> None:
-        n = len(self.params.nominal)
-        if len(self.node_cuts) != n:
-            raise DimensionMismatchError(
-                f"{len(self.node_cuts)} cut pools for {n} nominal weights"
-            )
-        node, cuts = stack_cut_rows(self.node_cuts)
-        block = _dual_block(self.params, node, cut_x_rows(cuts, x_dim), cuts.offsets)
-        out.cost[:] = block.cost
-        out.rows[:] = block.rows
-        out.rhs[:] = block.rhs
-        out.free[:] = block.free
+        s = np.sqrt(_checked_nominal(self.nominal))
+        n, n_cut = s.shape[0], len(self.cuts)
+        rho = float(self.rho)
+        i = np.arange(n)
+        r = np.arange(n_cut)
+        couple = np.searchsorted(self.node, i) + i
+        cut_at = r + self.node + 1
+        scale = s[self.node]
+        mu, zeta, psi, surplus = x_dim + 2, x_dim + 2 + n, x_dim + 2 + 2 * n, x_dim + 2 + 3 * n
+        rows = out.rows
+        rows[couple, mu + i] = 1.0
+        rows[couple, zeta + i] = 1.0
+        rows[couple, psi + i] = -1.0
+        rows[couple, x_dim + 1] = -1.0 / math.sqrt(n)
+        rows[cut_at, :x_dim] = cut_x_rows(self.cuts, x_dim) * scale[:, None]
+        rows[cut_at, x_dim] = scale
+        rows[cut_at, mu + self.node] = 1.0
+        rows[cut_at, zeta + self.node] = -1.0
+        rows[cut_at, surplus + r] = -1.0
+        out.rhs[cut_at] = self.cuts.offsets * scale
+        out.cost[: 2 + 3 * n] = np.concatenate([[1.0, rho], s, -s, np.full(n, rho)])
+        out.free[0] = True

@@ -6,8 +6,9 @@ from typing import Sequence
 
 import numpy as np
 
-from sddpkit.approximations import CutRows, WeightedLowerTerms, stack_cut_rows
+from sddpkit.approximations import CutRows, WeightedLowerTerms
 from sddpkit.lp import LinearProgram, LpStatus, solve
+from sddpkit.robust import DroLowerTerms
 from sddpkit.stages import ExtraTerms, LpBlock
 
 
@@ -28,10 +29,27 @@ def random_cut(rng: np.random.Generator, d: int) -> tuple[np.ndarray, float]:
     return g, value - float(g @ rng.normal(size=d))
 
 
+def stack_cut_rows(node_cuts: Sequence[CutRows]) -> tuple[np.ndarray, CutRows]:
+    """Every node's cuts, node after node: each row's node index and the rows."""
+    node = np.repeat(np.arange(len(node_cuts)), [len(rows) for rows in node_cuts])
+    filled = [rows for rows in node_cuts if len(rows)]
+    if not filled:
+        return node, cut_rows(())
+    return node, CutRows(
+        np.concatenate([rows.gradients for rows in filled]),
+        np.concatenate([rows.offsets for rows in filled]),
+    )
+
+
 def weighted_pools(node_cuts: Sequence[tuple[float, CutRows]]) -> WeightedLowerTerms:
     """The weighted epigraph block over every cut of every node, node after node."""
     node, cuts = stack_cut_rows([rows for _, rows in node_cuts])
     return WeightedLowerTerms(np.array([float(w) for w, _ in node_cuts]), node, cuts)
+
+
+def robust_pools(nominal, rho: float, node_cuts: Sequence[CutRows]) -> DroLowerTerms:
+    """The robust block over every cut of every scenario, scenario after scenario."""
+    return DroLowerTerms(np.asarray(nominal, dtype=float), rho, *stack_cut_rows(node_cuts))
 
 
 def lp_block(terms: ExtraTerms, x_dim: int) -> LpBlock:

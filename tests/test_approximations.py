@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from _blocks import block_value, cut_rows, weighted_pools
+from _blocks import block_value, cut_rows, stack_cut_rows, weighted_pools
 from _highs import highs_solve
 from sddpkit.approximations import (
     PENALTY_SAFETY,
@@ -18,7 +18,6 @@ from sddpkit.approximations import (
     EnvelopeUpperTerms,
     aggregate_backward,
     cut_x_rows,
-    stack_cut_rows,
 )
 from sddpkit.lp import LpStatus, solve
 from sddpkit.robust import sanitize_nominal, worst_case
@@ -481,7 +480,7 @@ def test_stage_slice_matches_the_per_node_formula(seed, n, d, root, kind, scale)
             w[np.arange(nodes), rng.integers(0, n, size=nodes)] = 1.0
         w /= w.sum(axis=1, keepdims=True)
         if kind == "worst_case":
-            nominal = np.vstack([sanitize_nominal(row).weights for row in w])
+            nominal = np.vstack([sanitize_nominal(row) for row in w])
             _, worst = worst_case(values, nominal, float(rng.uniform(0.01, 1.0)))
             w = worst / worst.sum(axis=1, keepdims=True)
         return w

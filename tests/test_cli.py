@@ -2,6 +2,7 @@
 
 import csv
 import json
+import math
 
 import numpy as np
 import pytest
@@ -215,3 +216,67 @@ def test_unknown_config_key_exits_one(tmp_path, capsys):
     code = main(["solve", "--config", str(path), "--data", data, "--out", str(tmp_path / "o")])
     assert code == 1
     assert "bandwith" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "flags, ambiguity, expected",
+    [
+        (["--rho", "0.25"], None, {"rho": 0.25, "rule": "Manual", "c_coefficient": 1.0}),
+        ([], {"rho": 0.25}, {"rho": 0.25, "rule": "Manual", "c_coefficient": 1.0}),
+        (
+            [],
+            {"rule": "rate_scaled", "c_coefficient": 2.0},
+            {"rho": 0.0, "rule": "RateScaled", "c_coefficient": 2.0},
+        ),
+    ],
+)
+def test_manifest_pins_the_ambiguity_snapshot(tmp_path, flags, ambiguity, expected):
+    overrides = {"algorithm": "rdd", "max_iterations": 5}
+    if ambiguity is not None:
+        overrides["ambiguity"] = ambiguity
+    cfg = _write_config(tmp_path, **overrides)
+    data = _write_data(tmp_path)
+    out = tmp_path / "out"
+    assert main(["solve", "--config", cfg, "--data", data, "--out", str(out), *flags]) in (0, 2)
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert manifest["config"]["ambiguity"] == expected
+
+
+def test_replayed_rdd_solve_reports_are_byte_identical(tmp_path):
+    cfg = _write_config(tmp_path, algorithm="rdd", ambiguity={"rho": 0.25})
+    data = _write_data(tmp_path)
+    codes = [
+        main(["solve", "--config", cfg, "--data", data, "--out", str(tmp_path / name)])
+        for name in ("a", "b")
+    ]
+    assert codes[0] == codes[1] and codes[0] in (0, 2)
+    for report in ("iterations.csv", "results.json"):
+        assert (tmp_path / "a" / report).read_bytes() == (tmp_path / "b" / report).read_bytes()
+
+
+@pytest.mark.parametrize(
+    "overrides, flags, message",
+    [
+        (
+            {"kernel": {"bandwidth_rule": "auto_rate", "c_h": float("nan")}},
+            [],
+            "c_h must be positive",
+        ),
+        ({"algorithm": "rdd"}, ["--rho", "nan"], "rho must be finite and nonnegative"),
+        ({"algorithm": "rdd", "ambiguity": {"rho": float("inf")}}, [], "rho must be finite"),
+        (
+            {"algorithm": "rdd", "ambiguity": {"rule": "rate_scaled", "c_coefficient": math.nan}},
+            [],
+            "c_coefficient must be finite",
+        ),
+    ],
+)
+def test_non_finite_settings_exit_one_before_writing(tmp_path, capsys, overrides, flags, message):
+    """A NaN kernel constant or a NaN or infinite radius is refused with its
+    message before training starts, so no output directory appears."""
+    cfg = _write_config(tmp_path, **overrides)
+    data = _write_data(tmp_path)
+    out = tmp_path / "out"
+    assert main(["solve", "--config", cfg, "--data", data, "--out", str(out), *flags]) == 1
+    assert message in capsys.readouterr().err
+    assert not out.exists()

@@ -21,7 +21,7 @@ from sddpkit.driver import (
     generalization_bound,
     run,
 )
-from sddpkit.kernel import ConditionalWeights, KernelConfig, nw_weights
+from sddpkit.kernel import KernelConfig, nw_weights
 from sddpkit.lp import Basis, LinearProgram, LpScaleError, LpStatus, solve
 from sddpkit.robust import AmbiguityParams, inner_max_primal, sanitize_nominal, worst_case
 from sddpkit.scenarios import (
@@ -38,7 +38,7 @@ from sddpkit.stages import (
     build_portfolio_instance,
 )
 
-from _blocks import weighted_pools
+from _blocks import robust_pools, weighted_pools
 from _highs import highs_solve, highs_value
 from _kkt import assert_kkt
 from _toys import STATE_DIM, make_toy
@@ -49,7 +49,7 @@ _KERNEL = KernelConfig(bandwidth_h=0.5)
 def _config(algorithm=Algorithm.DD, rho=None, **overrides):
     ambiguity = None
     if algorithm is Algorithm.RDD:
-        ambiguity = AmbiguityParams(rho=float(rho), nominal=ConditionalWeights.uniform(1))
+        ambiguity = AmbiguityParams(rho=float(rho))
     settings = dict(
         algorithm=algorithm,
         epsilon=1e-8,
@@ -130,7 +130,7 @@ def _check_rdd_training_against_the_lp_inner_max(monkeypatch, traj, template, co
         for t in range(2, traj.horizon_T)
     ]
     sanitized = {
-        np.vstack([sanitize_nominal(row).weights for row in rows]).tobytes() for rows in raw
+        np.vstack([sanitize_nominal(row) for row in rows]).tobytes() for rows in raw
     }
     rows_checked = 0
 
@@ -139,7 +139,7 @@ def _check_rdd_training_against_the_lp_inner_max(monkeypatch, traj, template, co
         values, worst = worst_case(z, nominal, rho)
         assert nominal.tobytes() in sanitized
         for value, row in zip(values, nominal):
-            oracle, _ = inner_max_primal(z, AmbiguityParams(rho=rho, nominal=ConditionalWeights(row)))
+            oracle, _ = inner_max_primal(z, row, rho)
             assert abs(value - oracle) <= 1e-12 * (1.0 + abs(oracle))
             rows_checked += 1
         return values, worst
@@ -556,7 +556,7 @@ def test_warm_robust_rollout_solves_every_path_the_cold_one_loses(monkeypatch, s
         epsilon=1e-12,
         max_iterations=3,
         seed=_sub_seed(seed, instance, 2),
-        ambiguity=AmbiguityParams(rho=0.1, nominal=ConditionalWeights.uniform(1)),
+        ambiguity=AmbiguityParams(rho=0.1),
     )
     policy, _, _ = run(train, template, config)
     warm = evaluate_policy_out_of_sample(policy, test_traj)
@@ -689,12 +689,68 @@ def test_an_empty_pool_of_positive_weight_fails_the_path(algorithm, rho):
     if algorithm is Algorithm.DD:
         fails = w[:, -1] > 0.0
     else:
-        fails = np.array([math.sqrt(sanitize_nominal(row).weights[-1]) > rho for row in w])
+        fails = np.array([math.sqrt(sanitize_nominal(row)[-1]) > rho for row in w])
     assert fails.any()
     # The robust paths' sqrt(w_hat) lie on either side of rho.
     assert algorithm is Algorithm.DD or not fails.all()
     assert np.array_equal(np.isnan(report.objectives), fails)
     assert report.n_failed == fails.sum()
+
+
+@pytest.mark.parametrize("pools", ["full", "trimmed", "doubled"])
+def test_robust_rollout_stage_lps_match_the_per_node_pools(monkeypatch, pools):
+    """Every robust stage LP of the rollout is, array for array and bit for
+    bit, the one built from the node pools ``policy.pools.cuts(t + 1, i)``
+    stacked node after node under the sanitized kernel weights: with the
+    trained pools, with the last stage-4 node's pool emptied, and with
+    every cut in its pool twice.  Each stage LP of a path is solved once."""
+    traj, template = make_toy(6, horizon_T=4, n_paths=4)
+    trained, _, _ = run(traj, template, _config(Algorithm.RDD, 0.5, max_iterations=5))
+    policy = {
+        "full": trained,
+        "trimmed": dataclasses.replace(
+            trained, pools=_trimmed_pools(trained, slice(None), {3: 4, 4: 3})
+        ),
+        "doubled": dataclasses.replace(
+            trained, pools=_trimmed_pools(trained, slice(None), {3: 4, 4: 4}, copies=2)
+        ),
+    }[pools]
+    test_traj, _ = make_toy(7, horizon_T=4, n_paths=12)
+    calls = []
+    assemble = sddpkit.driver.assemble_stage_lp
+
+    def recording(datum, incoming_state, extra_terms=None):
+        lp = assemble(datum, incoming_state, extra_terms=extra_terms)
+        calls.append((datum, np.array(incoming_state), lp))
+        return lp
+
+    monkeypatch.setattr(sddpkit.driver, "assemble_stage_lp", recording)
+    report = evaluate_policy_out_of_sample(policy, test_traj)
+    assert (report.n_failed > 0) == (pools == "trimmed")
+    T = test_traj.horizon_T
+    stage_of = {id(d): t for t in range(2, T + 1) for d in test_traj.stage_data(t)}
+    # Each (path, stage) datum is its own object: one assembly, one solve.
+    assert len({id(datum) for datum, _, _ in calls}) == len(calls)
+    assert sum(stage_of[id(datum)] == 2 for datum, _, _ in calls) == test_traj.n_paths
+    robust_lps = 0
+    for datum, x_prev, lp in calls:
+        t = stage_of[id(datum)]
+        if t == T:
+            continue
+        w = nw_weights(datum.feature, traj.features(t), policy.kernel).weights
+        node_pools = [policy.pools.cuts(t + 1, i) for i in range(traj.n_paths)]
+        terms = robust_pools(sanitize_nominal(w), policy.rho, node_pools)
+        reference = assemble_stage_lp(datum, x_prev, extra_terms=terms)
+        for got, want in (
+            (lp.objective, reference.objective),
+            (lp.eq_matrix, reference.eq_matrix),
+            (lp.eq_rhs, reference.eq_rhs),
+            (lp.free_mask, reference.free_mask),
+        ):
+            assert got.shape == want.shape and got.tobytes() == want.tobytes()
+        robust_lps += 1
+    # Only stage 4's pools lose a node, so every path reaches stage 3.
+    assert robust_lps == 2 * test_traj.n_paths
 
 
 def test_unbounded_working_set_falls_back_to_every_cut():

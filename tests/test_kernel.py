@@ -129,3 +129,17 @@ def test_far_anchor_underflow_is_contained():
     w = nw_weights([0.0], anchors, KernelConfig(bandwidth_h=1e-3)).weights
     assert np.all(np.isfinite(w))
     np.testing.assert_allclose(w, [1.0, 0.0], atol=1e-300)
+
+
+def test_nan_fails_every_check():
+    """NaN compares False both ways, so each check is phrased to fail on it:
+    a NaN c_h would otherwise give all-NaN weights that pass as a
+    probability vector."""
+    with pytest.raises(ValueError, match="c_h"):
+        KernelConfig(bandwidth_rule=BandwidthRule.AUTO_RATE, c_h=float("nan"))
+    with pytest.raises(ValueError, match="c_h"):
+        auto_bandwidth(3, 1, float("nan"))
+    with pytest.raises(ValueError, match="nonnegative"):
+        ConditionalWeights(np.array([float("nan"), 0.5, 0.5]))
+    with pytest.raises(ValueError, match="sum"):
+        ConditionalWeights(np.array([np.inf, 0.5]))

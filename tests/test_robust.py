@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from _blocks import cut_rows, lp_block, random_cut, weighted_pools
+from _blocks import cut_rows, lp_block, random_cut, robust_pools, weighted_pools
 from _highs import highs_solve, highs_value
 from sddpkit.approximations import CutLowerTerms, CutRows
 from sddpkit.kernel import ConditionalWeights
@@ -18,7 +18,6 @@ from sddpkit.lp import LinearProgram, LpStatus, solve
 from sddpkit.robust import (
     AmbiguityParams,
     DegenerateWeightError,
-    DroLowerTerms,
     RhoRule,
     inner_max_primal,
     rate_scaled_rho,
@@ -74,7 +73,7 @@ def _in_set(w, w_hat, rho, tol=1e-9):
 def test_zero_radius_returns_nominal():
     nominal = ConditionalWeights(np.array([0.2, 0.3, 0.5]))
     z = np.array([1.0, -2.0, 4.0])
-    value, worst = inner_max_primal(z, AmbiguityParams(rho=0.0, nominal=nominal))
+    value, worst = inner_max_primal(z, nominal.weights, 0.0)
     assert value == pytest.approx(float(nominal.weights @ z), abs=1e-12)
     np.testing.assert_allclose(worst, nominal.weights, atol=1e-12)
 
@@ -82,34 +81,29 @@ def test_zero_radius_returns_nominal():
 def test_constant_values_are_radius_invariant():
     nominal = ConditionalWeights.uniform(4)
     for rho in (0.0, 0.1, 5.0):
-        value, _ = inner_max_primal(
-            np.full(4, 3.25), AmbiguityParams(rho=rho, nominal=nominal)
-        )
+        value, _ = inner_max_primal(np.full(4, 3.25), nominal.weights, rho)
         assert value == pytest.approx(3.25, abs=1e-10)
 
 
 def test_two_scenario_worst_case_by_hand():
     """With rho=0.2 the 1-norm row binds at |w - 0.5| = 0.1, value 0.6."""
-    params = AmbiguityParams(rho=0.2, nominal=ConditionalWeights.uniform(2))
-    value, worst = inner_max_primal(np.array([0.0, 1.0]), params)
+    value, worst = inner_max_primal(np.array([0.0, 1.0]), np.array([0.5, 0.5]), 0.2)
     assert value == pytest.approx(0.6, abs=1e-9)
     np.testing.assert_allclose(worst, [0.4, 0.6], atol=1e-9)
 
 
 def test_exact_zero_nominal_is_rejected():
     nominal = ConditionalWeights(np.array([1.0, 0.0]))
-    params = AmbiguityParams(rho=0.1, nominal=nominal)
     with pytest.raises(DegenerateWeightError):
-        inner_max_primal(np.array([1.0, 2.0]), params)
+        inner_max_primal(np.array([1.0, 2.0]), nominal.weights, 0.1)
     with pytest.raises(DegenerateWeightError):
-        lp_block(DroLowerTerms(params, [cut_rows(()), cut_rows(())]), 1)
+        lp_block(robust_pools(nominal.weights, 0.1, [cut_rows(()), cut_rows(())]), 1)
 
 
 def test_sanitize_nominal_floors_and_renormalizes():
     fixed = sanitize_nominal(np.array([1.0, 0.0]))
-    assert fixed.weights[1] > 0.0
-    params = AmbiguityParams(rho=0.1, nominal=fixed)
-    value, _ = inner_max_primal(np.array([5.0, -5.0]), params)
+    assert fixed[1] > 0.0
+    value, _ = inner_max_primal(np.array([5.0, -5.0]), fixed, 0.1)
     assert value == pytest.approx(5.0, abs=1e-9)
 
 
@@ -120,8 +114,7 @@ def test_dual_matches_primal_on_frozen_examples():
         ([0.0, 0.0, 0.0], [1 / 3, 1 / 3, 1 / 3], 0.4, 0.0),
     ):
         w_hat = np.array(w_hat)
-        params = AmbiguityParams(rho=rho, nominal=ConditionalWeights(w_hat))
-        value, _ = inner_max_primal(np.array(z), params)
+        value, _ = inner_max_primal(np.array(z), w_hat, rho)
         assert value == pytest.approx(expected, abs=1e-9)
         assert _primal_lp(np.array(z), w_hat, rho)[0] == pytest.approx(expected, abs=1e-9)
 
@@ -135,8 +128,7 @@ def test_primal_dual_agreement_and_set_membership():
         nominal = ConditionalWeights(w_hat / w_hat.sum())
         z = rng.normal(scale=3.0, size=n)
         rho = float(rng.uniform(0.0, 1.0))
-        params = AmbiguityParams(rho=rho, nominal=nominal)
-        dv, worst = inner_max_primal(z, params)
+        dv, worst = inner_max_primal(z, nominal.weights, rho)
         pv, _ = _primal_lp(z, nominal.weights, rho)
         assert abs(pv - dv) <= 1e-8 * (1.0 + abs(pv))
         assert _in_set(worst, nominal.weights, rho)
@@ -152,11 +144,11 @@ def _draw(rng):
     tiny = rng.random(n) < 0.4
     tiny[rng.integers(n)] = True
     w_hat[tiny] = 10.0 ** -rng.uniform(12.0, 300.0)
-    nominal = ConditionalWeights(w_hat / w_hat.sum())
+    nominal = w_hat / w_hat.sum()
     # Few distinct levels, so values tie across scenarios.
     z = rng.choice(rng.normal(scale=3.0, size=3), size=n)
     rho = float(rng.choice([0.0, 0.05, 0.3, 2.0, 1e4, rng.uniform(0.0, 1e4)]))
-    return z, AmbiguityParams(rho=rho, nominal=nominal)
+    return z, nominal, rho
 
 
 def test_inner_max_matches_primal_oracle_on_tiny_weights_and_ties():
@@ -165,14 +157,13 @@ def test_inner_max_matches_primal_oracle_on_tiny_weights_and_ties():
     the optimum on some nominals with entries near 1e-16 and below."""
     rng = np.random.default_rng(27)
     for _ in range(200):
-        z, params = _draw(rng)
-        w_hat = params.nominal.weights
-        value, worst = inner_max_primal(z, params)
-        oracle, _ = _primal_lp(z, w_hat, params.rho)
+        z, w_hat, rho = _draw(rng)
+        value, worst = inner_max_primal(z, w_hat, rho)
+        oracle, _ = _primal_lp(z, w_hat, rho)
         assert abs(value - oracle) <= 1e-9 * (1.0 + abs(oracle))
-        assert _in_set(worst, w_hat, params.rho)
+        assert _in_set(worst, w_hat, rho)
         assert worst @ z == pytest.approx(value, abs=1e-8)
-        (closed,), _ = worst_case(z, w_hat[None, :], params.rho)
+        (closed,), _ = worst_case(z, w_hat[None, :], rho)
         assert abs(closed - oracle) <= 1e-9 * (1.0 + abs(oracle))
 
 
@@ -185,7 +176,7 @@ def test_value_nondecreasing_in_radius():
         z = rng.normal(size=n)
         rhos = np.sort(rng.uniform(0.0, 1.5, size=4))
         vals = [
-            inner_max_primal(z, AmbiguityParams(rho=float(r), nominal=nominal))[0]
+            inner_max_primal(z, nominal.weights, float(r))[0]
             for r in rhos
         ]
         assert all(b >= a - 1e-9 for a, b in zip(vals, vals[1:]))
@@ -213,8 +204,7 @@ def test_values_tied_up_to_rounding():
         0.05140770291184243, 0.050710759440692005, 0.04906522074553489,
         0.05277429907002982, 0.053312531507639115
     ])
-    params = AmbiguityParams(rho=0.1, nominal=ConditionalWeights(w_hat))
-    value, worst = inner_max_primal(z, params)
+    value, worst = inner_max_primal(z, w_hat, 0.1)
     assert abs(value - _primal_lp(z, w_hat, 0.1)[0]) <= 1e-12
     assert _in_set(worst, w_hat, 0.1)
 
@@ -286,7 +276,7 @@ def _batches(draw, max_rows=3):
         raw = np.array(draw(st.lists(st.just(0.0) | st.floats(0.0, 1.0), min_size=n, max_size=n)))
         if raw.sum() == 0.0:
             raw[0] = 1.0
-        rows.append(sanitize_nominal(raw / raw.sum()).weights)
+        rows.append(sanitize_nominal(raw / raw.sum()))
     rho = draw(st.sampled_from([0.0, 1e-12, 0.1, 1e4]) | st.floats(0.0, 10.0))
     return np.array(z), np.array(rows), rho
 
@@ -346,7 +336,7 @@ def test_fixed_decision_block_prices_the_inner_max_of_the_cut_values():
     weights down to 1e-300 and with scenarios sharing a pool (ties)."""
     rng = np.random.default_rng(28)
     for _ in range(100):
-        _, params = _draw(rng)
+        _, w_hat, rho = _draw(rng)
         x = rng.uniform(0.0, 2.0, size=2)
         datum = StageDatum(
             c=rng.normal(size=2), A=np.eye(2), B=np.eye(2), b=x + 1.0, feature=[0.0]
@@ -354,13 +344,13 @@ def test_fixed_decision_block_prices_the_inner_max_of_the_cut_values():
         shared = [
             [random_cut(rng, 2) for _ in range(int(rng.integers(1, 4)))] for _ in range(3)
         ]
-        pools = [shared[k] for k in rng.integers(0, 3, size=len(params.nominal))]
-        terms = DroLowerTerms(params, [cut_rows(cuts) for cuts in pools])
+        pools = [shared[k] for k in rng.integers(0, 3, size=len(w_hat))]
+        terms = robust_pools(w_hat, rho, [cut_rows(cuts) for cuts in pools])
         sol = solve(assemble_stage_lp(datum, np.ones(2), extra_terms=terms))
         z = np.array([
             max(offset + float(g @ x) for g, offset in cuts) for cuts in pools
         ])
-        expected = float(datum.c @ x) + _primal_lp(z, params.nominal.weights, params.rho)[0]
+        expected = float(datum.c @ x) + _primal_lp(z, w_hat, rho)[0]
         assert sol.status is LpStatus.OPTIMAL
         assert abs(sol.objective_value - expected) <= 1e-8 * (1.0 + abs(expected))
 
@@ -372,8 +362,8 @@ def _recorded_robust_lp(name: str) -> tuple[dict, LinearProgram]:
     pools = [
         cut_rows([(cut["gradient"], cut["offset"]) for cut in cuts]) for cuts in data["cuts"]
     ]
-    params = AmbiguityParams(rho=data["rho"], nominal=ConditionalWeights(np.array(data["nominal"])))
-    return data, assemble_stage_lp(datum, data["state"], extra_terms=DroLowerTerms(params, pools))
+    terms = robust_pools(data["nominal"], data["rho"], pools)
+    return data, assemble_stage_lp(datum, data["state"], extra_terms=terms)
 
 
 def _assert_recorded_robust_rollout_lp_solves(name: str) -> None:
@@ -456,9 +446,8 @@ def test_zero_radius_splice_equals_weighted_splice():
         datum, pools = _stage_with_pools(rng, n)
         w_hat = rng.uniform(0.1, 1.0, size=n)
         nominal = ConditionalWeights(w_hat / w_hat.sum())
-        params = AmbiguityParams(rho=0.0, nominal=nominal)
         robust = solve(
-            assemble_stage_lp(datum, [1.0], extra_terms=DroLowerTerms(params, pools))
+            assemble_stage_lp(datum, [1.0], extra_terms=robust_pools(nominal.weights, 0.0, pools))
         )
         plain = solve(
             assemble_stage_lp(
@@ -482,9 +471,8 @@ def test_single_scenario_ignores_radius():
         assemble_stage_lp(datum, [1.0], extra_terms=CutLowerTerms(pools[0]))
     ).objective_value
     for rho in (0.0, 0.3, 10.0):
-        params = AmbiguityParams(rho=rho, nominal=nominal)
         val = solve(
-            assemble_stage_lp(datum, [1.0], extra_terms=DroLowerTerms(params, pools))
+            assemble_stage_lp(datum, [1.0], extra_terms=robust_pools(nominal.weights, rho, pools))
         ).objective_value
         assert val == pytest.approx(base, abs=1e-8)
 
@@ -494,9 +482,8 @@ def test_huge_radius_approaches_max_scenario():
     rng = np.random.default_rng(25)
     datum, pools = _stage_with_pools(rng, 3)
     nominal = ConditionalWeights.uniform(3)
-    params = AmbiguityParams(rho=1e4, nominal=nominal)
     robust = solve(
-        assemble_stage_lp(datum, [1.0], extra_terms=DroLowerTerms(params, pools))
+        assemble_stage_lp(datum, [1.0], extra_terms=robust_pools(nominal.weights, 1e4, pools))
     ).objective_value
     every_cut = CutRows(
         np.vstack([p.gradients for p in pools]), np.concatenate([p.offsets for p in pools])
@@ -519,8 +506,7 @@ def test_empty_pool_scenario_is_unbounded_exactly_when_its_weight_root_exceeds_r
     for empty in range(3):
         pools = [cut_rows([] if i == empty else [cuts[i]]) for i in range(3)]
         for rho in (0.05, 0.3, 0.6, 2.0):
-            params = AmbiguityParams(rho=rho, nominal=ConditionalWeights(w_hat))
-            lp = assemble_stage_lp(datum, [1.0], extra_terms=DroLowerTerms(params, pools))
+            lp = assemble_stage_lp(datum, [1.0], extra_terms=robust_pools(w_hat, rho, pools))
             sol = solve(lp)
             status, value = highs_solve(lp)
             assert sol.status is status
@@ -549,7 +535,7 @@ def _vr_sandwich(z, weights, rho, u_bar):
     already covers the shortfall.  Returns the two sides, the nominal mean,
     the rho*std term and the robust value.
     """
-    dro, _ = inner_max_primal(z, AmbiguityParams(rho=rho, nominal=weights))
+    dro, _ = inner_max_primal(z, weights.weights, rho)
     mean = float(weights.weights @ z)
     std_term = rho * math.sqrt(_variance(z, weights))
     return mean + std_term, dro + rho * rho * u_bar, mean, std_term, dro
@@ -596,10 +582,44 @@ def test_vr_sandwich_random_draws_never_violate():
 
 def test_rate_scaled_radius():
     assert rate_scaled_rho(2.0, 4, 0.5, 2) == pytest.approx(2.0)
-    params = AmbiguityParams.rate_scaled(
-        2.0, 4, 0.5, 2, ConditionalWeights.uniform(4)
-    )
+    params = AmbiguityParams.rate_scaled(2.0, 4, 0.5, 2)
     assert params.rho == pytest.approx(2.0)
     assert params.rho_rule is RhoRule.RATE_SCALED
     with pytest.raises(ValueError):
-        AmbiguityParams(rho=-0.1, nominal=ConditionalWeights.uniform(2))
+        AmbiguityParams(rho=-0.1)
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -0.1])
+def test_radius_and_coefficient_must_be_finite_and_nonnegative(bad):
+    """The condition of ``worst_case``, 0 <= rho < inf, holds wherever a
+    radius or its coefficient enters, so a NaN fails before training."""
+    with pytest.raises(ValueError, match="rho"):
+        AmbiguityParams(rho=bad)
+    with pytest.raises(ValueError, match="c_coefficient"):
+        AmbiguityParams(rho=0.1, rho_rule=RhoRule.RATE_SCALED, c_coefficient=bad)
+    with pytest.raises(ValueError, match="coefficient"):
+        AmbiguityParams.rate_scaled(bad, 4, 0.5, 2)
+    with pytest.raises(ValueError, match="rho"):
+        inner_max_primal(np.array([0.0, 1.0]), np.array([0.5, 0.5]), bad)
+    with pytest.raises(ValueError, match="rho"):
+        worst_case(np.array([0.0, 1.0]), np.array([[0.5, 0.5]]), bad)
+
+
+def test_sanitize_nominal_of_a_stack_is_its_rows_bit_for_bit():
+    """Each row of an (M, N) matrix, or of an (L, M, N) stack, comes out as
+    ``sanitize_nominal`` of that row alone: rows with exact zeros, a row
+    that underflowed entirely, and one of subnormal weights."""
+    rng = np.random.default_rng(30)
+    for m, n in ((1, 1), (3, 2), (5, 7), (4, 20), (3, 300)):
+        w = rng.uniform(size=(m, n))
+        w /= w.sum(axis=1, keepdims=True)
+        w[rng.random((m, n)) < 0.3] = 0.0
+        w[0] = 0.0
+        w[-1] = rng.uniform(size=n) * 1e-310
+        fixed = sanitize_nominal(w)
+        rows = np.vstack([sanitize_nominal(row) for row in w])
+        assert fixed.shape == rows.shape and fixed.tobytes() == rows.tobytes()
+        assert np.all(fixed > 0.0)
+        np.testing.assert_allclose(fixed[0], np.full(n, 1.0 / n), rtol=1e-15)
+        stack = np.stack([w, w[::-1]])
+        assert sanitize_nominal(stack).tobytes() == np.stack([rows, rows[::-1]]).tobytes()

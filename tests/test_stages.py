@@ -106,9 +106,8 @@ class _RowByRow:
             self.rows.append((coeffs, 0.0))
         self.rows.append(({t: 1.0 for t in theta}, 1.0))
 
-    def dro(self, params, pools):
-        w_hat = params.nominal.weights
-        n, s, rho = w_hat.size, np.sqrt(w_hat), params.rho
+    def dro(self, w_hat, rho, pools):
+        n, s = w_hat.size, np.sqrt(w_hat)
         gamma, beta = self.var(cost=1.0, free=True), self.var(cost=rho)
         mu = [self.var(cost=s[i]) for i in range(n)]
         zeta = [self.var(cost=-s[i]) for i in range(n)]
@@ -131,10 +130,8 @@ class _RowByRow:
 
 def test_block_assembly_matches_row_by_row_reference():
     """Same arrays, bit for bit (signed zeros included), as one row at a time."""
-    from _blocks import cut_rows, weighted_pools
+    from _blocks import cut_rows, robust_pools, weighted_pools
     from sddpkit.approximations import EnvelopeUpperTerms
-    from sddpkit.kernel import ConditionalWeights
-    from sddpkit.robust import AmbiguityParams, DroLowerTerms
 
     rng = np.random.default_rng(17)
     for _ in range(20):
@@ -156,7 +153,7 @@ def test_block_assembly_matches_row_by_row_reference():
         rows = [cut_rows(cuts) for cuts in pools]
         w = rng.uniform(0.1, 1.0, size=n)
         weights = [float(wi) for wi in w / w.sum()]
-        params = AmbiguityParams(0.3, ConditionalWeights(w / w.sum()))
+        nominal = w / w.sum()
         k = int(rng.integers(0, 4))
         envelope = EnvelopeUpperTerms(rng.normal(size=(k, d)), rng.normal(size=k), 7.5)
         # The reference builds each cut's row from its (gradient, offset) pair.
@@ -164,7 +161,7 @@ def test_block_assembly_matches_row_by_row_reference():
             (None, None, ()),
             (weighted_pools(list(zip(weights, rows))), "weighted", (weights, pools)),
             (envelope, "envelope", (envelope,)),
-            (DroLowerTerms(params, rows), "dro", (params, pools)),
+            (robust_pools(nominal, 0.3, rows), "dro", (nominal, 0.3, pools)),
         ):
             ref = _RowByRow(datum, xbar)
             if method is not None:
