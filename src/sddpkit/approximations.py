@@ -34,6 +34,7 @@ one matvec.
 from __future__ import annotations
 
 from dataclasses import dataclass
+
 import numpy as np
 
 from .scenarios import DimensionMismatchError

@@ -101,10 +101,27 @@ class RhoRule(Enum):
     RATE_SCALED = "RateScaled"
 
 
+def _checked_radius(value: float, name: str) -> None:
+    """The bound 0 <= value < inf shared by a radius and its coefficient."""
+    if not 0.0 <= value < math.inf:
+        raise ValueError(f"{name} must be finite and nonnegative")
+
+
+def _checked_nominal(w_hat: np.ndarray) -> np.ndarray:
+    """``w_hat`` as floats, once every entry is finite and positive."""
+    w = np.asarray(w_hat, dtype=float)
+    if not np.all(np.isfinite(w)) or np.any(w < 0.0):
+        raise ValueError("nominal weights must be finite and nonnegative")
+    if np.any(w == 0.0):
+        raise DegenerateWeightError(
+            "nominal weights contain an exact zero; sanitize_nominal first"
+        )
+    return w
+
+
 def rate_scaled_rho(c: float, n_samples: int, h: float, p: int) -> float:
     """Radius c / sqrt(N * h^p), shrinking with the effective sample size."""
-    if not 0.0 <= c < math.inf:
-        raise ValueError("coefficient must be finite and nonnegative")
+    _checked_radius(c, "coefficient")
     return float(c / math.sqrt(n_samples * h**p))
 
 
@@ -140,38 +157,16 @@ class AmbiguityParams:
     c_coefficient: float = 1.0
 
     def __post_init__(self) -> None:
-        if not 0.0 <= self.rho < math.inf:
-            raise ValueError("rho must be finite and nonnegative")
-        if not 0.0 <= self.c_coefficient < math.inf:
-            raise ValueError("c_coefficient must be finite and nonnegative")
+        _checked_radius(self.rho, "rho")
+        _checked_radius(self.c_coefficient, "c_coefficient")
 
     @classmethod
-    def rate_scaled(
-        cls,
-        c: float,
-        n_samples: int,
-        h: float,
-        p: int,
-        nominal: ConditionalWeights | None = None,
-    ) -> "AmbiguityParams":
+    def rate_scaled(cls, c: float, n_samples: int, h: float, p: int) -> "AmbiguityParams":
         return cls(
             rho=rate_scaled_rho(c, n_samples, h, p),
-            nominal=nominal,
             rho_rule=RhoRule.RATE_SCALED,
             c_coefficient=float(c),
         )
-
-
-def _checked_nominal(w_hat: np.ndarray) -> np.ndarray:
-    """``w_hat`` as floats, once every entry is finite and positive."""
-    w = np.asarray(w_hat, dtype=float)
-    if not np.all(np.isfinite(w)) or np.any(w < 0.0):
-        raise ValueError("nominal weights must be finite and nonnegative")
-    if np.any(w == 0.0):
-        raise DegenerateWeightError(
-            "nominal weights contain an exact zero; sanitize_nominal first"
-        )
-    return w
 
 
 # Rows of a batch are solved in chunks of at most this many kinks, so the
@@ -259,8 +254,7 @@ def worst_case(
         )
     if not np.all(np.isfinite(zv)):
         raise ValueError("z must be finite")
-    if not 0.0 <= rho < math.inf:
-        raise ValueError("rho must be finite and nonnegative")
+    _checked_radius(rho, "rho")
     _checked_nominal(w_hat)
     # As in inner_max_primal: the maximizers of z and of (z - max z) / spread
     # are the same, and the kinks of the mapped values stay finite.
@@ -295,8 +289,7 @@ def inner_max_primal(
         raise DimensionMismatchError(f"z has {zv.shape[0]} entries, nominal has {n}")
     if not np.all(np.isfinite(zv)):
         raise ValueError("z must be finite")
-    if not 0.0 <= rho < math.inf:
-        raise ValueError("rho must be finite and nonnegative")
+    _checked_radius(rho, "rho")
     top = float(zv.max())
     spread = top - float(zv.min()) or 1.0
     terms = DroLowerTerms(w_hat, rho, np.arange(n), CutRows(np.zeros((n, 0)), (zv - top) / spread))
