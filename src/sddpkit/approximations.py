@@ -48,11 +48,7 @@ __all__ = [
     "CutLowerTerms",
     "WeightedLowerTerms",
     "EnvelopeUpperTerms",
-    "PENALTY_SAFETY",
 ]
-
-# Default envelope penalty per unit of the largest cut gradient seen.
-PENALTY_SAFETY = 10.0
 
 
 @dataclass(frozen=True)
@@ -161,20 +157,12 @@ def aggregate_backward(
 
 
 class EnvelopeStore:
-    """Anchor/value points per stage and node plus per-stage penalty scales.
+    """Anchor/value points per stage and node.  The penalty M_t that an
+    ``EnvelopeUpperTerms`` block charges is the caller's to pass."""
 
-    The penalty M_t must dominate the stage value's Lipschitz constant for
-    the envelope to stay an upper bound; by default it is ``PENALTY_SAFETY``
-    times the largest cut-gradient infinity norm observed at the same stage
-    (cuts are subgradients, so their norms estimate that constant), with
-    an optional per-call override.
-    """
-
-    def __init__(self, penalty_override: float | None = None):
-        self.penalty_override = penalty_override
+    def __init__(self) -> None:
         self._anchors: dict[int, np.ndarray] = {}
         self._values: dict[int, np.ndarray] = {}
-        self._grad_max: dict[int, float] = {}
 
     def anchors(self, t: int) -> np.ndarray:
         """Stage t's anchor matrix, one row per ``add``."""
@@ -201,16 +189,6 @@ class EnvelopeStore:
         anchors = _append(self._anchors.get(t), np.reshape(anchor, -1), 0, "anchor", t)
         self._values[t] = _append(self._values.get(t), v, 1, "envelope values", t)
         self._anchors[t] = anchors
-
-    def note_gradient(self, t: int, gradients: np.ndarray) -> None:
-        """Record stage-t cut gradients so penalty(t) tracks the Lipschitz scale."""
-        norm = float(np.max(np.abs(np.asarray(gradients, dtype=float))))
-        self._grad_max[t] = max(self._grad_max.get(t, 0.0), norm)
-
-    def penalty(self, t: int) -> float:
-        if self.penalty_override is not None:
-            return float(self.penalty_override)
-        return PENALTY_SAFETY * self._grad_max.get(t, 0.0)
 
 
 # ---------------------------------------------------------------------------

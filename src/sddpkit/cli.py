@@ -24,6 +24,9 @@ Configuration is one JSON file.  Keys for the solve family::
                             "xi1": [..], "box_lower": [..], "box_upper": [..]}}
     }
 
+Unknown keys, also inside ``kernel``, ``ambiguity``, ``crossval`` and
+``synth``, are errors, as is an ``ambiguity.rule`` other than "rate_scaled".
+
 Command-line flags (--seed, --algorithm, --rho, --epsilon, --max-iters)
 override the corresponding config keys.
 
@@ -97,6 +100,13 @@ _TOP_KEYS = {
     "synth",
 }
 
+_SECTION_KEYS = {
+    "kernel": {"bandwidth_h", "bandwidth_rule", "c_h"},
+    "ambiguity": {"rho", "rule", "c_coefficient"},
+    "crossval": {"c_grid", "n_folds"},
+    "synth": {"kind", "K", "horizon_T", "n_paths", "seed", "r_f", "fees", "process"},
+}
+
 
 def _load_config(path: str) -> dict:
     p = Path(path)
@@ -108,9 +118,15 @@ def _load_config(path: str) -> dict:
         raise CliError(f"config file {path} is not valid JSON: {exc}") from exc
     if not isinstance(cfg, dict):
         raise CliError(f"config file {path} must hold a JSON object")
-    unknown = set(cfg) - _TOP_KEYS
+    unknown = sorted(set(cfg) - _TOP_KEYS)
+    for section, keys in _SECTION_KEYS.items():
+        if isinstance(cfg.get(section), dict):
+            unknown += sorted(f"{section}.{key}" for key in set(cfg[section]) - keys)
     if unknown:
-        raise CliError(f"unknown config key(s): {', '.join(sorted(unknown))}")
+        raise CliError(f"unknown config key(s): {', '.join(unknown)}")
+    rule = (cfg.get("ambiguity") or {}).get("rule", "rate_scaled")
+    if rule != "rate_scaled":
+        raise CliError(f"ambiguity.rule must be \"rate_scaled\", got {rule!r}")
     return cfg
 
 
@@ -158,7 +174,6 @@ def _solve_config(cfg: dict, args: argparse.Namespace) -> SolveConfig:
     mode = cfg.get("gap_mode", "relative")
     if mode not in modes:
         raise CliError(f"gap_mode must be one of {sorted(modes)}, got {mode!r}")
-    rho_flag = args.rho if hasattr(args, "rho") else None
     try:
         return SolveConfig(
             algorithm=algorithm,
@@ -170,7 +185,7 @@ def _solve_config(cfg: dict, args: argparse.Namespace) -> SolveConfig:
             forward_paths_per_iter=int(cfg.get("forward_paths_per_iter", 1)),
             seed=int(args.seed if args.seed is not None else cfg.get("seed", 0)),
             kernel=_kernel_from(cfg.get("kernel", {})),
-            ambiguity=_ambiguity_from(cfg.get("ambiguity"), rho_flag),
+            ambiguity=_ambiguity_from(cfg.get("ambiguity"), args.rho),
             M_override=(
                 float(cfg["m_override"]) if cfg.get("m_override") is not None else None
             ),
@@ -425,13 +440,10 @@ def _parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p: argparse.ArgumentParser, data: bool = True, out_required: bool = True):
+    def common(p: argparse.ArgumentParser):
         p.add_argument("--config", required=True, help="JSON configuration file")
-        if data:
-            p.add_argument("--data", required=True, help="trajectory CSV")
-        p.add_argument(
-            "--out", required=out_required, default=None, help="output directory"
-        )
+        p.add_argument("--data", required=True, help="trajectory CSV")
+        p.add_argument("--out", required=True, help="output directory")
         p.add_argument("--seed", type=int, default=None)
         p.add_argument("--epsilon", type=float, default=None)
         p.add_argument("--max-iters", dest="max_iters", type=int, default=None)

@@ -24,9 +24,11 @@ combination of per-realization upper values dominates the robust
 cost-to-go).  Out-of-sample policies embed the set's dual block over every
 cut instead, since test covariates are not anchors.
 
-The reported upper bound is the running minimum over iterations: each
-root envelope solve is individually valid, while the penalty scale that
-keeps the envelope honest can grow as new cut gradients are observed.
+The envelope stays an upper bound while its penalty M_t dominates the
+stage value's Lipschitz constant; ``_envelope_penalty`` picks M_t from the
+stage's cuts, which are subgradients.  The reported upper bound is the
+running minimum over iterations: each root envelope solve is valid, while
+M_t can grow as new cuts arrive.
 
 Training re-solves the same LPs every iteration with a new incoming state
 and one more cut row or envelope column, so each starts from the last
@@ -129,7 +131,8 @@ class SolveConfig:
     radius: with a RateScaled rule the radius is re-derived from the
     coefficient at run start using the training N and the effective
     bandwidth.  Each conditioning node's nominal weights are its kernel
-    weights; the run never reads ``ambiguity.nominal``.
+    weights; the run never reads ``ambiguity.nominal``.  ``M_override``
+    fixes every stage's envelope penalty (see ``_envelope_penalty``).
     """
 
     algorithm: Algorithm = Algorithm.DD
@@ -235,6 +238,19 @@ def _summarize(objectives: list[float], n_paths: int) -> PolicyReport:
 # ---------------------------------------------------------------------------
 
 
+# The envelope penalty per unit of the largest cut-gradient entry.
+PENALTY_SAFETY = 10.0
+
+
+def _envelope_penalty(pools: CutPool, t: int, override: float | None) -> float:
+    """M_t of stage t's envelope: ``override`` when given, else
+    ``PENALTY_SAFETY`` times the largest |entry| of the stage's stored cut
+    gradients, 0 without a cut."""
+    if override is not None:
+        return float(override)
+    return PENALTY_SAFETY * float(np.abs(pools.stage(t).gradients).max(initial=0.0))
+
+
 def _conditional_rows(traj: TrajectorySet, kernel: KernelConfig) -> dict[int, np.ndarray]:
     """P[t][j, i]: the weight of stage-t realization i given the stage-(t-1)
     node j, for t = 2..T.  Stage 1 is one node, so P[2] is one uniform row."""
@@ -266,15 +282,11 @@ class _Runner:
         self.h = config.kernel.effective_h(self.N, self.p)
         self.P = _conditional_rows(traj, config.kernel)
         self.pools = CutPool()
-        self.store = EnvelopeStore(penalty_override=config.M_override)
-        self.rho = 0.0
-        if config.algorithm is Algorithm.RDD:
-            amb = config.ambiguity
-            assert amb is not None
-            if amb.rho_rule is RhoRule.RATE_SCALED:
-                self.rho = rate_scaled_rho(amb.c_coefficient, self.N, self.h, self.p)
-            else:
-                self.rho = amb.rho
+        self.store = EnvelopeStore()
+        amb = config.ambiguity if config.algorithm is Algorithm.RDD else None
+        self.rho = 0.0 if amb is None else amb.rho
+        if amb is not None and amb.rho_rule is RhoRule.RATE_SCALED:
+            self.rho = rate_scaled_rho(amb.c_coefficient, self.N, self.h, self.p)
         # The rows of P[t] as the inner max takes them; P is fixed for the run.
         self.sanitized = {t: sanitize_nominal(P) for t, P in self.P.items() if self.rho != 0.0}
         self.root_decision: np.ndarray | None = None
@@ -324,10 +336,9 @@ class _Runner:
 
     def root_solve_upper(self, k: int) -> float:
         anchors, values = self.store.points(2, None)
+        M = _envelope_penalty(self.pools, 2, self.config.M_override)
         lp = assemble_stage_lp(
-            self.traj.stage1,
-            self.x0,
-            extra_terms=EnvelopeUpperTerms(anchors, values, self.store.penalty(2)),
+            self.traj.stage1, self.x0, extra_terms=EnvelopeUpperTerms(anchors, values, M)
         )
         return float(self._solve_checked(lp, "upper", k, 1, None).objective_value)
 
@@ -353,6 +364,8 @@ class _Runner:
             last = self.store.anchors(t)
             moved = not len(last) or not np.array_equal(anchor, last[-1])
             bounds = ("lower", "upper") if t < self.T else ("lower",)
+            if t < self.T:
+                M = _envelope_penalty(self.pools, t + 1, self.config.M_override)
             lower_vals = np.empty(self.N)
             upper_vals = np.empty(self.N)
             grads = []
@@ -373,11 +386,7 @@ class _Runner:
                     anchors, values = self.store.points(t + 1, i)
                     ub_sol = self._solve_checked(
                         assemble_stage_lp(
-                            datum,
-                            anchor,
-                            extra_terms=EnvelopeUpperTerms(
-                                anchors, values, self.store.penalty(t + 1)
-                            ),
+                            datum, anchor, extra_terms=EnvelopeUpperTerms(anchors, values, M)
                         ),
                         "upper",
                         k,
@@ -394,7 +403,6 @@ class _Runner:
                 anchor, grads, w_lower, lower_vals, w_upper, upper_vals
             )
             self.pools.add(t, cuts)
-            self.store.note_gradient(t, cuts.gradients)
             self.store.add(t, anchor, point_values)
             added += len(cuts)
         return added
@@ -791,16 +799,9 @@ def cross_validate_rho(
             train_idx = np.concatenate([folds[g] for g in range(n_folds) if g != f])
             train = _subset(traj, train_idx)
             test = _subset(traj, test_idx)
-            cfg = replace(
-                config,
-                algorithm=Algorithm.RDD,
-                ambiguity=AmbiguityParams.rate_scaled(
-                    float(c),
-                    train.n_paths,
-                    config.kernel.effective_h(train.n_paths, traj.feature_dim),
-                    traj.feature_dim,
-                ),
-            )
+            h_train = config.kernel.effective_h(train.n_paths, traj.feature_dim)
+            rho = rate_scaled_rho(float(c), train.n_paths, h_train, traj.feature_dim)
+            cfg = replace(config, algorithm=Algorithm.RDD, ambiguity=AmbiguityParams(rho=rho))
             policy, _, _ = run(train, instance, cfg)
             report = evaluate_policy_out_of_sample(policy, test)
             fold_scores.append(math.inf if report.n_failed else report.mean)

@@ -15,6 +15,7 @@ uniform; use :meth:`ConditionalWeights.uniform` for that case.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from enum import Enum
 
@@ -34,14 +35,19 @@ class BandwidthRule(Enum):
     AUTO_RATE = "AutoRate"
 
 
+def _checked_bandwidth(value: float, name: str) -> None:
+    """0 < value < inf: an infinite bandwidth would make every weight uniform."""
+    if not 0.0 < value < math.inf:
+        raise ValueError(f"{name} must be positive and finite")
+
+
 def auto_bandwidth(n_samples: int, p: int, c_h: float) -> float:
     """Rate-optimal bandwidth c_h * N^(-1/(p+4)) for N samples in dimension p."""
     if n_samples < 1:
         raise ValueError("n_samples must be at least 1")
     if p < 1:
         raise ValueError("dimension p must be at least 1")
-    if not c_h > 0:
-        raise ValueError("c_h must be positive")
+    _checked_bandwidth(c_h, "c_h")
     return float(c_h * n_samples ** (-1.0 / (p + 4)))
 
 
@@ -59,10 +65,8 @@ class KernelConfig:
     c_h: float = 1.0
 
     def __post_init__(self) -> None:
-        if not self.bandwidth_h > 0:
-            raise ValueError("bandwidth_h must be positive")
-        if not self.c_h > 0:
-            raise ValueError("c_h must be positive")
+        _checked_bandwidth(self.bandwidth_h, "bandwidth_h")
+        _checked_bandwidth(self.c_h, "c_h")
 
     def effective_h(self, n_samples: int, p: int) -> float:
         if self.bandwidth_rule is BandwidthRule.AUTO_RATE:

@@ -278,7 +278,6 @@ class _Simplex:
         self.max_pivots = _MAX_PIVOTS
         self.b = b
         self.scale = max(1.0, float(np.abs(b).max(initial=0.0)))
-        self.art0 = self.n
         self.pivots = 0
         self.since_refactor = 0
         if basis is not None:
@@ -289,11 +288,7 @@ class _Simplex:
             # Row i starts from its first column equal to +-e_i with a sign
             # that fits b_i; column n, one past the last, marks a row without.
             fits = np.ones((self.m, self.n + 1), dtype=bool)
-            fits[:, : self.n] = (
-                (np.count_nonzero(A, axis=0) == 1)
-                & (np.abs(A) == 1.0)
-                & ((A * b[:, None] >= 0.0) | free)
-            )
+            fits[:, : self.n] = _unit_columns(A) & ((A * b[:, None] >= 0.0) | free)
             self.basis = fits.argmax(axis=1)
             uncovered = np.nonzero(self.basis == self.n)[0]
             self.basis[uncovered] = self.n + np.arange(uncovered.size)
@@ -479,7 +474,7 @@ class _Simplex:
             cost = np.concatenate([np.zeros(self.n), np.ones(n_art)])
             while self._iterate(cost, allowed) is LpStatus.UNBOUNDED:
                 allowed[self.entering] = False
-        art_mask = self.basis >= self.art0
+        art_mask = self.basis >= self.n
         if float(np.sum(np.maximum(self._xb()[art_mask], 0.0))) > _FEAS_TOL * self.scale:
             return LpStatus.INFEASIBLE, None, None
 
@@ -501,7 +496,7 @@ class _Simplex:
                     self._pivot(q, int(r), d)
                     in_basis[q] = True
 
-        structural = np.arange(self.A.shape[1]) < self.art0
+        structural = np.arange(self.A.shape[1]) < self.n
         if self._iterate(self.c_true, structural) is LpStatus.UNBOUNDED:
             return LpStatus.UNBOUNDED, None, None
         if self._bounded_min() < -1e-6 * self.scale:
@@ -517,6 +512,11 @@ class _Simplex:
         xb = self._xb()
         z[self.basis] = np.where(self.bounded, np.maximum(xb, 0.0), xb)
         return z[: self.n], self._y(self.c_true)
+
+
+def _unit_columns(A: np.ndarray, first_row: int = 0) -> np.ndarray:
+    """Entry (i, j) is True when column j of A is exactly +-e_(first_row + i)."""
+    return (np.count_nonzero(A, axis=0) == 1) & (np.abs(A[first_row:]) == 1.0)
 
 
 def _warm_basis(lp: LinearProgram, cols: np.ndarray) -> np.ndarray | None:
@@ -538,7 +538,7 @@ def _warm_basis(lp: LinearProgram, cols: np.ndarray) -> np.ndarray | None:
         return None
     basis = cols.astype(np.int64)
     if k < m:
-        unit = ((A != 0.0).sum(axis=0) == 1) & (np.abs(A[k:]) == 1.0)
+        unit = _unit_columns(A, k)
         if not unit.any(axis=1).all():
             return None
         basis = np.concatenate([basis, unit.argmax(axis=1)])

@@ -146,9 +146,10 @@ class AmbiguityParams:
     """Radius of the ambiguity set, and the rule it came from.
 
     With ``RhoRule.RATE_SCALED`` a run re-derives the radius from
-    ``c_coefficient`` (see ``rate_scaled_rho``).  The nominal weights of
-    each set are the kernel weights of its conditioning node, so nothing
-    reads ``nominal``; it stays optional for callers that still pass it.
+    ``c_coefficient`` (see ``rate_scaled_rho``) and ignores ``rho``.  The
+    nominal weights of each set are the kernel weights of its conditioning
+    node, so nothing reads ``nominal``; it stays optional for callers that
+    still pass it.
     """
 
     rho: float
@@ -159,14 +160,6 @@ class AmbiguityParams:
     def __post_init__(self) -> None:
         _checked_radius(self.rho, "rho")
         _checked_radius(self.c_coefficient, "c_coefficient")
-
-    @classmethod
-    def rate_scaled(cls, c: float, n_samples: int, h: float, p: int) -> "AmbiguityParams":
-        return cls(
-            rho=rate_scaled_rho(c, n_samples, h, p),
-            rho_rule=RhoRule.RATE_SCALED,
-            c_coefficient=float(c),
-        )
 
 
 # Rows of a batch are solved in chunks of at most this many kinks, so the

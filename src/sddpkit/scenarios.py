@@ -30,7 +30,6 @@ __all__ = [
     "StageDatum",
     "TrajectorySet",
     "ForwardScenario",
-    "TrajectorySchema",
     "TrajectoryFormatError",
     "DimensionMismatchError",
     "UnstableProcessError",
@@ -47,7 +46,7 @@ class TrajectoryFormatError(ValueError):
 
 
 class DimensionMismatchError(ValueError):
-    """Raised when a datum's shape contradicts the declared schema; cites (t, i)."""
+    """Raised when a datum's shape contradicts the declared dimensions; cites (t, i)."""
 
 
 class UnstableProcessError(ValueError):
@@ -195,19 +194,6 @@ class ForwardScenario:
         object.__setattr__(self, "indices", tuple(int(i) for i in self.indices))
 
 
-@dataclass(frozen=True)
-class TrajectorySchema:
-    """Optional expected dimensions for ingestion cross-checks.
-
-    ``stage_dims[t - 1]`` is (d_t, m_t, d_prev) for stage t.
-    """
-
-    horizon_T: int
-    n_paths: int
-    feature_dim: int
-    stage_dims: tuple[tuple[int, int, int], ...]
-
-
 # ---------------------------------------------------------------------------
 # CSV serialization
 # ---------------------------------------------------------------------------
@@ -258,11 +244,8 @@ def _parse_floats(parts: Sequence[str], line_no: int) -> np.ndarray:
     return vals
 
 
-def load_trajectories(
-    source: str | Path | io.TextIOBase,
-    schema: TrajectorySchema | None = None,
-) -> TrajectorySet:
-    """Parse a trajectory CSV; optionally cross-check against an expected schema.
+def load_trajectories(source: str | Path | io.TextIOBase) -> TrajectorySet:
+    """Parse a trajectory CSV.
 
     Raises
     ------
@@ -270,8 +253,7 @@ def load_trajectories(
         On structural problems, citing the 1-based line number.
     DimensionMismatchError
         When a datum's width contradicts the declared stage dimensions,
-        citing the stage t and path i, or when ``schema`` disagrees with
-        the file header.
+        citing the stage t and path i.
     """
     own = isinstance(source, (str, Path))
     stream = open(source, "r", newline="") if own else source
@@ -305,13 +287,6 @@ def load_trajectories(
         if t_read != t:
             raise TrajectoryFormatError(f"line {line_no}: stage rows out of order")
         dims.append((d_t, m_t, d_prev))
-
-    if schema is not None:
-        declared = TrajectorySchema(T, N, p, tuple(dims))
-        if declared != schema:
-            raise DimensionMismatchError(
-                f"file header {declared} does not match expected schema {schema}"
-            )
 
     expected_rows = [(1, 0)] + [(t, i) for t in range(2, T + 1) for i in range(1, N + 1)]
     data_rows = rows[1 + T :]

@@ -10,7 +10,6 @@ from hypothesis import strategies as st
 from _blocks import block_value, cut_rows, stack_cut_rows, weighted_pools
 from _highs import highs_solve
 from sddpkit.approximations import (
-    PENALTY_SAFETY,
     CutLowerTerms,
     CutPool,
     CutRows,
@@ -19,6 +18,7 @@ from sddpkit.approximations import (
     aggregate_backward,
     cut_x_rows,
 )
+from sddpkit.driver import PENALTY_SAFETY, _envelope_penalty
 from sddpkit.lp import LpStatus, solve
 from sddpkit.robust import sanitize_nominal, worst_case
 from sddpkit.scenarios import DimensionMismatchError, StageDatum
@@ -33,9 +33,10 @@ def _lower(pool, t, j, x):
     return float(np.max(rows.offsets + rows.gradients @ np.asarray(x, dtype=float)))
 
 
-def _upper(store, t, j, x):
-    """The envelope's value at x: the stage LP's upper block with x pinned."""
-    return block_value(EnvelopeUpperTerms(*store.points(t, j), store.penalty(t)), x)
+def _upper(store, t, j, x, M):
+    """The envelope's value at x under penalty M: the stage LP's upper block
+    with x pinned."""
+    return block_value(EnvelopeUpperTerms(*store.points(t, j), M), x)
 
 
 def _root_cut(gradient, value, anchor):
@@ -156,28 +157,28 @@ def test_aggregate_length_mismatch():
 
 def test_single_point_envelope_pays_penalty():
     """One point (0, 2) with M = 10 gives 2 + 10*|1 - 0| = 12 at x = 1."""
-    store = EnvelopeStore(penalty_override=10.0)
+    store = EnvelopeStore()
     store.add(2, [0.0], [2.0])
-    assert _upper(store, 2, None, [1.0]) == pytest.approx(12.0, abs=1e-9)
+    assert _upper(store, 2, None, [1.0], 10.0) == pytest.approx(12.0, abs=1e-9)
 
 
 def test_two_point_envelope_interpolates():
     """Points (0,0) and (2,2) with huge M give the chord value 1 at x = 1."""
-    store = EnvelopeStore(penalty_override=1e6)
+    store = EnvelopeStore()
     store.add(2, [0.0], [0.0])
     store.add(2, [2.0], [2.0])
-    assert _upper(store, 2, None, [1.0]) == pytest.approx(1.0, abs=1e-9)
+    assert _upper(store, 2, None, [1.0], 1e6) == pytest.approx(1.0, abs=1e-9)
 
 
 def test_envelope_value_at_stored_anchor_never_exceeds_stored_value():
     rng = np.random.default_rng(5)
-    store = EnvelopeStore(penalty_override=50.0)
+    store = EnvelopeStore()
     pts = [(rng.normal(size=2), rng.uniform(0, 5, size=2)) for _ in range(6)]
     for a, v in pts:
         store.add(3, a, v)
     for a, v in pts:
         for j in (0, 1):
-            assert _upper(store, 3, j, a) <= v[j] + 1e-9
+            assert _upper(store, 3, j, a, 50.0) <= v[j] + 1e-9
 
 
 def test_envelope_rejects_non_finite_values():
@@ -190,12 +191,12 @@ def test_envelope_rejects_non_finite_values():
 
 def test_envelope_monotone_nonincreasing_as_points_arrive():
     rng = np.random.default_rng(6)
-    store = EnvelopeStore(penalty_override=20.0)
+    store = EnvelopeStore()
     grid = [rng.normal(size=1) for _ in range(7)]
     prev = [math.inf] * len(grid)
     for _ in range(5):
         store.add(2, rng.normal(size=1), [float(rng.uniform(0, 4))])
-        now = [_upper(store, 2, None, g) for g in grid]
+        now = [_upper(store, 2, None, g, 20.0) for g in grid]
         assert all(n <= p + 1e-9 for n, p in zip(now, prev))
         prev = now
 
@@ -218,7 +219,7 @@ def test_lower_value_monotone_nondecreasing_as_cuts_arrive():
 def test_midpoint_convexity_of_both_approximations():
     rng = np.random.default_rng(8)
     pool = CutPool()
-    store = EnvelopeStore(penalty_override=30.0)
+    store = EnvelopeStore()
     for _ in range(5):
         a = rng.normal(size=2)
         pool.add(2, _root_cut(rng.normal(size=2), float(rng.normal()), a))
@@ -228,20 +229,65 @@ def test_midpoint_convexity_of_both_approximations():
         mid = 0.5 * (xa + xb)
         lo = _lower(pool, 2, None, mid)
         assert lo <= 0.5 * (_lower(pool, 2, None, xa) + _lower(pool, 2, None, xb)) + 1e-8
-        hi = _upper(store, 2, None, mid)
-        assert hi <= 0.5 * (_upper(store, 2, None, xa) + _upper(store, 2, None, xb)) + 1e-8
+        hi = _upper(store, 2, None, mid, 30.0)
+        ends = _upper(store, 2, None, xa, 30.0) + _upper(store, 2, None, xb, 30.0)
+        assert hi <= 0.5 * ends + 1e-8
 
 
 def test_penalty_tracks_observed_gradients():
-    store = EnvelopeStore()
-    assert store.penalty(2) == 0.0
-    store.note_gradient(2, np.array([[0.5, -3.0], [1.0, 2.0]]))
-    assert store.penalty(2) == pytest.approx(30.0)
-    store.note_gradient(2, np.array([[1.0, 1.0]]))
-    assert store.penalty(2) == pytest.approx(30.0)
-    fixed = EnvelopeStore(penalty_override=7.0)
-    fixed.note_gradient(2, np.array([[100.0]]))
-    assert fixed.penalty(2) == 7.0
+    pool = CutPool()
+    assert _envelope_penalty(pool, 3, None) == 0.0
+    pool.add(3, CutRows(np.array([[0.5, -3.0], [1.0, 2.0]]), np.zeros(2)))
+    assert _envelope_penalty(pool, 3, None) == pytest.approx(30.0)
+    pool.add(3, CutRows(np.array([[1.0, 1.0], [1.0, 1.0]]), np.zeros(2)))
+    assert _envelope_penalty(pool, 3, None) == pytest.approx(30.0)
+    fixed = CutPool()
+    fixed.add(2, CutRows(np.array([[100.0]]), np.zeros(1)))
+    assert _envelope_penalty(fixed, 2, 7.0) == 7.0
+
+
+def _tracked_penalties(adds, override):
+    """The running tracker the envelope store kept before M was derived from
+    the pools: per add, the max of the previous max and the add's largest
+    |gradient entry|, times ``PENALTY_SAFETY``; ``override`` wins."""
+    grad_max: dict[int, float] = {}
+    out = []
+    for t, gradients in adds:
+        norm = float(np.max(np.abs(np.asarray(gradients, dtype=float))))
+        grad_max[t] = max(grad_max.get(t, 0.0), norm)
+        if override is not None:
+            out.append({s: float(override) for s in (2, 3, 4, 5)})
+        else:
+            out.append({s: PENALTY_SAFETY * grad_max.get(s, 0.0) for s in (2, 3, 4, 5)})
+    return out
+
+
+@pytest.mark.parametrize("seed", range(12))
+def test_derived_penalty_matches_the_running_tracker_bit_for_bit(seed):
+    """Pools never drop a cut, so the largest stored |gradient entry| is the
+    running max of the per-add maxima: the derived M equals the tracker's
+    to the bit after every add, for every stage, with all-zero gradients,
+    a stage of only negative gradients and stages without cuts; an
+    override always wins."""
+    rng = np.random.default_rng(seed)
+    d = int(rng.integers(1, 4))
+    nodes = {2: 1, 3: int(rng.integers(1, 5)), 4: int(rng.integers(1, 5))}
+    adds = []
+    for _ in range(int(rng.integers(1, 15))):
+        t = int(rng.choice([2, 3, 4]))
+        scale = 10.0 ** rng.uniform(-8, 8)
+        g = rng.normal(size=(nodes[t], d)) * scale
+        if t == 4:
+            g = -np.abs(g) - np.finfo(float).tiny
+        elif rng.random() < 0.3:
+            g = np.zeros_like(g) * rng.choice([1.0, -1.0])
+        adds.append((t, g))
+    for override in (None, float(rng.uniform(0.0, 50.0)), 0.0):
+        pool = CutPool()
+        for (t, g), expected in zip(adds, _tracked_penalties(adds, override)):
+            pool.add(t, CutRows(g, rng.normal(size=g.shape[0])))
+            for s, m in expected.items():
+                assert _envelope_penalty(pool, s, override).hex() == m.hex()
 
 
 def _one_var_stage():
@@ -292,7 +338,6 @@ def test_one_backward_pass_closes_gap_at_anchor():
     cuts, point_values = aggregate_backward(anchor, pi, [[1.0]], v_bar, [[1.0]], v_bar)
     pool, store = CutPool(), EnvelopeStore()
     pool.add(3, cuts)
-    store.note_gradient(3, cuts.gradients)
     store.add(3, anchor, point_values)
 
     # Current stage forces x = anchor and has zero immediate cost.
@@ -303,7 +348,7 @@ def test_one_backward_pass_closes_gap_at_anchor():
         assemble_stage_lp(
             cur,
             [0.0],
-            extra_terms=EnvelopeUpperTerms(anchors, values, store.penalty(3)),
+            extra_terms=EnvelopeUpperTerms(anchors, values, _envelope_penalty(pool, 3, None)),
         )
     )
     assert lo.objective_value == pytest.approx(v_bar[0], abs=1e-9)
@@ -491,7 +536,6 @@ def test_stage_slice_matches_the_per_node_formula(seed, n, d, root, kind, scale)
     )
     pool, store = CutPool(), EnvelopeStore()
     pool.add(t, cuts)
-    store.note_gradient(t, cuts.gradients)
     store.add(t, anchor, point_values)
     expected = _per_node_reference(anchor, duals, w_lower, lower_values, w_upper, upper_values)
     tiny = np.finfo(float).tiny
@@ -506,4 +550,4 @@ def test_stage_slice_matches_the_per_node_formula(seed, n, d, root, kind, scale)
         assert abs(node_cuts.offsets[0] - offset) <= 1e-12 * o_scale + tiny
         assert abs(values[0] - value) <= 1e-12 * (np.abs(upper_values) @ wu) + tiny
         assert anchors.tolist() == [anchor.tolist()]
-    assert store.penalty(t) == PENALTY_SAFETY * np.max(np.abs(cuts.gradients))
+    assert _envelope_penalty(pool, t, None) == PENALTY_SAFETY * np.max(np.abs(cuts.gradients))

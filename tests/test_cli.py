@@ -219,6 +219,36 @@ def test_unknown_config_key_exits_one(tmp_path, capsys):
 
 
 @pytest.mark.parametrize(
+    "command, section, message",
+    [
+        ("solve", {"kernel": {"bandwith_h": 0.5}}, "kernel.bandwith_h"),
+        ("solve", {"ambiguity": {"rho": 0.1, "radius": 0.2}}, "ambiguity.radius"),
+        ("solve", {"crossval": {"n_fold": 2}}, "crossval.n_fold"),
+        ("synth", {"synth": {"kind": "portfolio", "horizon": 3}}, "synth.horizon"),
+        (
+            "solve",
+            {"algorithm": "rdd", "ambiguity": {"rho": 0.1, "rule": "rate-scaled"}},
+            "ambiguity.rule must be \"rate_scaled\", got 'rate-scaled'",
+        ),
+        ("solve", {"ambiguity": {"rho": 0.1, "rule": "manual"}}, "ambiguity.rule"),
+    ],
+)
+def test_misspelled_nested_config_key_exits_one_before_writing(
+    tmp_path, capsys, command, section, message
+):
+    """A key no section reads, or a radius rule other than rate_scaled, is
+    named in the error, and nothing is written."""
+    cfg = _write_config(tmp_path, **section)
+    out = tmp_path / "out"
+    args = ["--config", cfg, "--out", str(out)]
+    if command == "solve":
+        args += ["--data", _write_data(tmp_path)]
+    assert main([command, *args]) == 1
+    assert message in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
     "flags, ambiguity, expected",
     [
         (["--rho", "0.25"], None, {"rho": 0.25, "rule": "Manual", "c_coefficient": 1.0}),
@@ -269,11 +299,18 @@ def test_replayed_rdd_solve_reports_are_byte_identical(tmp_path):
             [],
             "c_coefficient must be finite",
         ),
+        ({"kernel": {"bandwidth_h": math.inf}}, [], "bandwidth_h must be positive and finite"),
+        (
+            {"kernel": {"bandwidth_rule": "auto_rate", "c_h": math.inf}},
+            [],
+            "c_h must be positive and finite",
+        ),
     ],
 )
 def test_non_finite_settings_exit_one_before_writing(tmp_path, capsys, overrides, flags, message):
-    """A NaN kernel constant or a NaN or infinite radius is refused with its
-    message before training starts, so no output directory appears."""
+    """A NaN kernel constant, an infinite bandwidth or a NaN or infinite
+    radius is refused with its message before training starts, so no
+    output directory appears."""
     cfg = _write_config(tmp_path, **overrides)
     data = _write_data(tmp_path)
     out = tmp_path / "out"

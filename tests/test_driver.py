@@ -23,7 +23,14 @@ from sddpkit.driver import (
 )
 from sddpkit.kernel import KernelConfig, nw_weights
 from sddpkit.lp import Basis, LinearProgram, LpScaleError, LpStatus, solve
-from sddpkit.robust import AmbiguityParams, inner_max_primal, sanitize_nominal, worst_case
+from sddpkit.robust import (
+    AmbiguityParams,
+    RhoRule,
+    inner_max_primal,
+    rate_scaled_rho,
+    sanitize_nominal,
+    worst_case,
+)
 from sddpkit.scenarios import (
     DimensionMismatchError,
     StageDatum,
@@ -119,6 +126,38 @@ def test_rdd_lower_bound_dominates_dd_at_convergence():
         _, rdd, _ = run(traj, template, _config(algorithm=Algorithm.RDD, rho=0.3))
         assert dd[-1].gap <= 1e-8 and rdd[-1].gap <= 1e-8
         assert rdd[-1].lower_bound >= dd[-1].lower_bound - 1e-8
+
+
+def test_rate_scaled_rule_trains_as_its_radius_given_by_hand():
+    """A run under the RateScaled rule derives rho = C / sqrt(N h^p) from its
+    coefficient, and trains bit for bit like a run given that rho by hand,
+    as ``cross_validate_rho`` gives each fold's radius."""
+    traj, template = make_toy(3, horizon_T=3, n_paths=4)
+    h = _KERNEL.effective_h(traj.n_paths, traj.feature_dim)
+    rho = rate_scaled_rho(2.0, traj.n_paths, h, traj.feature_dim)
+    rule = AmbiguityParams(rho=0.0, rho_rule=RhoRule.RATE_SCALED, c_coefficient=2.0)
+    scaled, by_rule, _ = run(traj, template, _config(Algorithm.RDD, rho=0.0, ambiguity=rule))
+    manual, by_hand, _ = run(traj, template, _config(Algorithm.RDD, rho=rho))
+    assert scaled.rho == manual.rho == rho > 0.0
+    assert [(r.lower_bound, r.upper_bound) for r in by_rule] == [
+        (r.lower_bound, r.upper_bound) for r in by_hand
+    ]
+
+
+def test_m_override_is_every_envelope_penalty(monkeypatch):
+    """With ``M_override`` set, every envelope block of training, at the
+    root and in the backward pass, charges exactly that penalty."""
+    seen = []
+    block = sddpkit.driver.EnvelopeUpperTerms
+
+    def spy(anchors, values, penalty_m):
+        seen.append(penalty_m)
+        return block(anchors, values, penalty_m)
+
+    monkeypatch.setattr(sddpkit.driver, "EnvelopeUpperTerms", spy)
+    traj, template = make_toy(3, horizon_T=3, n_paths=3)
+    run(traj, template, _config(max_iterations=3, M_override=3.5))
+    assert seen and all(m == 3.5 for m in seen)
 
 
 def _check_rdd_training_against_the_lp_inner_max(monkeypatch, traj, template, config):

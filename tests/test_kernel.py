@@ -1,5 +1,7 @@
 """Tests for Nadaraya-Watson weights, bandwidth scaling, and degenerate cases."""
 
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -129,6 +131,19 @@ def test_far_anchor_underflow_is_contained():
     w = nw_weights([0.0], anchors, KernelConfig(bandwidth_h=1e-3)).weights
     assert np.all(np.isfinite(w))
     np.testing.assert_allclose(w, [1.0, 0.0], atol=1e-300)
+
+
+@pytest.mark.parametrize("bad", [math.inf, 0.0, -1.0, math.nan])
+def test_bandwidth_and_its_constant_must_be_positive_and_finite(bad):
+    """An infinite bandwidth makes every kernel weight exactly uniform, and
+    a rate-scaled radius divided by it 0, so RDD would run as unconditioned
+    DD: each check refuses it, as it refuses 0, negatives and NaN."""
+    with pytest.raises(ValueError, match="bandwidth_h must be positive and finite"):
+        KernelConfig(bandwidth_h=bad)
+    with pytest.raises(ValueError, match="c_h must be positive and finite"):
+        KernelConfig(bandwidth_rule=BandwidthRule.AUTO_RATE, c_h=bad)
+    with pytest.raises(ValueError, match="c_h must be positive and finite"):
+        auto_bandwidth(3, 1, bad)
 
 
 def test_nan_fails_every_check():

@@ -582,9 +582,6 @@ def test_vr_sandwich_random_draws_never_violate():
 
 def test_rate_scaled_radius():
     assert rate_scaled_rho(2.0, 4, 0.5, 2) == pytest.approx(2.0)
-    params = AmbiguityParams.rate_scaled(2.0, 4, 0.5, 2)
-    assert params.rho == pytest.approx(2.0)
-    assert params.rho_rule is RhoRule.RATE_SCALED
     with pytest.raises(ValueError):
         AmbiguityParams(rho=-0.1)
 
@@ -598,7 +595,7 @@ def test_radius_and_coefficient_must_be_finite_and_nonnegative(bad):
     with pytest.raises(ValueError, match="c_coefficient"):
         AmbiguityParams(rho=0.1, rho_rule=RhoRule.RATE_SCALED, c_coefficient=bad)
     with pytest.raises(ValueError, match="coefficient"):
-        AmbiguityParams.rate_scaled(bad, 4, 0.5, 2)
+        rate_scaled_rho(bad, 4, 0.5, 2)
     with pytest.raises(ValueError, match="rho"):
         inner_max_primal(np.array([0.0, 1.0]), np.array([0.5, 0.5]), bad)
     with pytest.raises(ValueError, match="rho"):

@@ -10,7 +10,6 @@ from sddpkit.scenarios import (
     StageDatum,
     SyntheticSpec,
     TrajectoryFormatError,
-    TrajectorySchema,
     TrajectorySet,
     UnstableProcessError,
     generate_synthetic_markov,
@@ -94,17 +93,6 @@ def test_non_numeric_cell_cites_line():
     text = buf.getvalue().replace(repr(float(ts.stage1.b[0])), "abc", 1)
     with pytest.raises(TrajectoryFormatError, match=r"line \d+"):
         load_trajectories(io.StringIO(text))
-
-
-def test_schema_cross_check():
-    ts = _random_trajectories(seed=4, T=3, N=2, p=2)
-    buf = io.StringIO()
-    save_trajectories(ts, buf)
-    wrong = TrajectorySchema(
-        horizon_T=3, n_paths=5, feature_dim=2, stage_dims=((1, 1, 1),) * 3
-    )
-    with pytest.raises(DimensionMismatchError):
-        load_trajectories(io.StringIO(buf.getvalue()), schema=wrong)
 
 
 def test_stage_count_validation():
