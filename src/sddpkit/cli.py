@@ -24,8 +24,9 @@ Configuration is one JSON file.  Keys for the solve family::
                             "xi1": [..], "box_lower": [..], "box_upper": [..]}}
     }
 
-Unknown keys, also inside ``kernel``, ``ambiguity``, ``crossval`` and
-``synth``, are errors, as is an ``ambiguity.rule`` other than "rate_scaled".
+Unknown keys, also inside ``kernel``, ``ambiguity``, ``crossval``,
+``synth`` and ``synth.process``, are errors, as are a missing
+``synth.process`` key and an ``ambiguity.rule`` other than "rate_scaled".
 
 Command-line flags (--seed, --algorithm, --rho, --epsilon, --max-iters)
 override the corresponding config keys.
@@ -105,6 +106,7 @@ _SECTION_KEYS = {
     "ambiguity": {"rho", "rule", "c_coefficient"},
     "crossval": {"c_grid", "n_folds"},
     "synth": {"kind", "K", "horizon_T", "n_paths", "seed", "r_f", "fees", "process"},
+    "synth.process": {"mu", "phi", "noise_cov", "xi1", "box_lower", "box_upper"},
 }
 
 
@@ -120,8 +122,11 @@ def _load_config(path: str) -> dict:
         raise CliError(f"config file {path} must hold a JSON object")
     unknown = sorted(set(cfg) - _TOP_KEYS)
     for section, keys in _SECTION_KEYS.items():
-        if isinstance(cfg.get(section), dict):
-            unknown += sorted(f"{section}.{key}" for key in set(cfg[section]) - keys)
+        node = cfg
+        for part in section.split("."):
+            node = node.get(part) if isinstance(node, dict) else None
+        if isinstance(node, dict):
+            unknown += sorted(f"{section}.{key}" for key in set(node) - keys)
     if unknown:
         raise CliError(f"unknown config key(s): {', '.join(unknown)}")
     rule = (cfg.get("ambiguity") or {}).get("rule", "rate_scaled")
@@ -411,13 +416,11 @@ def cmd_synth(args: argparse.Namespace) -> int:
     proc = synth.get("process")
     if not isinstance(proc, dict):
         raise CliError("synth needs a \"process\" object (mu, phi, noise_cov, xi1, box)")
+    missing = [f"synth.process.{key}" for key in sorted(_SECTION_KEYS["synth.process"] - set(proc))]
+    if missing:
+        raise CliError(f"missing config key(s): {', '.join(missing)}")
     spec = SyntheticSpec(
-        mu=np.asarray(proc["mu"], dtype=float),
-        phi=np.asarray(proc["phi"], dtype=float),
-        noise_cov=np.asarray(proc["noise_cov"], dtype=float),
-        xi1=np.asarray(proc["xi1"], dtype=float),
-        box_lower=np.asarray(proc["box_lower"], dtype=float),
-        box_upper=np.asarray(proc["box_upper"], dtype=float),
+        **{key: np.asarray(proc[key], dtype=float) for key in _SECTION_KEYS["synth.process"]},
         datum_builder=template.datum_builder,
     )
     traj = generate_synthetic_markov(spec, horizon_T, n_paths, rng_seed=seed)

@@ -41,10 +41,10 @@ one of its last backward pass, or it has none, each realization after
 the first starts both bounds' LPs from the bases the realization before
 it just ended at ("bunching": Wets, "Large scale linear programming
 techniques in stochastic programming", 1988), not from its own, which
-was solved at another anchor: its holders become copies of the whole
-holders of the realization before, so a kept basis inverse travels with
-its basis.  When the anchor repeats, every family starts from its own
-basis.
+was solved at another anchor: its holders become shallow copies of the
+holders of the realization before, sharing their arrays, so a kept basis
+inverse travels with its basis.  When the anchor repeats, every family
+starts from its own basis.
 
 The rollout keeps one basis per stage for a whole
 ``evaluate_policy_out_of_sample`` call: every stage LP, nominal or robust,
@@ -293,8 +293,8 @@ class _Runner:
         self.best_upper = math.inf
         # Last optimal basis per LP family: ("lower" or "upper", t, i).  When
         # stage t's backward anchor moves, realization i's two holders are
-        # first replaced by copies of realization i-1's, which its LPs just
-        # ended at.
+        # first replaced by shallow copies of realization i-1's, which its
+        # LPs just ended at.
         self.bases: defaultdict[tuple[str, int, int | None], Basis] = defaultdict(Basis)
 
     # -- helpers ------------------------------------------------------------
@@ -372,7 +372,7 @@ class _Runner:
             for i, datum in enumerate(self.traj.stage_data(t)):
                 if moved and i > 0:
                     for bound in bounds:
-                        self.bases[bound, t, i] = self.bases[bound, t, i - 1].copy()
+                        self.bases[bound, t, i] = replace(self.bases[bound, t, i - 1])
                 sol = self._solve_checked(
                     assemble_stage_lp(datum, anchor, extra_terms=self._lower_terms(t, i)),
                     "lower",

@@ -26,14 +26,14 @@ pivot caps are module constants; nothing selects them per call.
 A caller that re-solves a family of related LPs (the same rows and columns
 with a new right-hand side, appended rows or columns, or new costs) can
 pass a :class:`Basis` holder.  ``solve`` then starts from the basis the
-holder keeps: the last optimal basis of its own family, or one the
-caller copied in from a sibling LP with the same row and column layout
-(another realization's LP at the same stage, say).  It starts with the
-dual simplex when that basis is still dual feasible, with phase two when
-it is still primal feasible.  A basis that is neither gets shifted
-costs: each column whose reduced cost would let it enter has it taken
-off its cost, the dual simplex runs on those costs until the basis is
-primal feasible, and phase two finishes on the true costs.
+holder keeps: the last optimal basis of its own family, or that of a
+sibling LP with the same row and column layout (another realization's LP
+at the same stage, say), passed as a shallow copy of its holder.  It
+starts with the dual simplex when that basis is still dual feasible, with
+phase two when it is still primal feasible.  A basis that is neither gets
+shifted costs: each column whose reduced cost would let it enter has it
+taken off its cost, the dual simplex runs on those costs until the basis
+is primal feasible, and phase two finishes on the true costs.
 The warm path falls back to the cold two-phase path only when the start
 does not fit the LP, when its basis is singular, when a run raises or
 reaches the warm pivot cap, when it ends in anything but Optimal, or when
@@ -45,12 +45,13 @@ function of the input data and the start basis.
 A holder carries, next to the basis, the basis matrix B of the solve
 that ended there and its inverse, whenever that inverse is exactly
 ``np.linalg.inv(B)``.  A start whose basis matrix equals the carried B
-bit for bit takes a copy of the carried inverse instead of
+bit for bit starts from the carried inverse itself instead of
 inverting again: LPs that keep their matrix between solves (the last
 stage's, and envelope LPs, which only gain columns) often end where they
 started.  The inverse is reused only for a bitwise-equal B, so a solve's
-outputs are those of a start from the same basis alone.  ``solve``
-replaces a holder's arrays and never writes into them.
+outputs are those of a start from the same basis alone.  Neither
+``solve`` nor the simplex writes into a holder's arrays, so holders may
+share them: a shallow copy of a sibling's holder is a valid start.
 
 A small-scale vertex enumerator, :func:`enumerate_vertices`, is provided
 as an independent cross-check: it enumerates basic feasible solutions of
@@ -216,22 +217,17 @@ class Basis:
     ``B`` and ``Binv`` are the basis matrix of the solve that ended at
     ``cols`` and its inverse, kept only when that inverse is
     exactly ``np.linalg.inv(B)``: freshly inverted, or an earlier kept
-    copy, never a product-form update; otherwise both are None.  A start
-    whose basis matrix equals ``B`` bit for bit begins from a copy of
-    ``Binv`` instead of inverting, so its outputs are those of a start
-    from ``cols`` alone.  A caller may start from a sibling holder's basis,
-    that of an LP with the same layout, by taking its :meth:`copy`;
-    :func:`solve` only ever replaces a holder's arrays, never writes into
-    them.
+    one, never a product-form update; otherwise both are None.  A start
+    whose basis matrix equals ``B`` bit for bit begins from ``Binv``
+    instead of inverting, so its outputs are those of a start from
+    ``cols`` alone.  Holders may share arrays, since :func:`solve` only
+    replaces them: a shallow copy (``dataclasses.replace``) of a sibling
+    holder, that of an LP with the same layout, is a valid start.
     """
 
     cols: np.ndarray | None = None
     B: np.ndarray | None = None
     Binv: np.ndarray | None = None
-
-    def copy(self) -> Basis:
-        """A holder with copies of this one's arrays."""
-        return Basis(*(None if a is None else a.copy() for a in (self.cols, self.B, self.Binv)))
 
 
 # ---------------------------------------------------------------------------
@@ -462,11 +458,6 @@ class _Simplex:
 
     def run(self) -> tuple[LpStatus, np.ndarray | None, np.ndarray | None]:
         """Solve; returns (status, x, duals), the last two None unless Optimal."""
-        if self.m == 0:
-            if self._either_way(self.c_true, _OPT_TOL).any():
-                return LpStatus.UNBOUNDED, None, None
-            return LpStatus.OPTIMAL, np.zeros(self.n), np.zeros(0)
-
         n_art = self.A.shape[1] - self.n
         allowed = np.ones(self.A.shape[1], dtype=bool)
         if n_art:
@@ -548,12 +539,12 @@ def _warm_basis(lp: LinearProgram, cols: np.ndarray) -> np.ndarray | None:
 
 
 def _carried_inverse(held: Basis | None, B: np.ndarray) -> np.ndarray | None:
-    """A copy of the inverse ``held`` kept, if it kept one of B bit for bit."""
+    """The inverse ``held`` kept, if it kept one of B bit for bit."""
     if held is None or held.B is None or held.B.shape != B.shape:
         return None
     if held.B.tobytes() != B.tobytes():
         return None
-    return held.Binv.copy()
+    return held.Binv
 
 
 def _warm_solve(lp: LinearProgram, start: Basis) -> _Simplex | None:

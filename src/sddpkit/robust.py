@@ -76,9 +76,9 @@ import numpy as np
 
 from .approximations import CutRows, cut_x_rows
 from .kernel import ConditionalWeights
-from .lp import LinearProgram, LpStatus, solve
-from .scenarios import DimensionMismatchError
-from .stages import ExtraTerms, LpBlock
+from .lp import LpStatus, solve
+from .scenarios import DimensionMismatchError, StageDatum
+from .stages import ExtraTerms, LpBlock, assemble_stage_lp
 
 __all__ = [
     "RhoRule",
@@ -260,6 +260,10 @@ def worst_case(
     return (worst * zv).sum(axis=1), worst
 
 
+# The stage that ``inner_max_primal`` appends its block to: no decisions, no rows.
+_NO_STAGE = StageDatum(np.zeros(0), np.zeros((0, 0)), np.zeros((0, 0)), np.zeros(0), np.zeros(0))
+
+
 def inner_max_primal(
     z: np.ndarray, nominal: np.ndarray, rho: float
 ) -> tuple[float, np.ndarray]:
@@ -286,12 +290,7 @@ def inner_max_primal(
     top = float(zv.max())
     spread = top - float(zv.min()) or 1.0
     terms = DroLowerTerms(w_hat, rho, np.arange(n), CutRows(np.zeros((n, 0)), (zv - top) / spread))
-    n_rows, n_cols = terms.shape(0)
-    block = LpBlock(
-        np.zeros(n_cols), np.zeros((n_rows, n_cols)), np.zeros(n_rows), np.zeros(n_cols, bool)
-    )
-    terms.write(0, block)
-    sol = solve(LinearProgram(block.cost, block.rows, block.rhs, block.free))
+    sol = solve(assemble_stage_lp(_NO_STAGE, np.zeros(0), terms))
     if sol.status is not LpStatus.OPTIMAL:
         raise RuntimeError(f"inner maximization came back {sol.status.value}")
     # One cut row per scenario: scenario i's sits at row 2i + 1.

@@ -298,7 +298,8 @@ def load_trajectories(source: str | Path | io.TextIOBase) -> TrajectorySet:
 
     def parse_datum(line_no: int, row: list[str], t: int, i: int) -> StageDatum:
         d_t, m_t, d_prev = dims[t - 1]
-        want = d_t + m_t * d_t + m_t * d_prev + m_t + p
+        sizes = (d_t, m_t * d_t, m_t * d_prev, m_t, p)
+        want = sum(sizes)
         if row[0] != "datum" or len(row) < 3:
             raise TrajectoryFormatError(f"line {line_no}: expected a 'datum' row")
         try:
@@ -316,17 +317,9 @@ def load_trajectories(source: str | Path | io.TextIOBase) -> TrajectorySet:
                 f"stage t={t}, path i={i}: expected {want} values, got {vals.size} "
                 f"(line {line_no})"
             )
-        off = 0
-        c = vals[off : off + d_t]
-        off += d_t
-        A = vals[off : off + m_t * d_t].reshape(m_t, d_t)
-        off += m_t * d_t
-        B = vals[off : off + m_t * d_prev].reshape(m_t, d_prev)
-        off += m_t * d_prev
-        b = vals[off : off + m_t]
-        off += m_t
-        feature = vals[off:]
-        return StageDatum(c=c, A=A, B=B, b=b, feature=feature)
+        # The order _datum_values writes: c, A, B, b, feature.
+        c, A, B, b, feature = np.split(vals, np.cumsum(sizes[:-1]))
+        return StageDatum(c, A.reshape(m_t, d_t), B.reshape(m_t, d_prev), b, feature)
 
     (ln, row), (t, i) = data_rows[0], expected_rows[0]
     stage1 = parse_datum(ln, row, t, i)

@@ -194,7 +194,10 @@ def build_portfolio_instance(
     utility of total wealth via epigraph rows.
 
     The covariate is the K-vector of gross asset returns; r_f is a
-    template constant, not part of the covariate.
+    template constant, not part of the covariate.  The returns enter a
+    stage only through B, so A, b and c are built once per template and
+    every datum shares them; those shared blocks are read-only, and each
+    datum gets its own B.
     """
     if K < 1:
         raise ValueError("K must be at least 1")
@@ -209,58 +212,39 @@ def build_portfolio_instance(
     S = slopes.shape[0]
     n_state = K + 1
     d_trade = n_state + 2 * K
+    assets = np.arange(K)
 
-    def trading_datum(t: int, returns: np.ndarray, d_prev: int) -> StageDatum:
-        A = np.zeros((n_state, d_trade))
-        B = np.zeros((n_state, d_prev))
-        for i in range(K):
-            A[i, i] = 1.0
-            A[i, n_state + i] = -1.0  # buy
-            A[i, n_state + K + i] = 1.0  # sell
-        A[K, K] = 1.0
-        A[K, n_state : n_state + K] = 1.0 + f_b
-        A[K, n_state + K :] = -(1.0 - f_s)
-        if t == 1:
-            B[K, 0] = -1.0  # initial wealth arrives as cash
-        else:
-            for i in range(K):
-                B[i, i] = -float(returns[i])
-            B[K, K] = -r_f
-        return StageDatum(
-            c=np.zeros(d_trade),
-            A=A,
-            B=B,
-            b=np.zeros(n_state),
-            feature=np.asarray(returns, dtype=float).copy(),
-        )
+    A_trade = np.zeros((n_state, d_trade))
+    A_trade[:, :n_state] = np.eye(n_state)
+    A_trade[assets, n_state + assets] = -1.0  # buy
+    A_trade[assets, n_state + K + assets] = 1.0  # sell
+    A_trade[K, n_state : n_state + K] = 1.0 + f_b
+    A_trade[K, n_state + K :] = -(1.0 - f_s)
+    # Terminal stage: positions, then the epigraph value split as
+    # v_pos - v_neg (utility values are nonnegative so the epigraph
+    # variable itself is not), then one surplus column per utility segment.
+    v_pos, v_neg = n_state, n_state + 1
+    segments = n_state + np.arange(S)
+    A_T = np.zeros((n_state + S, n_state + 2 + S))
+    A_T[:n_state, :n_state] = np.eye(n_state)
+    A_T[n_state:, :n_state] = slopes[:, None]
+    A_T[n_state:, v_pos] = 1.0
+    A_T[n_state:, v_neg] = -1.0
+    A_T[segments, 2 + segments] = -1.0
+    b_T = np.zeros(n_state + S)
+    b_T[n_state:] = -intercepts
+    c_T = np.zeros(n_state + 2 + S)
+    c_T[v_pos], c_T[v_neg] = 1.0, -1.0
+    c_trade, b_trade = np.zeros(d_trade), np.zeros(n_state)
+    for block in (A_trade, c_trade, b_trade, A_T, b_T, c_T):
+        block.flags.writeable = False
 
-    def terminal_datum(returns: np.ndarray, d_prev: int) -> StageDatum:
-        # Positions, then the epigraph value split as v_pos - v_neg (utility
-        # values are nonnegative so the epigraph variable itself is not),
-        # then one surplus column per utility segment.
-        d_T = n_state + 2 + S
-        m_T = n_state + S
-        A = np.zeros((m_T, d_T))
-        B = np.zeros((m_T, d_prev))
-        b = np.zeros(m_T)
-        c = np.zeros(d_T)
-        v_pos, v_neg = n_state, n_state + 1
-        c[v_pos], c[v_neg] = 1.0, -1.0
-        for i in range(K):
-            A[i, i] = 1.0
-            B[i, i] = -float(returns[i])
-        A[K, K] = 1.0
+    def coupling(returns: np.ndarray, n_rows: int) -> np.ndarray:
+        """B of a stage after the first: -xi_i on asset row i, -r_f on the cash row."""
+        B = np.zeros((n_rows, d_trade))
+        B[assets, assets] = -returns
         B[K, K] = -r_f
-        for s in range(S):
-            r = n_state + s
-            A[r, v_pos] = 1.0
-            A[r, v_neg] = -1.0
-            A[r, :n_state] = slopes[s]
-            A[r, n_state + 2 + s] = -1.0
-            b[r] = -intercepts[s]
-        return StageDatum(
-            c=c, A=A, B=B, b=b, feature=np.asarray(returns, dtype=float).copy()
-        )
+        return B
 
     def datum_builder(t: int, feature: np.ndarray) -> StageDatum:
         returns = np.asarray(feature, dtype=float).reshape(-1)
@@ -269,10 +253,12 @@ def build_portfolio_instance(
                 f"stage t={t}: covariate has {returns.shape[0]} entries, expected K={K}"
             )
         if t == 1:
-            return trading_datum(1, np.ones(K), 1)
+            B = np.zeros((n_state, 1))
+            B[K, 0] = -1.0  # initial wealth arrives as cash
+            return StageDatum(c_trade, A_trade, B, b_trade, np.ones(K))
         if t < T:
-            return trading_datum(t, returns, d_trade)
-        return terminal_datum(returns, d_trade)
+            return StageDatum(c_trade, A_trade, coupling(returns, n_state), b_trade, returns.copy())
+        return StageDatum(c_T, A_T, coupling(returns, n_state + S), b_T, returns.copy())
 
     return InstanceTemplate(
         horizon_T=T,

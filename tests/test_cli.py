@@ -28,6 +28,16 @@ _BOUND_PARAMS = {
 }
 
 
+_PROCESS = {
+    "mu": [0.55, 0.55],
+    "phi": [[0.45, 0.0], [0.0, 0.45]],
+    "noise_cov": [[0.0004, 0.0], [0.0, 0.0004]],
+    "xi1": [1.0, 1.0],
+    "box_lower": [0.7, 0.7],
+    "box_upper": [1.4, 1.4],
+}
+
+
 def _write_config(tmp_path, name="config.json", **overrides):
     cfg = {
         "algorithm": "dd",
@@ -188,14 +198,7 @@ def test_synth_portfolio_writes_loadable_trajectories(tmp_path):
                     "n_paths": 4,
                     "seed": 5,
                     "r_f": 1.01,
-                    "process": {
-                        "mu": [0.55, 0.55],
-                        "phi": [[0.45, 0.0], [0.0, 0.45]],
-                        "noise_cov": [[0.0004, 0.0], [0.0, 0.0004]],
-                        "xi1": [1.0, 1.0],
-                        "box_lower": [0.7, 0.7],
-                        "box_upper": [1.4, 1.4],
-                    },
+                    "process": _PROCESS,
                 }
             }
         )
@@ -231,6 +234,11 @@ def test_unknown_config_key_exits_one(tmp_path, capsys):
             "ambiguity.rule must be \"rate_scaled\", got 'rate-scaled'",
         ),
         ("solve", {"ambiguity": {"rho": 0.1, "rule": "manual"}}, "ambiguity.rule"),
+        (
+            "synth",
+            {"synth": {"K": 2, "process": {**_PROCESS, "box_uper": [1.4, 1.4]}}},
+            "synth.process.box_uper",
+        ),
     ],
 )
 def test_misspelled_nested_config_key_exits_one_before_writing(
@@ -246,6 +254,16 @@ def test_misspelled_nested_config_key_exits_one_before_writing(
     assert main([command, *args]) == 1
     assert message in capsys.readouterr().err
     assert not out.exists()
+
+
+def test_synth_missing_process_key_exits_one_and_names_it(tmp_path, capsys):
+    process = {key: value for key, value in _PROCESS.items() if key != "box_upper"}
+    cfg = _write_config(tmp_path, synth={"K": 2, "horizon_T": 3, "process": process})
+    target = tmp_path / "traj.csv"
+    assert main(["synth", "--config", cfg, "--out", str(target)]) == 1
+    err = capsys.readouterr().err
+    assert "synth.process.box_upper" in err and "KeyError" not in err
+    assert not target.exists()
 
 
 @pytest.mark.parametrize(

@@ -1,6 +1,7 @@
 """Tests for the dense LP core: solve(), duals, and the vertex-enumeration oracle."""
 
 import json
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -100,6 +101,32 @@ def test_enumerate_scale_cap():
 def test_unbounded_without_rows():
     lp = LinearProgram(objective=[-1.0], eq_matrix=np.zeros((0, 1)), eq_rhs=[])
     assert solve(lp).status is LpStatus.UNBOUNDED
+
+
+@pytest.mark.parametrize(
+    "cost, free, status",
+    [
+        ([1.0, 0.0], [False, False], LpStatus.OPTIMAL),
+        ([2.0, -1.0], [False, False], LpStatus.UNBOUNDED),
+        ([0.0, 0.0], [True, True], LpStatus.OPTIMAL),
+        ([0.0, 3.0], [False, True], LpStatus.UNBOUNDED),
+        ([-2.0, 0.0], [True, False], LpStatus.UNBOUNDED),
+        ([-1e-12, 1e-12], [False, True], LpStatus.OPTIMAL),
+    ],
+    ids=["positive", "negative", "zero-free", "positive-free", "negative-free", "tiny"],
+)
+@pytest.mark.parametrize("warm", [False, True], ids=["cold", "holder"])
+def test_an_lp_without_rows_is_decided_by_its_costs(cost, free, status, warm):
+    """With no rows a column can enter exactly when its cost is below the
+    optimality tolerance, or above it on a free column; the LP is then
+    Unbounded, and otherwise optimal at x = 0 with no duals."""
+    lp = LinearProgram(objective=cost, eq_matrix=np.zeros((0, 2)), eq_rhs=[], free_mask=free)
+    sol = solve(lp, Basis() if warm else None)
+    assert sol.status is status
+    if status is LpStatus.OPTIMAL:
+        assert sol.primal.tobytes() == np.zeros(2).tobytes()
+        assert sol.duals.shape == (0,) and sol.duals.dtype == float
+        assert sol.objective_value == 0.0
 
 
 def test_unbounded_ray_through_row():
@@ -708,9 +735,9 @@ def test_a_kept_inverse_is_reused_only_for_the_same_basis_matrix(monkeypatch):
     Solved one after the other through one holder, the second keeps the
     first one's basis, so it starts from the inverse the holder kept and
     makes no ``np.linalg.inv`` call; its point, duals and objective equal
-    byte for byte those of the same solve from that basis alone.  A copy of
-    the holder of a sibling LP, whose utility, and so whose basis matrix,
-    differs, inverts afresh and matches the same way."""
+    byte for byte those of the same solve from that basis alone.  A shallow
+    copy of the holder of a sibling LP, whose utility, and so whose basis
+    matrix, differs, inverts afresh and matches the same way."""
     inversions = 0
     real_inv = np.linalg.inv
 
@@ -750,8 +777,7 @@ def test_a_kept_inverse_is_reused_only_for_the_same_basis_matrix(monkeypatch):
     sibling = Basis()
     solve(assemble_stage_lp(steeper.datum_builder(4, np.array([1.1, 0.9, 1.05])), positions), sibling)
     assert not np.array_equal(second.eq_matrix[:, sibling.cols], sibling.B)
-    copied = sibling.copy()
-    assert copied.B is not sibling.B and np.array_equal(copied.Binv, sibling.Binv)
+    copied = replace(sibling)
     inversions = 0
     sol = solve(second, copied)
     assert inversions >= 1

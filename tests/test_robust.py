@@ -18,6 +18,7 @@ from sddpkit.lp import LinearProgram, LpStatus, solve
 from sddpkit.robust import (
     AmbiguityParams,
     DegenerateWeightError,
+    DroLowerTerms,
     RhoRule,
     inner_max_primal,
     rate_scaled_rho,
@@ -76,6 +77,30 @@ def test_zero_radius_returns_nominal():
     value, worst = inner_max_primal(z, nominal.weights, 0.0)
     assert value == pytest.approx(float(nominal.weights @ z), abs=1e-12)
     np.testing.assert_allclose(worst, nominal.weights, atol=1e-12)
+
+
+def test_inner_max_solves_the_block_its_terms_write(monkeypatch):
+    """The inner max LP, assembled on a stage with no decisions and no rows,
+    holds byte for byte the block ``DroLowerTerms`` writes on its own."""
+    solved = []
+
+    def recording(lp, start=None):
+        solved.append(lp)
+        return solve(lp, start)
+
+    monkeypatch.setattr("sddpkit.robust.solve", recording)
+    z, w_hat, rho = np.array([0.3, -1.2, 0.7, 0.1]), np.array([0.4, 0.1, 0.3, 0.2]), 0.25
+    inner_max_primal(z, w_hat, rho)
+    (lp,) = solved
+    scaled = (z - z.max()) / (z.max() - z.min())
+    block = lp_block(DroLowerTerms(w_hat, rho, np.arange(4), CutRows(np.zeros((4, 0)), scaled)), 0)
+    for got, want in (
+        (lp.objective, block.cost),
+        (lp.eq_matrix, block.rows),
+        (lp.eq_rhs, block.rhs),
+        (lp.free_mask, block.free),
+    ):
+        assert got.shape == want.shape and got.tobytes() == want.tobytes()
 
 
 def test_constant_values_are_radius_invariant():

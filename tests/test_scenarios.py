@@ -17,6 +17,7 @@ from sddpkit.scenarios import (
     sample_forward,
     save_trajectories,
 )
+from sddpkit.stages import build_portfolio_instance
 
 
 def _random_trajectories(seed=0, T=4, N=3, p=2):
@@ -48,6 +49,28 @@ def test_round_trip_is_bit_identical():
     buf2 = io.StringIO()
     save_trajectories(loaded, buf2)
     assert buf2.getvalue() == buf.getvalue()
+
+
+def test_generated_portfolio_set_saves_loads_and_saves_the_same_bytes():
+    """A synthetic set whose data share the builder's read-only blocks
+    reproduces itself through a save and a load."""
+    spec = SyntheticSpec(
+        mu=[0.5, 0.52],
+        phi=[[0.5, 0.1], [0.0, 0.45]],
+        noise_cov=[[0.0025, 0.0005], [0.0005, 0.0025]],
+        xi1=[1.0, 1.0],
+        box_lower=[0.8, 0.8],
+        box_upper=[1.2, 1.2],
+        datum_builder=build_portfolio_instance(2, 4, fees=(0.005, 0.01), r_f=1.01).datum_builder,
+    )
+    ts = generate_synthetic_markov(spec, 4, 5, rng_seed=3)
+    first = io.StringIO()
+    save_trajectories(ts, first)
+    loaded = load_trajectories(io.StringIO(first.getvalue()))
+    assert loaded == ts
+    second = io.StringIO()
+    save_trajectories(loaded, second)
+    assert second.getvalue() == first.getvalue()
 
 
 def test_round_trip_through_file(tmp_path):

@@ -384,3 +384,85 @@ def test_terminal_utility_saturates_beyond_fit_range():
     segs = exponential_utility_segments()
     expected = -min(a * 4.0 + d for a, d in segs)
     assert sol.objective_value == pytest.approx(expected, abs=1e-9)
+
+
+def _reference_datum(K, T, fees, r_f, utility_slopes, t, returns):
+    """The stage-t portfolio datum built entry by entry; a slow oracle for
+    the builder, which shares A, b and c between data."""
+    f_b, f_s = fees
+    slopes = np.array([a for a, _ in utility_slopes])
+    intercepts = np.array([d for _, d in utility_slopes])
+    S, n_state = len(utility_slopes), K + 1
+    d_trade = n_state + 2 * K
+    d_prev = 1 if t == 1 else d_trade
+    if t < T:
+        A, B = np.zeros((n_state, d_trade)), np.zeros((n_state, d_prev))
+        for i in range(K):
+            A[i, i] = 1.0
+            A[i, n_state + i] = -1.0
+            A[i, n_state + K + i] = 1.0
+        A[K, K] = 1.0
+        A[K, n_state : n_state + K] = 1.0 + f_b
+        A[K, n_state + K :] = -(1.0 - f_s)
+        if t == 1:
+            B[K, 0] = -1.0
+        else:
+            for i in range(K):
+                B[i, i] = -float(returns[i])
+            B[K, K] = -r_f
+        feature = np.ones(K) if t == 1 else returns
+        return StageDatum(np.zeros(d_trade), A, B, np.zeros(n_state), feature)
+    d_T, m_T = n_state + 2 + S, n_state + S
+    A, B = np.zeros((m_T, d_T)), np.zeros((m_T, d_prev))
+    b, c = np.zeros(m_T), np.zeros(d_T)
+    c[n_state], c[n_state + 1] = 1.0, -1.0
+    for i in range(K):
+        A[i, i] = 1.0
+        B[i, i] = -float(returns[i])
+    A[K, K] = 1.0
+    B[K, K] = -r_f
+    for s in range(S):
+        r = n_state + s
+        A[r, n_state] = 1.0
+        A[r, n_state + 1] = -1.0
+        A[r, :n_state] = slopes[s]
+        A[r, n_state + 2 + s] = -1.0
+        b[r] = -intercepts[s]
+    return StageDatum(c, A, B, b, returns)
+
+
+@pytest.mark.parametrize("K", [1, 2, 3])
+@pytest.mark.parametrize("T", [2, 3, 4])
+@pytest.mark.parametrize(
+    "utility_slopes", [None, [(1.2, 0.0), (0.7, 0.25), (0.1, 0.9)]], ids=["default", "custom"]
+)
+def test_portfolio_data_equal_the_entrywise_reference_bit_for_bit(K, T, utility_slopes):
+    fees, r_f = (0.004, 0.011), 1.013
+    segments = utility_slopes or exponential_utility_segments()
+    builder = build_portfolio_instance(K, T, fees, r_f, utility_slopes).datum_builder
+    rng = np.random.default_rng(100 * K + T)
+    for t in range(1, T + 1):
+        returns = rng.uniform(0.8, 1.2, size=K)
+        got, want = builder(t, returns), _reference_datum(K, T, fees, r_f, segments, t, returns)
+        for name in ("c", "A", "B", "b", "feature"):
+            g, w = getattr(got, name), getattr(want, name)
+            assert g.shape == w.shape and g.tobytes() == w.tobytes(), (t, name)
+
+
+def test_portfolio_data_share_read_only_blocks_and_own_their_b():
+    """Every trading datum holds the one trading A, every terminal datum the
+    one terminal A, b and c (its vectors are views of the shared arrays);
+    writing into a shared block raises, and each datum has its own B."""
+    builder = build_portfolio_instance(2, 4, fees=(0.01, 0.02), r_f=1.01).datum_builder
+    rng = np.random.default_rng(5)
+    trading = [builder(t, rng.uniform(0.8, 1.2, size=2)) for t in (1, 2, 3, 2, 3)]
+    terminal = [builder(4, rng.uniform(0.8, 1.2, size=2)) for _ in range(3)]
+    for group in (trading, terminal):
+        assert all(d.A is group[0].A for d in group)
+        assert all(d.b.base is group[0].b.base and d.c.base is group[0].c.base for d in group)
+        assert len({id(d.B) for d in group}) == len(group)
+        for d in group:
+            for block in (d.A, d.b, d.c):
+                with pytest.raises(ValueError):
+                    block[0] = 1.0
+    assert trading[0].A is not terminal[0].A
