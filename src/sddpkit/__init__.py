@@ -1,118 +1,22 @@
-"""Data-driven SDDP with kernel-conditioned weights and a distributionally robust variant."""
+"""Data-driven SDDP with kernel-conditioned weights and a distributionally robust variant.
+
+The package exports every public name of its modules: each module's
+``__all__`` is the one list of its names.
+"""
 
 __version__ = "0.1.0"
 
-from .approximations import (
-    CutLowerTerms,
-    CutPool,
-    EnvelopeStore,
-    EnvelopeUpperTerms,
-    WeightedLowerTerms,
-    aggregate_backward,
-)
-from .driver import (
-    Algorithm,
-    CrossValidationResult,
-    GapMode,
-    IterationRecord,
-    Policy,
-    PolicyReport,
-    SolveConfig,
-    cross_validate_rho,
-    evaluate_policy_out_of_sample,
-    extensive_form_oracle,
-    gap_converged,
-    generalization_bound,
-    run,
-)
-from .kernel import (
-    BandwidthRule,
-    ConditionalWeights,
-    KernelConfig,
-    auto_bandwidth,
-    nw_weights,
-)
-from .lp import (
-    LinearProgram,
-    LpSolution,
-    LpStatus,
-    enumerate_vertices,
-    solve,
-)
-from .robust import (
-    AmbiguityParams,
-    DroLowerTerms,
-    RhoRule,
-    inner_max_primal,
-    rate_scaled_rho,
-    sanitize_nominal,
-)
-from .scenarios import (
-    ForwardScenario,
-    StageDatum,
-    SyntheticSpec,
-    TrajectorySet,
-    generate_synthetic_markov,
-    load_trajectories,
-    sample_forward,
-    save_trajectories,
-)
-from .stages import (
-    InstanceTemplate,
-    assemble_stage_lp,
-    build_portfolio_instance,
-    exponential_utility_segments,
-    state_gradient,
-)
+from . import approximations, driver, kernel, lp, robust, scenarios, stages
+from .approximations import *  # noqa: F401,F403
+from .driver import *  # noqa: F401,F403
+from .kernel import *  # noqa: F401,F403
+from .lp import *  # noqa: F401,F403
+from .robust import *  # noqa: F401,F403
+from .scenarios import *  # noqa: F401,F403
+from .stages import *  # noqa: F401,F403
 
-__all__ = [
-    "__version__",
-    "Algorithm",
-    "AmbiguityParams",
-    "BandwidthRule",
-    "ConditionalWeights",
-    "CrossValidationResult",
-    "CutLowerTerms",
-    "CutPool",
-    "DroLowerTerms",
-    "EnvelopeStore",
-    "EnvelopeUpperTerms",
-    "ForwardScenario",
-    "GapMode",
-    "InstanceTemplate",
-    "IterationRecord",
-    "KernelConfig",
-    "LinearProgram",
-    "LpSolution",
-    "LpStatus",
-    "Policy",
-    "PolicyReport",
-    "RhoRule",
-    "SolveConfig",
-    "StageDatum",
-    "SyntheticSpec",
-    "TrajectorySet",
-    "WeightedLowerTerms",
-    "aggregate_backward",
-    "assemble_stage_lp",
-    "auto_bandwidth",
-    "build_portfolio_instance",
-    "cross_validate_rho",
-    "enumerate_vertices",
-    "evaluate_policy_out_of_sample",
-    "exponential_utility_segments",
-    "extensive_form_oracle",
-    "gap_converged",
-    "generalization_bound",
-    "generate_synthetic_markov",
-    "inner_max_primal",
-    "load_trajectories",
-    "nw_weights",
-    "rate_scaled_rho",
-    "run",
-    "sample_forward",
-    "sanitize_nominal",
-    "save_trajectories",
-    "solve",
-    "state_gradient",
+__all__ = ["__version__"] + [
+    name
+    for module in (approximations, driver, kernel, lp, robust, scenarios, stages)
+    for name in module.__all__
 ]

@@ -25,8 +25,10 @@ Configuration is one JSON file.  Keys for the solve family::
     }
 
 Unknown keys, also inside ``kernel``, ``ambiguity``, ``crossval``,
-``synth`` and ``synth.process``, are errors, as are a missing
-``synth.process`` key and an ``ambiguity.rule`` other than "rate_scaled".
+``synth`` and ``synth.process``, are errors, as are one of those sections
+given as anything but an object (``"ambiguity": null`` means no radius), a
+missing ``synth.process`` key, ``synth.fees`` other than two numbers and
+an ``ambiguity.rule`` other than "rate_scaled".
 
 Command-line flags (--seed, --algorithm, --rho, --epsilon, --max-iters)
 override the corresponding config keys.
@@ -121,12 +123,16 @@ def _load_config(path: str) -> dict:
     if not isinstance(cfg, dict):
         raise CliError(f"config file {path} must hold a JSON object")
     unknown = sorted(set(cfg) - _TOP_KEYS)
+    # A section precedes its subsections, so each parent is an object here.
     for section, keys in _SECTION_KEYS.items():
         node = cfg
         for part in section.split("."):
-            node = node.get(part) if isinstance(node, dict) else None
-        if isinstance(node, dict):
-            unknown += sorted(f"{section}.{key}" for key in set(node) - keys)
+            node = node.get(part, {})
+        if node is None and section == "ambiguity":  # a DD run's snapshot writes null
+            continue
+        if not isinstance(node, dict):
+            raise CliError(f"config section {section} must be a JSON object, got {node!r}")
+        unknown += sorted(f"{section}.{key}" for key in set(node) - keys)
     if unknown:
         raise CliError(f"unknown config key(s): {', '.join(unknown)}")
     rule = (cfg.get("ambiguity") or {}).get("rule", "rate_scaled")
@@ -410,9 +416,10 @@ def cmd_synth(args: argparse.Namespace) -> int:
     n_paths = int(synth.get("n_paths", 20))
     seed = int(args.seed if args.seed is not None else synth.get("seed", 0))
     fees = synth.get("fees", [0.0, 0.0])
-    template = build_portfolio_instance(
-        K, horizon_T, fees=(float(fees[0]), float(fees[1])), r_f=float(synth.get("r_f", 1.0))
-    )
+    numbers = isinstance(fees, list) and all(type(f) in (int, float) for f in fees)
+    if not numbers or len(fees) != 2:
+        raise CliError(f"synth.fees must be two numbers (buy, sell), got {fees!r}")
+    template = build_portfolio_instance(K, horizon_T, fees=fees, r_f=float(synth.get("r_f", 1.0)))
     proc = synth.get("process")
     if not isinstance(proc, dict):
         raise CliError("synth needs a \"process\" object (mu, phi, noise_cov, xi1, box)")

@@ -132,7 +132,8 @@ class SolveConfig:
     coefficient at run start using the training N and the effective
     bandwidth.  Each conditioning node's nominal weights are its kernel
     weights; the run never reads ``ambiguity.nominal``.  ``M_override``
-    fixes every stage's envelope penalty (see ``_envelope_penalty``).
+    fixes every stage's envelope penalty (see ``_envelope_penalty``)
+    and must satisfy 0 <= M_override < inf.
     """
 
     algorithm: Algorithm = Algorithm.DD
@@ -156,6 +157,8 @@ class SolveConfig:
             raise ValueError("seed must be nonnegative")
         if self.algorithm is Algorithm.RDD and self.ambiguity is None:
             raise ValueError("RDD requires ambiguity parameters")
+        if self.M_override is not None and not 0.0 <= self.M_override < math.inf:
+            raise ValueError("M_override must be finite and nonnegative")
 
 
 @dataclass(frozen=True)
@@ -706,11 +709,11 @@ def generalization_bound(
 
     with the absolute constants taken as 1.  ``sigmas``, ``lipschitz_constants``
     and ``deltas`` are indexed by t = 2..T; ``diameters`` and ``state_dims``
-    by s = 1..T-1.  Purely diagnostic.
+    by s = 1..T-1.  Every argument must be finite.  Purely diagnostic.
     """
+    if not 2 <= horizon_T < math.inf:
+        raise ValueError("horizon_T must be finite and at least 2")
     T = int(horizon_T)
-    if T < 2:
-        raise ValueError("horizon_T must be at least 2")
     sig = np.asarray(sigmas, dtype=float).reshape(-1)
     lip = np.asarray(lipschitz_constants, dtype=float).reshape(-1)
     dia = np.asarray(diameters, dtype=float).reshape(-1)
@@ -720,14 +723,16 @@ def generalization_bound(
         raise ValueError("sigmas, lipschitz_constants, deltas must have length T-1")
     if not (len(dia) == len(dim) == T - 1):
         raise ValueError("diameters and state_dims must have length T-1")
-    if np.any(sig < 0) or np.any(lip < 0):
-        raise ValueError("sigmas and lipschitz_constants must be nonnegative")
-    if np.any(dia <= 0) or np.any(dim <= 0):
-        raise ValueError("diameters and state_dims must be positive")
-    if np.any(del_ <= 0) or np.any(del_ >= 1):
+    if not np.all((0 <= sig) & (sig < math.inf) & (0 <= lip) & (lip < math.inf)):
+        raise ValueError("sigmas and lipschitz_constants must be finite and nonnegative")
+    if not np.all((0 < dia) & (dia < math.inf) & (0 < dim) & (dim < math.inf)):
+        raise ValueError("diameters and state_dims must be finite and positive")
+    if not np.all((0 < del_) & (del_ < 1)):
         raise ValueError("deltas must lie in (0, 1)")
-    if eta <= 0 or g_min <= 0 or h <= 0 or n_samples < 1 or p < 1:
-        raise ValueError("eta, g_min, h must be positive; n_samples, p at least 1")
+    if not all(0 < v < math.inf for v in (eta, g_min, h)):
+        raise ValueError("eta, g_min and h must be finite and positive")
+    if not (1 <= n_samples < math.inf and 1 <= p < math.inf):
+        raise ValueError("n_samples and p must be finite and at least 1")
     total = 0.0
     denom = n_samples * h**p * g_min
     for t in range(2, T + 1):
@@ -781,10 +786,13 @@ def cross_validate_rho(
     scores the mean realized objective on the held-out paths; the lowest
     mean across folds wins.  Ties go to the smaller coefficient.  A fold
     on which any held-out path fails scores inf, so a candidate cannot gain
-    from the paths its policy breaks down on.
+    from the paths its policy breaks down on.  The grid, 10 log-spaced
+    coefficients from 1e-3 to 10 by default, must be nonempty with every
+    entry in [0, inf); it is checked before any fold trains.
     """
-    if c_grid is None:
-        c_grid = np.logspace(-3.0, 1.0, 10)
+    c_grid = [float(c) for c in (np.logspace(-3.0, 1.0, 10) if c_grid is None else c_grid)]
+    if not c_grid or not all(0.0 <= c < math.inf for c in c_grid):
+        raise ValueError("c_grid must be a nonempty list of finite, nonnegative coefficients")
     n_folds = min(n_folds, traj.n_paths)
     if n_folds < 2:
         raise ValueError("need at least 2 folds")
@@ -800,12 +808,12 @@ def cross_validate_rho(
             train = _subset(traj, train_idx)
             test = _subset(traj, test_idx)
             h_train = config.kernel.effective_h(train.n_paths, traj.feature_dim)
-            rho = rate_scaled_rho(float(c), train.n_paths, h_train, traj.feature_dim)
+            rho = rate_scaled_rho(c, train.n_paths, h_train, traj.feature_dim)
             cfg = replace(config, algorithm=Algorithm.RDD, ambiguity=AmbiguityParams(rho=rho))
             policy, _, _ = run(train, instance, cfg)
             report = evaluate_policy_out_of_sample(policy, test)
             fold_scores.append(math.inf if report.n_failed else report.mean)
-        scores.append((float(c), float(np.mean(fold_scores))))
+        scores.append((c, float(np.mean(fold_scores))))
     best_c, _ = min(scores, key=lambda cv: (cv[1], cv[0]))
     h_full = config.kernel.effective_h(traj.n_paths, traj.feature_dim)
     return CrossValidationResult(

@@ -53,10 +53,6 @@ outputs are those of a start from the same basis alone.  Neither
 ``solve`` nor the simplex writes into a holder's arrays, so holders may
 share them: a shallow copy of a sibling's holder is a valid start.
 
-A small-scale vertex enumerator, :func:`enumerate_vertices`, is provided
-as an independent cross-check: it enumerates basic feasible solutions of
-the LP, its free variables split in two, by brute force over column subsets.
-
 Conventions
 -----------
 * A variable is either nonnegative or free, with no other bound.  A model
@@ -71,7 +67,6 @@ Conventions
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from enum import Enum
 
@@ -85,7 +80,6 @@ __all__ = [
     "LpInputError",
     "LpScaleError",
     "solve",
-    "enumerate_vertices",
 ]
 
 
@@ -94,7 +88,8 @@ class LpInputError(ValueError):
 
 
 class LpScaleError(ValueError):
-    """Raised when a problem is too large for the brute-force vertex enumerator."""
+    """Raised when a problem exceeds a size cap: the extensive-form oracle's
+    256 leaves (``driver.extensive_form_oracle``)."""
 
 
 class LpStatus(Enum):
@@ -623,102 +618,3 @@ def solve(lp: LinearProgram, start: Basis | None = None) -> LpSolution:
         start.B, start.Binv = (sim.B, sim.Binv) if exact else (None, None)
     return LpSolution(status, x, y, float(lp.objective @ x))
 
-
-# ---------------------------------------------------------------------------
-# Brute-force vertex enumeration
-# ---------------------------------------------------------------------------
-
-_ENUM_MAX_VARS = 12
-_ENUM_MAX_ROWS = 8
-
-
-def enumerate_vertices(lp: LinearProgram) -> list[tuple[np.ndarray, float]]:
-    """Enumerate basic feasible solutions of the LP with its free variables
-    split.
-
-    Intended as an independent oracle for small problems: it splits each
-    free variable into a positive and a negative part, unlike the simplex,
-    and finds every vertex of that split LP by testing all full-rank
-    column subsets, so ``min`` over the returned objective values equals
-    the LP optimum whenever one exists.  Each distinct primal point is
-    reported exactly once, as ``(x, objective_value)`` in original
-    coordinates.
-
-    Raises
-    ------
-    LpScaleError
-        If the split LP exceeds 12 columns or 8 rows.
-    LpInputError
-        Via :class:`LinearProgram` validation on malformed data.
-    """
-    b = lp.eq_rhs
-    free = lp.free_mask.nonzero()[0]
-    A = np.hstack([lp.eq_matrix, -lp.eq_matrix[:, free]])
-    m, n = A.shape
-    if n > _ENUM_MAX_VARS or m > _ENUM_MAX_ROWS:
-        raise LpScaleError(
-            f"split LP is {m} rows x {n} columns; enumeration caps are "
-            f"{_ENUM_MAX_ROWS} rows x {_ENUM_MAX_VARS} columns"
-        )
-    scale = max(1.0, float(np.abs(b).max(initial=0.0)))
-
-    def point(z: np.ndarray) -> np.ndarray:
-        x = z[: lp.n_vars].copy()
-        x[free] -= z[lp.n_vars :]
-        return x
-
-    # Reduce to an independent row subset (Gaussian elimination with partial
-    # pivoting on [A | b]); an inconsistent dependent row means infeasible.
-    work = np.hstack([A, b.reshape(-1, 1)])
-    pivot_rows: list[int] = []
-    row_order = list(range(m))
-    lead = 0
-    for col in range(n):
-        if lead >= m:
-            break
-        sub = [i for i in row_order[lead:]]
-        vals = np.abs([work[i, col] for i in sub])
-        best = int(np.argmax(vals))
-        if vals[best] <= 1e-11 * scale:
-            continue
-        row_order[lead], row_order[lead + best] = row_order[lead + best], row_order[lead]
-        pr = row_order[lead]
-        pivot_rows.append(pr)
-        for i in row_order[lead + 1 :]:
-            f = work[i, col] / work[pr, col]
-            if f != 0.0:
-                work[i] -= f * work[pr]
-        lead += 1
-    for i in row_order[lead:]:
-        if abs(work[i, -1]) > _FEAS_TOL * scale:
-            return []  # inconsistent system
-
-    A_r = A[pivot_rows]
-    b_r = b[pivot_rows]
-    r = len(pivot_rows)
-    out: list[tuple[np.ndarray, float]] = []
-    seen: set[tuple[float, ...]] = set()
-    if r == 0:
-        x = point(np.zeros(n))
-        return [(x, float(lp.objective @ x))]
-    for cols in itertools.combinations(range(n), r):
-        B = A_r[:, cols]
-        try:
-            zb = np.linalg.solve(B, b_r)
-        except np.linalg.LinAlgError:
-            continue
-        if not np.all(np.isfinite(zb)):
-            continue
-        if np.max(np.abs(B @ zb - b_r)) > 1e-8 * scale:
-            continue
-        if np.min(zb) < -_FEAS_TOL * scale:
-            continue
-        z = np.zeros(n)
-        z[list(cols)] = np.maximum(zb, 0.0)
-        x = point(z)
-        key = tuple(np.round(x, 9).tolist())
-        if key in seen:
-            continue
-        seen.add(key)
-        out.append((x, float(lp.objective @ x)))
-    return out

@@ -171,16 +171,6 @@ class TrajectorySet:
         """The (N, p) matrix of stage-t covariates."""
         return np.array([d.feature for d in self.stage_data(t)])
 
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, TrajectorySet):
-            return NotImplemented
-        return (
-            self.horizon_T == other.horizon_T
-            and self.n_paths == other.n_paths
-            and self.stage1 == other.stage1
-            and self.data == other.data
-        )
-
 
 @dataclass(frozen=True)
 class ForwardScenario:

@@ -186,6 +186,13 @@ def test_bound_command_writes_json_when_out_given(tmp_path):
     assert payload["bound"] == generalization_bound(**_BOUND_PARAMS)
 
 
+def test_bound_command_exits_one_on_a_non_finite_constant(tmp_path, capsys):
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps({"bound": {**_BOUND_PARAMS, "sigmas": [math.nan, 1.0]}}))
+    assert main(["bound", "--config", str(path)]) == 1
+    assert "sigmas and lipschitz_constants must be finite" in capsys.readouterr().err
+
+
 def test_synth_portfolio_writes_loadable_trajectories(tmp_path):
     path = tmp_path / "config.json"
     path.write_text(
@@ -239,12 +246,29 @@ def test_unknown_config_key_exits_one(tmp_path, capsys):
             {"synth": {"K": 2, "process": {**_PROCESS, "box_uper": [1.4, 1.4]}}},
             "synth.process.box_uper",
         ),
+        ("solve", {"kernel": [1.0]}, "config section kernel must be a JSON object"),
+        ("solve", {"ambiguity": 5}, "config section ambiguity must be a JSON object"),
+        ("solve", {"crossval": "folds"}, "config section crossval must be a JSON object"),
+        ("synth", {"synth": None}, "config section synth must be a JSON object"),
+        (
+            "synth",
+            {"synth": {"K": 2, "process": [1.0]}},
+            "config section synth.process must be a JSON object",
+        ),
+        ("synth", {"synth": {"K": 2, "fees": [0.01], "process": _PROCESS}}, "synth.fees"),
+        (
+            "synth",
+            {"synth": {"K": 2, "fees": [0.01, 0.02, 0.5], "process": _PROCESS}},
+            "synth.fees",
+        ),
+        ("synth", {"synth": {"K": 2, "fees": "0.01", "process": _PROCESS}}, "synth.fees"),
     ],
 )
 def test_misspelled_nested_config_key_exits_one_before_writing(
     tmp_path, capsys, command, section, message
 ):
-    """A key no section reads, or a radius rule other than rate_scaled, is
+    """A key no section reads, a radius rule other than rate_scaled, a
+    section that is not an object, or fees that are not two numbers, is
     named in the error, and nothing is written."""
     cfg = _write_config(tmp_path, **section)
     out = tmp_path / "out"
@@ -254,6 +278,12 @@ def test_misspelled_nested_config_key_exits_one_before_writing(
     assert main([command, *args]) == 1
     assert message in capsys.readouterr().err
     assert not out.exists()
+
+
+def test_null_ambiguity_means_no_radius(tmp_path):
+    cfg = _write_config(tmp_path, ambiguity=None)
+    data = _write_data(tmp_path)
+    assert main(["solve", "--config", cfg, "--data", data, "--out", str(tmp_path / "out")]) == 0
 
 
 def test_synth_missing_process_key_exits_one_and_names_it(tmp_path, capsys):
@@ -323,12 +353,15 @@ def test_replayed_rdd_solve_reports_are_byte_identical(tmp_path):
             [],
             "c_h must be positive and finite",
         ),
+        ({"m_override": -1.0}, [], "M_override must be finite and nonnegative"),
+        ({"m_override": math.nan}, [], "M_override must be finite and nonnegative"),
+        ({"m_override": math.inf}, [], "M_override must be finite and nonnegative"),
     ],
 )
 def test_non_finite_settings_exit_one_before_writing(tmp_path, capsys, overrides, flags, message):
-    """A NaN kernel constant, an infinite bandwidth or a NaN or infinite
-    radius is refused with its message before training starts, so no
-    output directory appears."""
+    """A NaN kernel constant, an infinite bandwidth, a NaN or infinite
+    radius, or a negative or non-finite envelope penalty is refused with
+    its message before training starts, so no output directory appears."""
     cfg = _write_config(tmp_path, **overrides)
     data = _write_data(tmp_path)
     out = tmp_path / "out"

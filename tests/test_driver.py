@@ -1056,6 +1056,12 @@ def test_generalization_bound_monotone_in_samples_and_horizon():
 
 
 def test_generalization_bound_rejects_bad_domains():
+    """An argument outside its domain, or NaN or infinite, raises an error
+    that names it."""
+    lists = ("sigmas", "lipschitz_constants", "diameters", "state_dims", "deltas")
+    non_finite = [(key, [bad]) for key in lists for bad in (math.nan, math.inf)]
+    scalars = ("g_min", "eta", "n_samples", "h", "p", "horizon_T")
+    non_finite += [(key, bad) for key in scalars for bad in (math.nan, math.inf)]
     good = dict(
         sigmas=[1.0],
         lipschitz_constants=[1.0],
@@ -1077,8 +1083,9 @@ def test_generalization_bound_rejects_bad_domains():
         ("h", 0.0),
         ("sigmas", [1.0, 1.0]),
         ("diameters", [-1.0]),
+        *non_finite,
     ]:
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=key):
             generalization_bound(**{**good, key: bad})
 
 
@@ -1093,6 +1100,10 @@ def test_solve_config_validation():
         SolveConfig(seed=-1)
     with pytest.raises(ValueError):
         SolveConfig(algorithm=Algorithm.RDD)
+    for bad in (-1.0, math.nan, math.inf):
+        with pytest.raises(ValueError, match="M_override"):
+            SolveConfig(M_override=bad)
+    assert SolveConfig(M_override=0.0).M_override == 0.0
 
 
 def test_cross_validate_rho_scores_the_grid():
@@ -1108,6 +1119,20 @@ def test_cross_validate_rho_scores_the_grid():
     assert result.best_c in (0.01, 1.0)
     assert result.best_rho >= 0.0
     assert all(math.isfinite(s) for _, s in result.scores)
+
+
+@pytest.mark.parametrize("c_grid", [[], [0.5, -1.0], [0.5, math.nan], [math.inf, 0.5]])
+def test_cross_validate_rho_checks_its_grid_before_training(monkeypatch, c_grid):
+    """An empty grid, or a bad entry anywhere in it, is refused before any
+    fold trains."""
+    traj, template = make_toy(6, horizon_T=2, n_paths=6)
+
+    def no_training(*args, **kwargs):
+        raise AssertionError("a fold trained before the grid was checked")
+
+    monkeypatch.setattr(sddpkit.driver, "run", no_training)
+    with pytest.raises(ValueError, match="c_grid"):
+        cross_validate_rho(traj, template, _config(max_iterations=8), c_grid=c_grid, n_folds=2)
 
 
 def test_cross_validate_rho_scores_a_fold_with_a_failed_path_inf(monkeypatch):

@@ -1,4 +1,5 @@
-"""Every name the package and its modules export resolves."""
+"""What the package and its modules export: every name resolves, and the
+package exports each library module's names."""
 
 import importlib
 import pkgutil
@@ -16,3 +17,12 @@ _MODULES = [sddpkit] + [
 def test_every_exported_name_resolves(module):
     missing = [name for name in getattr(module, "__all__", ()) if not hasattr(module, name)]
     assert not missing
+
+
+def test_the_package_exports_every_library_module_name_once():
+    """``sddpkit.__all__`` is ``__version__`` plus each module's ``__all__``
+    (the CLI aside), and no two modules export the same name."""
+    library = [module for module in _MODULES[1:] if module.__name__ != "sddpkit.cli"]
+    names = ["__version__"] + [name for module in library for name in module.__all__]
+    assert len(names) == len(set(names))
+    assert sorted(sddpkit.__all__) == sorted(names)

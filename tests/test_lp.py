@@ -14,7 +14,6 @@ from sddpkit.lp import (
     LpInputError,
     LpScaleError,
     LpStatus,
-    enumerate_vertices,
     solve,
 )
 from sddpkit.stages import (
@@ -24,6 +23,7 @@ from sddpkit.stages import (
 )
 
 from _blocks import cut_rows
+from _enumerate import enumerate_vertices
 from _highs import highs_solve, highs_value
 from _kkt import assert_kkt
 from _toys import STATE_DIM, toy_builder
